@@ -8,8 +8,9 @@ Histograms run one counting instance per bucket at budget ``epsilon / 2``
 each: changing one user's value touches at most two buckets.
 
 Messages from all instances are pooled, tagged with their instance index and
-shuffled together; per-instance views are recovered from the tags (counts per
-tag are permutation invariant, so pooling costs nothing).
+shuffled together (:func:`protocol.pooled_run`); per-instance views are
+recovered from the tags (counts per tag are permutation invariant, so pooling
+costs nothing).
 """
 
 from __future__ import annotations
@@ -20,16 +21,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import RandomSource, geo_success_prob
+from .dist import RandomSource
 from .errors import DegenerateInputError, ParameterError
 from .params import (
     ProtocolParams,
     derive_params,
     minimal_params,
+    require_feasible,
     target_drop_prob,
     target_noise_epsilon,
 )
-from .protocol import FIDELITIES, randomize
+from .protocol import check_fidelity, run_once, run_trials
 
 #: Budget decay ratio between consecutive bit positions.
 BETA = 2.0 ** (-2.0 / 3.0)
@@ -114,22 +116,6 @@ def decode_bits(bits: np.ndarray) -> float:
     return float(bits @ bit_weights(bits.size))
 
 
-def _encode_matrix(
-    xs: np.ndarray, n_bits: int, gen: np.random.Generator, trials: int | None = None
-) -> np.ndarray:
-    """Rounded fixed-point values for a batch: shape (n,) or (trials, n)."""
-    scale = 1 << n_bits
-    size = len(xs) if trials is None else (trials, len(xs))
-    v = np.floor(xs * scale + gen.random(size)).astype(np.int64)
-    return np.minimum(v, scale - 1)
-
-
-def _ones_per_bit(values: np.ndarray, n_bits: int) -> np.ndarray:
-    """Per-bit ones counts of rounded values; last axis becomes the bit axis."""
-    shifts = n_bits - 1 - np.arange(n_bits)
-    return ((values[..., None] >> shifts) & 1).sum(axis=-2)
-
-
 def real_sum_params(
     epsilon: float, slack: float, n_bits: int, n_users: int
 ) -> list[ProtocolParams]:
@@ -184,70 +170,32 @@ class HistogramRun:
     total_messages: int | None = None
 
 
-def _pooled_message_run(
-    bit_matrix: np.ndarray,
-    instances: Sequence[ProtocolParams],
-    rng: RandomSource,
-) -> tuple[np.ndarray, int]:
-    """Message-level run of several instances over a shared shuffle.
 
-    ``bit_matrix[i, j]`` is user ``i``'s input bit for instance ``j``. All
-    messages are pooled, tagged and permuted together; per-tag signed sums
-    are returned along with the pooled message total.
+
+def _check_reals(xs: Sequence[float]) -> np.ndarray:
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 1 or xs.size == 0:
+        raise ParameterError("xs must be a non-empty 1-d sequence")
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise ParameterError("inputs must lie in [0, 1]")
+    return xs
+
+
+def _real_bits(xs: np.ndarray, n_bits: int):
+    """Input bits of a real-sum run, stochastically rounded on every draw.
+
+    Returns ``bits(rng, trials=None)``: the bits of :func:`encode_real` for
+    the whole batch, shape ``(n, n_bits)`` or ``(trials, n, n_bits)``.
     """
-    n, k = bit_matrix.shape
-    tags_parts: list[np.ndarray] = []
-    signs_parts: list[np.ndarray] = []
-    for j, inst in enumerate(instances):
-        for i in range(n):
-            c = randomize(int(bit_matrix[i, j]), inst, rng.substream(0, i, j))
-            tags_parts.append(np.full(c.message_count, j, dtype=np.int32))
-            signs_parts.append(
-                np.repeat(
-                    np.array([1, -1], dtype=np.int8),
-                    [c.plus_count, c.minus_count],
-                )
-            )
-    tags = np.concatenate(tags_parts) if tags_parts else np.empty(0, np.int32)
-    signs = np.concatenate(signs_parts) if signs_parts else np.empty(0, np.int8)
-    perm = rng.substream(1).generator.permutation(tags.size)
-    tags, signs = tags[perm], signs[perm]
-    counts = np.zeros(k, dtype=np.int64)
-    np.add.at(counts, tags, signs.astype(np.int64))
-    return counts, int(tags.size)
+    scale = 1 << n_bits
+    shifts = n_bits - 1 - np.arange(n_bits)
 
+    def bits(rng: RandomSource, trials: int | None = None) -> np.ndarray:
+        size = len(xs) if trials is None else (trials, len(xs))
+        v = np.floor(xs * scale + rng.generator.random(size)).astype(np.int64)
+        return (np.minimum(v, scale - 1)[..., None] >> shifts) & 1
 
-def _counts_instance_estimates(
-    bit_matrix: np.ndarray,
-    instances: Sequence[ProtocolParams],
-    rng: RandomSource,
-) -> np.ndarray:
-    """Counts-fidelity signed sums, one per instance (flooding cancels)."""
-    n, k = bit_matrix.shape
-    out = np.empty(k, dtype=np.int64)
-    for j, inst in enumerate(instances):
-        gen = rng.substream(0, j).generator
-        keep = gen.random(n) >= inst.drop_prob
-        p = geo_success_prob(inst.noise_epsilon)
-        rates = gen.gamma(1.0 / n, (1.0 - p) / p, size=2 * n)
-        noise = gen.poisson(rates)
-        out[j] = int((keep & (bit_matrix[:, j] == 1)).sum()) + int(
-            noise[:n].sum() - noise[n:].sum()
-        )
-    return out
-
-
-def _law_instance_estimates(
-    ones: np.ndarray, instances: Sequence[ProtocolParams], rng: RandomSource
-) -> np.ndarray:
-    """Law-fidelity signed sums per instance (derivation-level simulation)."""
-    out = np.empty(len(instances), dtype=np.int64)
-    for j, inst in enumerate(instances):
-        gen = rng.substream(0, j).generator
-        p = geo_success_prob(inst.noise_epsilon)
-        kept = int(ones[j]) - int(gen.binomial(int(ones[j]), inst.drop_prob))
-        out[j] = kept + int(gen.geometric(p) - gen.geometric(p))
-    return out
+    return bits
 
 
 def run_real_sum(
@@ -264,32 +212,14 @@ def run_real_sum(
     counting instance runs per bit position and the estimate is the
     place-value weighted sum of the instance outputs.
     """
-    if fidelity not in FIDELITIES:
-        raise ParameterError(f"fidelity must be one of {FIDELITIES}")
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ParameterError("xs must be a non-empty 1-d sequence")
-    if np.any((xs < 0.0) | (xs > 1.0)):
-        raise ParameterError("inputs must lie in [0, 1]")
-    n = xs.size
-    instances = real_sum_params(epsilon, slack, n_bits, n)
-
-    values = _encode_matrix(xs, n_bits, rng.substream(2).generator)
-    shifts = n_bits - 1 - np.arange(n_bits)
-    bit_matrix = ((values[:, None] >> shifts) & 1).astype(np.int64)
-
-    total = None
-    if fidelity == "message":
-        counts, total = _pooled_message_run(bit_matrix, instances, rng)
-    elif fidelity == "counts":
-        counts = _counts_instance_estimates(bit_matrix, instances, rng)
-    else:
-        counts = _law_instance_estimates(
-            bit_matrix.sum(axis=0), instances, rng
-        )
-    estimate = float(bit_weights(n_bits) @ counts)
+    check_fidelity(fidelity)
+    xs = _check_reals(xs)
+    instances = real_sum_params(epsilon, slack, n_bits, xs.size)
+    for inst in instances:
+        require_feasible(inst)
+    counts, total = run_once(_real_bits(xs, n_bits), instances, rng, fidelity)
     return RealSumRun(
-        estimate=estimate,
+        estimate=float(bit_weights(n_bits) @ counts),
         bit_counts=tuple(int(c) for c in counts),
         instances=tuple(instances),
         fidelity=fidelity,
@@ -310,40 +240,14 @@ def real_sum_trials(
 
     Rounding is re-drawn every trial, so the returned estimates carry the
     full pipeline error (rounding plus drops plus noise) against the exact
-    input sum. ``law`` fidelity samples each instance's closed-form estimate
-    law; ``counts`` draws per-user noise shares.
+    input sum. Trial ``t`` at ``message`` fidelity equals
+    :func:`run_real_sum` on ``rng.substream(t)``.
     """
-    if fidelity == "message":
-        ests = [
-            run_real_sum(xs, epsilon, slack, n_bits, rng.substream(t), "message").estimate
-            for t in range(trials)
-        ]
-        return np.asarray(ests)
-    if fidelity not in ("counts", "law"):
-        raise ParameterError(f"fidelity must be one of {FIDELITIES}")
-    xs = np.asarray(xs, dtype=np.float64)
-    n = xs.size
-    instances = real_sum_params(epsilon, slack, n_bits, n)
-    gen = rng.generator
-    values = _encode_matrix(xs, n_bits, gen, trials=trials)
-    ones = _ones_per_bit(values, n_bits)  # (trials, n_bits)
-    weights = bit_weights(n_bits)
-    estimates = np.zeros(trials, dtype=np.float64)
-    p_noise = [geo_success_prob(inst.noise_epsilon) for inst in instances]
-    for j, inst in enumerate(instances):
-        kept = ones[:, j] - gen.binomial(ones[:, j], inst.drop_prob)
-        if fidelity == "law":
-            diff = (gen.geometric(p_noise[j], size=trials) - 1) - (
-                gen.geometric(p_noise[j], size=trials) - 1
-            )
-        else:
-            rates = gen.gamma(
-                1.0 / n, (1.0 - p_noise[j]) / p_noise[j], size=(trials, 2 * n)
-            )
-            noise = gen.poisson(rates)
-            diff = noise[:, :n].sum(axis=1) - noise[:, n:].sum(axis=1)
-        estimates += weights[j] * (kept + diff)
-    return estimates
+    check_fidelity(fidelity)
+    xs = _check_reals(xs)
+    instances = real_sum_params(epsilon, slack, n_bits, xs.size)
+    counts = run_trials(_real_bits(xs, n_bits), instances, trials, rng, fidelity)
+    return counts @ bit_weights(n_bits)
 
 
 def histogram_params(
@@ -351,6 +255,21 @@ def histogram_params(
 ) -> ProtocolParams:
     """Shared per-bucket instance parameters: full derivation at ``epsilon/2``."""
     return derive_params(epsilon / 2.0, slack, n_users)
+
+
+def _bucket_bits(xs: Sequence[int], n_buckets: int) -> np.ndarray:
+    """Indicator bits ``x_i == b`` of validated bucket values, shape (n, n_buckets)."""
+    if n_buckets < 1:
+        raise ParameterError(f"n_buckets must be >= 1, got {n_buckets}")
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.ndim != 1 or xs.size == 0:
+        raise ParameterError("xs must be a non-empty 1-d sequence")
+    if np.any((xs < 0) | (xs >= n_buckets)):
+        raise ParameterError(
+            f"values must lie in [0, {n_buckets}), got range "
+            f"[{xs.min()}, {xs.max()}]"
+        )
+    return (xs[:, None] == np.arange(n_buckets)).astype(np.int64)
 
 
 def run_histogram(
@@ -367,28 +286,11 @@ def run_histogram(
     ``x_i == b``, each at budget ``epsilon / 2``; messages are pooled and
     tagged with the bucket index.
     """
-    if fidelity not in FIDELITIES:
-        raise ParameterError(f"fidelity must be one of {FIDELITIES}")
-    if n_buckets < 1:
-        raise ParameterError(f"n_buckets must be >= 1, got {n_buckets}")
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ParameterError("xs must be a non-empty 1-d sequence")
-    if np.any((xs < 0) | (xs >= n_buckets)):
-        raise ParameterError(
-            f"values must lie in [0, {n_buckets}), got range "
-            f"[{xs.min()}, {xs.max()}]"
-        )
-    inst = histogram_params(epsilon, slack, xs.size)
-    indicators = (xs[:, None] == np.arange(n_buckets)).astype(np.int64)
-    instances = [inst] * n_buckets
-    total = None
-    if fidelity == "message":
-        counts, total = _pooled_message_run(indicators, instances, rng)
-    elif fidelity == "counts":
-        counts = _counts_instance_estimates(indicators, instances, rng)
-    else:
-        counts = _law_instance_estimates(indicators.sum(axis=0), instances, rng)
+    check_fidelity(fidelity)
+    bits = _bucket_bits(xs, n_buckets)
+    inst = histogram_params(epsilon, slack, len(bits))
+    require_feasible(inst)
+    counts, total = run_once(bits, [inst] * n_buckets, rng, fidelity)
     return HistogramRun(
         estimates=tuple(int(c) for c in counts),
         instance=inst,
@@ -406,25 +308,12 @@ def histogram_trials(
     rng: RandomSource,
     fidelity: str = "counts",
 ) -> np.ndarray:
-    """Repeated histogram estimates, shape ``(trials, n_buckets)``."""
-    xs = np.asarray(xs, dtype=np.int64)
-    n = xs.size
-    inst = histogram_params(epsilon, slack, n)
-    true_counts = np.bincount(xs, minlength=n_buckets)[:n_buckets]
-    gen = rng.generator
-    p = geo_success_prob(inst.noise_epsilon)
-    out = np.empty((trials, n_buckets), dtype=np.int64)
-    for b in range(n_buckets):
-        kept = true_counts[b] - gen.binomial(true_counts[b], inst.drop_prob, size=trials)
-        if fidelity == "law":
-            diff = (gen.geometric(p, size=trials) - 1) - (
-                gen.geometric(p, size=trials) - 1
-            )
-        elif fidelity == "counts":
-            rates = gen.gamma(1.0 / n, (1.0 - p) / p, size=(trials, 2 * n))
-            noise = gen.poisson(rates)
-            diff = noise[:, :n].sum(axis=1) - noise[:, n:].sum(axis=1)
-        else:
-            raise ParameterError("histogram_trials supports counts or law fidelity")
-        out[:, b] = kept + diff
-    return out
+    """Repeated histogram estimates, shape ``(trials, n_buckets)``.
+
+    Trial ``t`` at ``message`` fidelity equals :func:`run_histogram` on
+    ``rng.substream(t)``.
+    """
+    check_fidelity(fidelity)
+    bits = _bucket_bits(xs, n_buckets)
+    inst = histogram_params(epsilon, slack, len(bits))
+    return run_trials(bits, [inst] * n_buckets, trials, rng, fidelity)

@@ -151,6 +151,15 @@ def check_condition(params: ProtocolParams) -> ConditionCheck:
     )
 
 
+def require_feasible(params: ProtocolParams) -> None:
+    """Raise :class:`ParameterError` naming the violated clauses, if any."""
+    check = check_condition(params)
+    if not check.ok:
+        raise ParameterError(
+            f"parameters violate feasibility clauses {list(check.violations)}"
+        )
+
+
 def target_noise_epsilon(epsilon: float, slack: float) -> float:
     """Noise budget ``eps - 0.01 * slack * min(eps, 1)`` for a given slack."""
     return epsilon - 0.01 * slack * min(epsilon, 1.0)

@@ -7,12 +7,16 @@ of plus and of minus noise messages, plus a Poisson number of flooding pairs
 (one +1 and one -1 each, cancelling in the sum). The analyzer sees only the
 shuffled multiset of single-bit messages and outputs its signed sum.
 
-Three simulation fidelities exist for experiments:
+Every run goes through one engine: :func:`draw_counts` is the vectorized
+randomizer, :func:`pooled_run` shuffles the messages of any number of
+instances together (counting is the one-instance case), :func:`signed_sums`
+draws an instance's output without building messages, and :func:`run_trials`
+repeats runs for Monte Carlo measurement. Three simulation fidelities exist:
 
 ``message``
     The default pipeline: messages are materialized and a real shuffle runs.
 ``counts``
-    Per-user message counts are drawn but the multiset is never built; the
+    Per-user noise shares are drawn but the multiset is never built; the
     estimate law is exactly the same because shuffling does not change counts
     and flooding cancels in the signed sum.
 ``law``
@@ -27,16 +31,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import RandomSource, geo_success_prob, sample_nb, sample_poi
+from .dist import RandomSource, geo_success_prob, sample_dlap, sample_nb, sample_poi
 from .errors import ParameterError
-from .params import ProtocolParams, check_condition
+from .params import ProtocolParams, require_feasible
 
 FIDELITIES = ("message", "counts", "law")
+
+#: Most noise shares (trials times ``2 n``) that ``counts`` fidelity holds at
+#: once; larger batches are drawn in chunks of whole trials. Every size the
+#: test suite and the benchmark use fits in one chunk, where the stream equals
+#: an unchunked draw.
+CHUNK_ELEMENTS = 1 << 22
+
+#: Messages the analyzer compares against a code at once.
+COUNT_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
 class Contribution:
-    """One user's message counts before shuffling."""
+    """Message counts before shuffling: one user's, or arrays over users."""
 
     input_plus: int
     input_minus: int
@@ -83,16 +96,23 @@ def _check_bit(x: int) -> int:
     return int(x)
 
 
-def _require_feasible(params: ProtocolParams) -> None:
-    check = check_condition(params)
-    if not check.ok:
+def check_fidelity(fidelity: str) -> None:
+    """Raise :class:`ParameterError` unless ``fidelity`` is one of :data:`FIDELITIES`."""
+    if fidelity not in FIDELITIES:
+        raise ParameterError(f"fidelity must be one of {FIDELITIES}")
+
+
+def _count_bits(zeros: int, ones: int, n: int) -> np.ndarray:
+    """Input bits of a counting dataset, ones first."""
+    if zeros < 0 or ones < 0 or zeros + ones != n:
         raise ParameterError(
-            f"params violate feasibility clauses {list(check.violations)}"
+            f"zeros and ones must be non-negative and sum to n_users={n}"
         )
+    return np.repeat(np.array([1, 0], dtype=np.int64), [ones, zeros])
 
 
 def randomize(x: int, params: ProtocolParams, rng: RandomSource) -> Contribution:
-    """Run one user's randomizer.
+    """Run one user's randomizer (scalar reference for :func:`draw_counts`).
 
     With probability ``1 - drop_prob`` the input-dependent block is
     ``(pad + x, pad)``, otherwise ``(0, 0)``. Noise counts are negative
@@ -113,22 +133,176 @@ def randomize(x: int, params: ProtocolParams, rng: RandomSource) -> Contribution
     return Contribution(input_plus, input_minus, noise_plus, noise_minus, flood)
 
 
+def draw_counts(
+    bits: np.ndarray, params: ProtocolParams, rng: RandomSource, trials=None
+) -> Contribution:
+    """The vectorized randomizer: message counts of the users holding ``bits``.
+
+    Same per-user laws as :func:`randomize`, with shares ``1/params.n_users``
+    whatever the number ``m`` of bits. Draws come in a fixed order: keep
+    (``m``), noise (``2m``, plus shares first), flood (``m``). Fields are
+    arrays of shape ``(m,)``, or ``(trials, m)`` when ``trials`` is given.
+    """
+    m = len(bits)
+    lead = () if trials is None else (trials,)
+    keep = rng.generator.random(lead + (m,)) >= params.drop_prob
+    p = geo_success_prob(params.noise_epsilon)
+    noise = sample_nb(1.0 / params.n_users, p, rng, size=lead + (2 * m,))
+    flood = sample_poi(params.flood_mean / params.n_users, rng, size=lead + (m,))
+    return Contribution(
+        input_plus=np.where(keep, params.pad_count + bits, 0),
+        input_minus=np.where(keep, params.pad_count, 0),
+        noise_plus=noise[..., :m],
+        noise_minus=noise[..., m:],
+        flood=flood,
+    )
+
+
+def _shuffled_codes(totals: Sequence[int], rng: RandomSource) -> np.ndarray:
+    """Pool ``totals[c]`` messages of each wire code ``c`` and shuffle them.
+
+    A pooled message's code is its wire word, ``2 * tag + sign_bit``; it is
+    stored in the smallest unsigned dtype and shuffled in place, so no wider
+    per-message array (index, tag or sign) is ever built.
+    """
+    dtype = np.min_scalar_type(len(totals) - 1)
+    codes = np.repeat(np.arange(len(totals), dtype=dtype), totals)
+    rng.generator.shuffle(codes)
+    return codes
+
+
+def _count_codes(codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """The analyzer's tally: messages per code of a shuffled pool.
+
+    One comparison pass per code: for the few codes of a run this is about
+    ten times faster than ``bincount``, which widens every code to int64.
+    """
+    counts = np.zeros(n_codes, dtype=np.int64)
+    for start in range(0, codes.size, COUNT_CHUNK):
+        chunk = codes[start : start + COUNT_CHUNK]
+        for code in range(n_codes):
+            counts[code] += np.count_nonzero(chunk == code)
+    return counts
+
+
+def pooled_run(
+    bits: np.ndarray, instances: Sequence[ProtocolParams], rng: RandomSource
+) -> tuple[np.ndarray, np.ndarray]:
+    """Message-level run of ``k`` instances over one shared shuffle.
+
+    ``bits[i, j]`` is user ``i``'s input to instance ``j``. Each instance's
+    counts are drawn in turn on ``rng``, then all messages are shuffled
+    together as wire codes and tallied. Returns the messages per code (code
+    ``2j`` is instance ``j``'s -1, ``2j + 1`` its +1) and the messages each
+    user sent.
+    """
+    totals: list[int] = []
+    per_user = 0
+    for j, inst in enumerate(instances):
+        c = draw_counts(bits[:, j], inst, rng)
+        plus, minus = c.plus_count, c.minus_count
+        totals += [int(minus.sum()), int(plus.sum())]
+        per_user = per_user + plus + minus
+    return _count_codes(_shuffled_codes(totals, rng), len(totals)), per_user
+
+
+def _noise_difference(params: ProtocolParams, rng: RandomSource, trials: int) -> np.ndarray:
+    """Plus minus minus noise shares of all users, per trial, in bounded chunks."""
+    n = params.n_users
+    p = geo_success_prob(params.noise_epsilon)
+    rows = max(1, CHUNK_ELEMENTS // (2 * n))
+    out = np.empty(trials, dtype=np.int64)
+    for start in range(0, trials, rows):
+        noise = sample_nb(1.0 / n, p, rng, size=(min(rows, trials - start), 2 * n))
+        out[start : start + rows] = noise[:, :n].sum(axis=1) - noise[:, n:].sum(axis=1)
+    return out
+
+
+def signed_sums(ones, params: ProtocolParams, rng: RandomSource, fidelity: str, size=None):
+    """An instance's signed sum drawn without building messages.
+
+    ``ones - Binomial(ones, drop_prob)`` plus the noise difference: the
+    summed per-user shares at ``counts`` fidelity, one discrete Laplace draw
+    at ``law`` fidelity. Flooding cancels in the sum and is not drawn.
+    ``ones`` is a count or an array of counts of shape ``size``.
+    """
+    n = params.n_users
+    if np.any(np.asarray(ones) < 0) or np.any(np.asarray(ones) > n):
+        raise ParameterError(f"ones must lie in [0, n_users={n}]")
+    kept = ones - rng.generator.binomial(ones, params.drop_prob, size=size)
+    if fidelity == "law":
+        return kept + sample_dlap(params.noise_epsilon, rng, size=size)
+    if size is None:
+        return kept + _noise_difference(params, rng, 1)[0]
+    return kept + _noise_difference(params, rng, size)
+
+
+def _encoder(bits):
+    return bits if callable(bits) else (lambda rng, trials=None: bits)
+
+
+def run_once(bits, instances, rng: RandomSource, fidelity: str):
+    """One run of pooled instances: per-instance signed sums and message total.
+
+    ``bits`` is the ``(n, k)`` input matrix, or a function ``bits(rng,
+    trials=None)`` that draws it (shape ``(trials, n, k)`` with ``trials``).
+    The total is ``None`` below ``message`` fidelity.
+    """
+    encode = _encoder(bits)
+    if fidelity == "message":
+        counts, per_user = pooled_run(encode(rng), instances, rng)
+        return counts[1::2] - counts[0::2], int(per_user.sum())
+    return run_trials(encode, instances, 1, rng, fidelity)[0], None
+
+
+def run_trials(
+    bits, instances, trials: int, rng: RandomSource, fidelity: str, threads: int = 1
+) -> np.ndarray:
+    """The trials engine: per-instance signed sums of repeated runs, ``(trials, k)``.
+
+    ``bits`` is as in :func:`run_once`. Message trial ``t`` is
+    :func:`run_once` on ``rng.substream(t)``; streams are keyed by trial
+    index and merged in index order, so ``threads`` never changes the
+    output. ``counts`` and ``law`` draw every trial at once on ``rng``.
+    """
+    if fidelity == "message":
+        out = np.empty((trials, len(instances)), dtype=np.int64)
+
+        def run_one(t: int) -> None:
+            out[t] = run_once(bits, instances, rng.substream(t), fidelity)[0]
+
+        if threads <= 1:
+            for t in range(trials):
+                run_one(t)
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(run_one, range(trials)))
+        return out
+    ones = _encoder(bits)(rng, trials).sum(axis=-2)
+    return np.stack(
+        [
+            signed_sums(ones[..., j], inst, rng, fidelity, size=trials)
+            for j, inst in enumerate(instances)
+        ],
+        axis=-1,
+    )
+
+
 def shuffle(
     contributions: Sequence[Contribution], rng: RandomSource
 ) -> tuple[np.ndarray, View]:
     """Materialize all messages and return a uniformly shuffled sequence.
 
-    Returns the permuted ``int8`` array of +1/-1 messages together with its
-    :class:`View`; the view depends only on the multiset, never on the
-    permutation.
+    Returns the shuffled ``int8`` array of +1/-1 messages together with its
+    :class:`View`; the view depends only on the multiset, never on the order.
     """
-    total_plus = sum(c.plus_count for c in contributions)
-    total_minus = sum(c.minus_count for c in contributions)
-    signs = np.repeat(
-        np.array([1, -1], dtype=np.int8), [total_plus, total_minus]
+    view = View(
+        sum(c.plus_count for c in contributions),
+        sum(c.minus_count for c in contributions),
     )
-    shuffled = rng.generator.permutation(signs)
-    return shuffled, View(total_plus, total_minus)
+    return decode_wire(_shuffled_codes([view.minus_count, view.plus_count], rng)), view
 
 
 def view_of(messages: np.ndarray) -> View:
@@ -163,22 +337,20 @@ def run_counting(
 ) -> CountingRun:
     """Run the full pipeline: randomize every user, shuffle, analyze.
 
-    Per-user randomness comes from substreams keyed by the user index, so
-    randomizers may run concurrently and a run is reproducible from the
-    master seed alone.
+    This is the one-instance :func:`pooled_run`, drawn on ``rng``'s own
+    stream: the counts of all users first, then the shuffle.
     """
     if len(xs) != params.n_users:
         raise ParameterError(
             f"got {len(xs)} inputs for n_users={params.n_users}"
         )
-    _require_feasible(params)
-    contributions = [
-        randomize(x, params, rng.substream(0, i)) for i, x in enumerate(xs)
-    ]
-    _, view = shuffle(contributions, rng.substream(1))
+    bits = np.array([_check_bit(x) for x in xs], dtype=np.int64)
+    require_feasible(params)
+    counts, per_user = pooled_run(bits[:, None], [params], rng)
+    view = View(int(counts[1]), int(counts[0]))
     return CountingRun(
         estimate=analyze(view),
-        messages_per_user=tuple(c.message_count for c in contributions),
+        messages_per_user=tuple(int(m) for m in per_user),
         view=view,
     )
 
@@ -193,30 +365,7 @@ def sample_estimate(
     that law directly, with no per-user structure. Intended for large-scale
     error experiments only.
     """
-    gen = rng.generator
-    p = geo_success_prob(params.noise_epsilon)
-    kept = ones - gen.binomial(ones, params.drop_prob, size=size)
-    noise = (gen.geometric(p, size=size) - 1) - (gen.geometric(p, size=size) - 1)
-    return kept + noise
-
-
-def _user_counts(
-    zeros: int, ones: int, params: ProtocolParams, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-user (plus, minus) message counts for one run."""
-    n = params.n_users
-    x = np.zeros(n, dtype=np.int64)
-    x[:ones] = 1
-    keep = gen.random(n) >= params.drop_prob
-    input_plus = np.where(keep, params.pad_count + x, 0)
-    input_minus = np.where(keep, params.pad_count, 0)
-    p = geo_success_prob(params.noise_epsilon)
-    rates = gen.gamma(1.0 / n, (1.0 - p) / p, size=2 * n)
-    noise = gen.poisson(rates)
-    flood = gen.poisson(params.flood_mean / n, size=n)
-    plus = input_plus + noise[:n] + flood
-    minus = input_minus + noise[n:] + flood
-    return plus, minus
+    return signed_sums(ones, params, rng, "law", size=size)
 
 
 def simulate_views(
@@ -237,34 +386,8 @@ def simulate_views(
     -------
     (v_plus, v_minus) : pair of int64 arrays of length ``trials``.
     """
-    n = params.n_users
-    if zeros + ones != n:
-        raise ParameterError(f"zeros + ones must equal n_users={n}")
-    gen = rng.generator
-    x = np.zeros(n, dtype=np.int64)
-    x[:ones] = 1
-    keep = gen.random((trials, n)) >= params.drop_prob
-    y_plus = keep @ (params.pad_count + x)
-    y_minus = keep.sum(axis=1) * params.pad_count
-    p = geo_success_prob(params.noise_epsilon)
-    rates = gen.gamma(1.0 / n, (1.0 - p) / p, size=(trials, 2 * n))
-    noise = gen.poisson(rates)
-    flood = gen.poisson(params.flood_mean / n, size=(trials, n)).sum(axis=1)
-    v_plus = y_plus + noise[:, :n].sum(axis=1) + flood
-    v_minus = y_minus + noise[:, n:].sum(axis=1) + flood
-    return v_plus.astype(np.int64), v_minus.astype(np.int64)
-
-
-def _message_trial(
-    zeros: int, ones: int, params: ProtocolParams, gen: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """One message-level run: materialize, shuffle, sum. Returns (estimate, per-user counts)."""
-    plus, minus = _user_counts(zeros, ones, params, gen)
-    signs = np.repeat(
-        np.array([1, -1], dtype=np.int8), [int(plus.sum()), int(minus.sum())]
-    )
-    shuffled = gen.permutation(signs)
-    return int(shuffled.sum()), plus + minus
+    c = draw_counts(_count_bits(zeros, ones, params.n_users), params, rng, trials)
+    return c.plus_count.sum(axis=1), c.minus_count.sum(axis=1)
 
 
 def estimate_trials(
@@ -279,61 +402,20 @@ def estimate_trials(
     """Repeated protocol estimates for Monte Carlo measurement.
 
     ``message`` fidelity runs the real pipeline once per trial on a per-trial
-    substream (thread count never changes the output: streams are keyed by
-    trial index and merged in index order). ``counts`` draws per-user counts
-    without building the multiset; ``law`` samples the closed-form estimate
-    law. All three produce the same estimate distribution.
+    substream (trial ``t`` equals :func:`run_counting` on
+    ``rng.substream(t)``; thread count never changes the output). ``counts``
+    draws per-user noise shares without building the multiset; ``law``
+    samples the closed-form estimate law. All three produce the same
+    estimate distribution.
     """
-    if fidelity not in FIDELITIES:
-        raise ParameterError(f"fidelity must be one of {FIDELITIES}")
-    n = params.n_users
-    if zeros + ones != n:
-        raise ParameterError(f"zeros + ones must equal n_users={n}")
-
-    if fidelity == "law":
-        return np.asarray(
-            sample_estimate(ones, params, rng, size=trials), dtype=np.int64
-        )
-
-    if fidelity == "counts":
-        gen = rng.generator
-        keep_ones = gen.binomial(ones, 1.0 - params.drop_prob, size=trials)
-        p = geo_success_prob(params.noise_epsilon)
-        rates = gen.gamma(1.0 / n, (1.0 - p) / p, size=(trials, 2 * n))
-        noise = gen.poisson(rates)
-        diff = noise[:, :n].sum(axis=1) - noise[:, n:].sum(axis=1)
-        # flooding is omitted: it cancels exactly in the signed sum
-        return (keep_ones + diff).astype(np.int64)
-
-    estimates = np.empty(trials, dtype=np.int64)
-
-    def run_one(t: int) -> None:
-        estimates[t] = _message_trial(
-            zeros, ones, params, rng.substream(t).generator
-        )[0]
-
-    if threads <= 1:
-        for t in range(trials):
-            run_one(t)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_one, range(trials)))
-    return estimates
+    check_fidelity(fidelity)
+    bits = _count_bits(zeros, ones, params.n_users)
+    return run_trials(bits[:, None], [params], trials, rng, fidelity, threads)[:, 0]
 
 
 def message_count_trials(
     x: int, params: ProtocolParams, trials: int, rng: RandomSource
 ) -> np.ndarray:
     """Total messages sent by a single user with input ``x``, over many runs."""
-    x = _check_bit(x)
-    n = params.n_users
-    gen = rng.generator
-    keep = gen.random(trials) >= params.drop_prob
-    input_msgs = np.where(keep, 2 * params.pad_count + x, 0)
-    p = geo_success_prob(params.noise_epsilon)
-    rates = gen.gamma(1.0 / n, (1.0 - p) / p, size=(trials, 2))
-    noise = gen.poisson(rates).sum(axis=1)
-    flood = gen.poisson(params.flood_mean / n, size=trials)
-    return (input_msgs + noise + 2 * flood).astype(np.int64)
+    bits = np.array([_check_bit(x)], dtype=np.int64)
+    return draw_counts(bits, params, rng, trials).message_count[:, 0]

@@ -17,7 +17,7 @@ from shufflecount import (
     run_real_sum,
     split_budget,
 )
-from shufflecount import composition
+from shufflecount import protocol
 from shufflecount.composition import (
     BETA,
     bit_weights,
@@ -154,10 +154,11 @@ class TestRealSumParams:
 
 class TestRunRealSum:
     def test_exact_sum_when_noise_is_zeroed(self, monkeypatch):
-        def padded_only(x, params, rng):
-            return Contribution(params.pad_count + x, params.pad_count, 0, 0, 0)
+        def padded_only(bits, params, rng, trials=None):
+            pad = np.full_like(bits, params.pad_count)
+            return Contribution(pad + bits, pad, 0, 0, 0)
 
-        monkeypatch.setattr(composition, "randomize", padded_only)
+        monkeypatch.setattr(protocol, "draw_counts", padded_only)
         xs = [0.0, 0.125, 0.25, 0.5, 0.625, 0.875, 1.0 - 2**-3, 0.375]
         run = run_real_sum(xs, 2.0, 0.5, 3, RandomSource(7), fidelity="message")
         assert run.estimate == pytest.approx(sum(xs), abs=1e-12)
@@ -200,6 +201,12 @@ class TestRunRealSum:
         with pytest.raises(ParameterError):
             run_real_sum([], 1.0, 0.5, 3, RandomSource(0))
 
+    @pytest.mark.parametrize("fidelity", ["message", "counts", "law"])
+    def test_trials_reject_out_of_range_inputs(self, fidelity):
+        for xs in ([5.0, 0.5], [-0.1, 0.5], [math.nan, 0.5], []):
+            with pytest.raises(ParameterError):
+                real_sum_trials(xs, 1.0, 0.5, 1, 10, RandomSource(0), fidelity)
+
 
 class TestHistogram:
     def test_bucket_validation(self):
@@ -208,16 +215,31 @@ class TestHistogram:
         with pytest.raises(ParameterError):
             run_histogram([0, -1], 8, 1.0, 0.5, RandomSource(0), "law")
 
+    @pytest.mark.parametrize("fidelity", ["message", "counts", "law"])
+    def test_trials_reject_out_of_range_values(self, fidelity):
+        for xs in ([0, 1, 8], [0, -1], []):
+            with pytest.raises(ParameterError):
+                histogram_trials(xs, 8, 1.0, 0.5, 10, RandomSource(0), fidelity)
+
+    def test_message_trials_are_runs_on_substreams(self):
+        xs = [0, 1, 1, 0, 1, 1, 1, 0]
+        rng = RandomSource(5)
+        ests = histogram_trials(xs, 2, 8.0, 0.5, 2, rng, "message")
+        for t in range(2):
+            run = run_histogram(xs, 2, 8.0, 0.5, rng.substream(t), "message")
+            assert tuple(ests[t]) == run.estimates
+
     def test_instance_budget_is_half(self):
         run = run_histogram([0, 1, 2, 3] * 50, 4, 1.0, 0.5, RandomSource(1), "law")
         assert run.instance.epsilon == pytest.approx(0.5)
         assert run.instance == derive_params(0.5, 0.5, 200)
 
     def test_single_bucket_with_zeroed_noise_recovers_count(self, monkeypatch):
-        def padded_only(x, params, rng):
-            return Contribution(params.pad_count + x, params.pad_count, 0, 0, 0)
+        def padded_only(bits, params, rng, trials=None):
+            pad = np.full_like(bits, params.pad_count)
+            return Contribution(pad + bits, pad, 0, 0, 0)
 
-        monkeypatch.setattr(composition, "randomize", padded_only)
+        monkeypatch.setattr(protocol, "draw_counts", padded_only)
         run = run_histogram([0] * 37, 1, 1.0, 0.5, RandomSource(2), "message")
         assert run.estimates == (37,)
 

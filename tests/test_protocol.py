@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from shufflecount import (
     RandomSource,
     View,
     analyze,
+    derive_params,
     dlap_variance,
     minimal_params,
     randomize,
@@ -21,10 +23,13 @@ from shufflecount import (
 from shufflecount.audit import exact_mean_messages, gof_integer_samples
 from shufflecount.dist import poi_logpmf
 from shufflecount.protocol import (
+    CHUNK_ELEMENTS,
     decode_wire,
+    draw_counts,
     encode_wire,
     estimate_trials,
     message_count_trials,
+    pooled_run,
     simulate_views,
 )
 
@@ -151,12 +156,10 @@ class TestRunCounting:
         # estimate equals the input part plus the noise part; flooding cancels
         xs = [1] * 40 + [0] * 60
         rng = RandomSource(12)
-        contribs = [
-            randomize(x, REFERENCE, rng.substream(0, i)) for i, x in enumerate(xs)
-        ]
-        _, view = shuffle(contribs, rng.substream(1))
-        input_part = sum(c.input_plus - c.input_minus for c in contribs)
-        noise_part = sum(c.noise_plus - c.noise_minus for c in contribs)
+        c = draw_counts(np.array(xs), REFERENCE, rng)
+        view = View(int(c.plus_count.sum()), int(c.minus_count.sum()))
+        input_part = int((c.input_plus - c.input_minus).sum())
+        noise_part = int((c.noise_plus - c.noise_minus).sum())
         assert analyze(view) == input_part + noise_part
         run = run_counting(xs, REFERENCE, RandomSource(12))
         assert run.estimate == analyze(view)
@@ -232,3 +235,81 @@ def test_message_count_trials_mean():
     counts = message_count_trials(1, REFERENCE, 20_000, RandomSource(50))
     se = counts.std(ddof=1) / math.sqrt(counts.size)
     assert abs(counts.mean() - exact_mean_messages(REFERENCE, 1)) <= 3.0 * se
+
+
+class TestEngine:
+    def test_draw_counts_matches_scalar_randomize_moments(self):
+        params = _loose_params(q=0.2)
+        trials = 20_000
+        vec = draw_counts(np.array([0, 1]), params, RandomSource(60), trials)
+        rng = RandomSource(61)
+        for x in (0, 1):
+            ref = [randomize(x, params, rng) for _ in range(trials)]
+            for field in ("plus_count", "minus_count"):
+                a = getattr(vec, field)[:, x].astype(np.float64)
+                b = np.array([getattr(c, field) for c in ref], dtype=np.float64)
+                se = math.sqrt(a.var(ddof=1) / trials + b.var(ddof=1) / trials)
+                assert abs(a.mean() - b.mean()) <= 3.0 * se, (x, field)
+                da, db = (a - a.mean()) ** 2, (b - b.mean()) ** 2
+                se = math.sqrt(da.var(ddof=1) / trials + db.var(ddof=1) / trials)
+                assert abs(da.mean() - db.mean()) <= 3.0 * se, (x, field)
+
+    def test_run_counting_is_the_one_instance_pooled_run(self):
+        xs = [1] * 30 + [0] * 70
+        run = run_counting(xs, REFERENCE, RandomSource(62))
+        counts, per_user = pooled_run(
+            np.array(xs)[:, None], [REFERENCE], RandomSource(62)
+        )
+        assert run.estimate == counts[1] - counts[0]
+        assert run.view == View(counts[1], counts[0])
+        assert run.messages_per_user == tuple(per_user)
+        # message trial t is the same run on substream t
+        rng = RandomSource(63)
+        trials = estimate_trials(70, 30, REFERENCE, 3, rng, "message")
+        for t in range(3):
+            assert trials[t] == run_counting(xs, REFERENCE, rng.substream(t)).estimate
+
+    def test_pooled_shuffle_holds_one_byte_per_message(self):
+        params = derive_params(1.0, 0.5, 100)
+        xs = [1] * 50 + [0] * 50
+        tracemalloc.start()
+        try:
+            run = run_counting(xs, params, RandomSource(64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        messages = sum(run.messages_per_user)
+        assert messages > 2_000_000
+        assert peak <= messages + 2**21
+
+    def test_counts_fidelity_memory_is_bounded(self):
+        # four chunks' worth of noise shares; one unchunked draw would hold
+        # at least 16 bytes per share (gamma rates plus Poisson counts)
+        n = 1024
+        trials = 4 * CHUNK_ELEMENTS // (2 * n)
+        params = minimal_params(1.0, 0.5, 0.01, n)
+        tracemalloc.start()
+        try:
+            ests = estimate_trials(0, n, params, trials, RandomSource(65), "counts")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ests.shape == (trials,)
+        assert peak <= 32 * CHUNK_ELEMENTS
+
+
+class TestValidation:
+    def test_sample_estimate_rejects_more_ones_than_users(self):
+        params = minimal_params(1.0, 0.5, 0.1, 30)
+        with pytest.raises(ParameterError):
+            sample_estimate(100, params, RandomSource(0))
+        with pytest.raises(ParameterError):
+            sample_estimate(-1, params, RandomSource(0))
+
+    def test_estimate_trials_rejects_negative_counts(self):
+        params = minimal_params(1.0, 0.5, 0.1, 30)
+        for fidelity in ("message", "counts", "law"):
+            with pytest.raises(ParameterError):
+                estimate_trials(-5, 35, params, 10, RandomSource(0), fidelity)
+            with pytest.raises(ParameterError):
+                simulate_views(-5, 35, params, 10, RandomSource(0))
