@@ -290,7 +290,9 @@ def run_histogram(
     bits = _bucket_bits(xs, n_buckets)
     inst = histogram_params(epsilon, slack, len(bits))
     require_feasible(inst)
-    counts, total = run_once(bits, [inst] * n_buckets, rng, fidelity)
+    counts, total = run_once(
+        lambda rng, trials=None: bits, [inst] * n_buckets, rng, fidelity
+    )
     return HistogramRun(
         estimates=tuple(int(c) for c in counts),
         instance=inst,
@@ -316,4 +318,6 @@ def histogram_trials(
     check_fidelity(fidelity)
     bits = _bucket_bits(xs, n_buckets)
     inst = histogram_params(epsilon, slack, len(bits))
-    return run_trials(bits, [inst] * n_buckets, trials, rng, fidelity)
+    return run_trials(
+        lambda rng, trials=None: bits, [inst] * n_buckets, trials, rng, fidelity
+    )

@@ -24,6 +24,9 @@ from shufflecount.audit import exact_mean_messages, gof_integer_samples
 from shufflecount.dist import poi_logpmf
 from shufflecount.protocol import (
     CHUNK_ELEMENTS,
+    COUNT_CHUNK,
+    PASS_CODES,
+    _count_codes,
     decode_wire,
     draw_counts,
     encode_wire,
@@ -118,6 +121,14 @@ class TestShuffleAnalyze:
             for seed in (0, 1):
                 permuted = np.random.default_rng((case, seed)).permutation(msgs)
                 assert analyze(view_of(permuted)) == baseline
+
+    def test_shuffle_permutes_plus_then_minus_messages(self):
+        contribs = [Contribution(2, 1, 0, 3, 4), Contribution(0, 0, 5, 0, 1)]
+        msgs, view = shuffle(contribs, RandomSource(12))
+        signs = np.repeat(np.array([1, -1], dtype=np.int8), [12, 9])
+        expected = RandomSource(12).generator.permutation(signs)
+        assert msgs.dtype == np.int8
+        assert np.array_equal(msgs, expected)
 
 
 class TestWireFormat:
@@ -230,6 +241,19 @@ class TestSimulateViews:
         se_d = diff.std(ddof=1) / math.sqrt(diff.size)
         assert abs(diff.mean() - keep) <= 3.0 * se_d
 
+    def test_memory_is_that_of_the_noise_draw(self):
+        # gamma rates and Poisson counts take 32 bytes per user and trial;
+        # holding per-user input or total arrays as well would add 16 or more
+        params = minimal_params(1.0, 0.5, 0.1, 3)
+        trials = 100_000
+        tracemalloc.start()
+        try:
+            simulate_views(1, 2, params, trials, RandomSource(42))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * trials * params.n_users
+
 
 def test_message_count_trials_mean():
     counts = message_count_trials(1, REFERENCE, 20_000, RandomSource(50))
@@ -296,6 +320,25 @@ class TestEngine:
             tracemalloc.stop()
         assert ests.shape == (trials,)
         assert peak <= 32 * CHUNK_ELEMENTS
+
+    @pytest.mark.parametrize("n_codes", [1, 2, PASS_CODES, PASS_CODES + 1, 40, 300])
+    def test_tally_counts_every_code(self, n_codes):
+        dtype = np.min_scalar_type(n_codes - 1)
+        gen = np.random.default_rng(n_codes)
+        codes = gen.integers(0, n_codes, 2 * COUNT_CHUNK + 5).astype(dtype)
+        expected = np.bincount(codes, minlength=n_codes)
+        assert np.array_equal(_count_codes(codes, n_codes), expected)
+
+    def test_tally_of_many_codes_holds_one_chunk(self):
+        codes = np.zeros(8 * COUNT_CHUNK, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            counts = _count_codes(codes, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts[0] == codes.size
+        assert peak <= 8 * COUNT_CHUNK + 2**16
 
 
 class TestValidation:
