@@ -173,6 +173,8 @@ def _count_inputs(args) -> list[int]:
     if args.ones is None:
         raise ParameterError("pass --ones/--zeros or --input-file")
     zeros = args.zeros if args.zeros is not None else 0
+    if args.ones < 0 or zeros < 0:
+        raise ParameterError("--ones and --zeros must be non-negative")
     return [1] * args.ones + [0] * zeros
 
 

@@ -65,7 +65,13 @@ def message_bits(num_instances: int) -> int:
 
 def dump_tagged(tags: np.ndarray, signs: np.ndarray) -> str:
     """Textual harness dump: one ``tag,sign`` line per message."""
-    lines = [f"{int(t)},{int(s):+d}" for t, s in zip(tags, signs)]
+    tags, signs = np.asarray(tags), np.asarray(signs)
+    if tags.shape != signs.shape:
+        raise ParameterError(
+            f"tags {tags.shape} and signs {signs.shape} must have one entry per message"
+        )
+    messages = [TaggedMessage(int(t), int(s)) for t, s in zip(tags, signs)]
+    lines = [f"{m.tag},{m.sign:+d}" for m in messages]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -15,6 +15,10 @@ repeats runs for Monte Carlo measurement. Three simulation fidelities exist:
 
 ``message``
     The default pipeline: messages are materialized and a real shuffle runs.
+    The shuffled pool is dealt as a stream of chunks (:func:`_deal`): each
+    chunk's per-code counts are drawn from what is left of the pool, then the
+    chunk gets a uniform arrangement, so memory stays O(chunk) while the
+    stream has the law of a full shuffle.
 ``counts``
     Per-user noise shares are drawn but the multiset is never built; the
     estimate law is exactly the same because shuffling does not change counts
@@ -26,6 +30,7 @@ repeats runs for Monte Carlo measurement. Three simulation fidelities exist:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,8 +48,12 @@ FIDELITIES = ("message", "counts", "law")
 #: an unchunked draw.
 CHUNK_ELEMENTS = 1 << 22
 
-#: Messages the analyzer tallies at once.
+#: Messages per dealt chunk of a shuffled pool, which the analyzer tallies at once.
 COUNT_CHUNK = 1 << 17
+
+#: Smallest chunk arranged by lookup and repair (:func:`_arrange`); below it
+#: the arrangement's fixed cost (about 70 µs) exceeds an in-place shuffle.
+ARRANGE_MIN = 1 << 13
 
 #: Most codes the analyzer tallies by one comparison pass each; pools with
 #: more codes are tallied by ``bincount``, whose cost does not grow with them.
@@ -183,12 +192,85 @@ def _shuffled_codes(totals: Sequence[int], rng: RandomSource) -> np.ndarray:
     return codes
 
 
-def _count_codes(codes: np.ndarray, n_codes: int) -> np.ndarray:
-    """The analyzer's tally: messages per code of a shuffled pool.
+def _chunk_counts(remaining: np.ndarray, size: int, gen: np.random.Generator) -> np.ndarray:
+    """Per-code counts of ``size`` messages drawn uniformly from the pool ``remaining``.
 
-    Up to :data:`PASS_CODES` codes, one comparison pass per code (about
-    0.3 ns a message each); above, ``bincount`` (about 2.5 ns a message
-    whatever the number of codes). Either way the pool is read in chunks of
+    numpy's hypergeometric draws refuse populations of 10**9 or more, so the
+    pool is first thinned: every message is kept independently at a rate a
+    little above ``size / remaining.sum()``, redrawn until at least ``size``
+    are kept. Given their number, the kept messages are a uniform subset of
+    the pool, and ``size`` of them are then drawn without replacement.
+    """
+    rate = min(1.0, (size + 4.0 * math.sqrt(size) + 16.0) / remaining.sum())
+    kept = gen.binomial(remaining, rate)
+    while kept.sum() < size:
+        kept = gen.binomial(remaining, rate)
+    return gen.multivariate_hypergeometric(kept, size, method="marginals")
+
+
+def _arrange(take: np.ndarray, size: int, rng: RandomSource) -> np.ndarray:
+    """A uniformly random sequence of ``take[c]`` messages of each code ``c``.
+
+    Codes are first drawn i.i.d. through a 2**16-entry lookup table that
+    holds about a ``take[c] / size`` share of each code; then each code in
+    surplus frees that many of its positions, chosen uniformly, and the
+    missing codes fill the freed positions in a uniformly shuffled order.
+    The i.i.d. draw is exchangeable and the repair treats every position
+    alike, so the result is exchangeable with counts ``take``: the uniform
+    arrangement. Small chunks, and chunks of more than :data:`PASS_CODES`
+    codes, whose repair would pass over the chunk once per code, are
+    shuffled in place instead.
+    """
+    if size < ARRANGE_MIN or take.size > PASS_CODES:
+        return _shuffled_codes(take, rng)
+    gen = rng.generator
+    dtype = np.min_scalar_type(take.size - 1)
+    entries = take * (1 << 16) // size
+    entries[-1] += (1 << 16) - entries.sum()
+    table = np.repeat(np.arange(take.size, dtype=dtype), entries)
+    words = gen.integers(0, 1 << 64, -(-size // 4), dtype=np.uint64)
+    codes = table.take(words.view(np.uint16)[:size])
+    drawn = np.array([np.count_nonzero(codes == c) for c in range(take.size)])
+    surplus = drawn - take
+    if surplus.any():
+        freed = np.concatenate(
+            [
+                np.flatnonzero(codes == c)[gen.choice(drawn[c], e, replace=False)]
+                for c, e in enumerate(surplus)
+                if e > 0
+            ]
+        )
+        missing = np.repeat(np.arange(take.size, dtype=dtype), np.maximum(-surplus, 0))
+        gen.shuffle(missing)
+        codes[freed] = missing
+    return codes
+
+
+def _deal(totals: Sequence[int], rng: RandomSource):
+    """Yield a uniform shuffle of the pool ``totals`` as chunks of wire codes.
+
+    Each chunk of :data:`COUNT_CHUNK` messages takes its per-code counts
+    from what is left of the pool (:func:`_chunk_counts`) and gets a uniform
+    arrangement (:func:`_arrange`); the concatenated chunks have the law of
+    a full shuffle. A pool of one chunk draws no counts.
+    """
+    left = sum(totals)
+    remaining = np.array(totals, dtype=np.int64)
+    while left > COUNT_CHUNK:
+        take = _chunk_counts(remaining, COUNT_CHUNK, rng.generator)
+        yield _arrange(take, COUNT_CHUNK, rng)
+        remaining -= take
+        left -= COUNT_CHUNK
+    yield _arrange(remaining, left, rng)
+
+
+def _count_codes(codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """The analyzer's tally: messages per code of a shuffled sequence.
+
+    :func:`pooled_run` hands it one dealt chunk at a time. Up to
+    :data:`PASS_CODES` codes, one comparison pass per code (about 0.3 ns a
+    message each); above, ``bincount`` (about 2.5 ns a message whatever the
+    number of codes). Either way a longer sequence is read in chunks of
     :data:`COUNT_CHUNK`, so ``bincount``'s int64 copy stays small.
     """
     counts = np.zeros(n_codes, dtype=np.int64)
@@ -208,9 +290,9 @@ def pooled_run(
 
     ``bits[i, j]`` is user ``i``'s input to instance ``j``. Each instance's
     counts are drawn in turn on ``rng``, then all messages are shuffled
-    together as wire codes and tallied. Returns the messages per code (code
-    ``2j`` is instance ``j``'s -1, ``2j + 1`` its +1) and the messages each
-    user sent.
+    together as wire codes, dealt and tallied chunk by chunk. Returns the
+    messages per code (code ``2j`` is instance ``j``'s -1, ``2j + 1`` its +1)
+    and the messages each user sent.
     """
     totals: list[int] = []
     per_user = 0
@@ -219,7 +301,8 @@ def pooled_run(
         plus, minus = c.plus_count, c.minus_count
         totals += [int(minus.sum()), int(plus.sum())]
         per_user = per_user + plus + minus
-    return _count_codes(_shuffled_codes(totals, rng), len(totals)), per_user
+    counts = sum(_count_codes(chunk, len(totals)) for chunk in _deal(totals, rng))
+    return counts, per_user
 
 
 def _noise_difference(params: ProtocolParams, rng: RandomSource, trials: int) -> np.ndarray:
@@ -336,12 +419,15 @@ def analyze(view: View) -> int:
 def encode_wire(messages: np.ndarray) -> np.ndarray:
     """Wire format: one bit per message, 1 for +1 and 0 for -1."""
     messages = np.asarray(messages)
+    view_of(messages)  # rejects anything but +1/-1
     return (messages > 0).astype(np.uint8)
 
 
 def decode_wire(bits: np.ndarray) -> np.ndarray:
     """Inverse of :func:`encode_wire`."""
     bits = np.asarray(bits)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ParameterError("wire bits must be 0 or 1")
     return (2 * bits.astype(np.int8)) - 1
 
 

@@ -110,6 +110,16 @@ class TestRunCount:
         assert code == 0
         assert json.loads(out)["true_value"] == 30
 
+    @pytest.mark.parametrize("ones,zeros", [("-2", "5"), ("3", "-1")])
+    def test_negative_counts_exit_2(self, capsys, ones, zeros):
+        code, out, err = run_cli(
+            capsys, "run", "count", "--ones", ones, "--zeros", zeros,
+            "--eps", "1", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-negative" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "count", "--ones", "3", "--zeros", "2",

@@ -115,6 +115,13 @@ class TestTagging:
         assert text == "0,+1\n2,-1\n1,+1\n"
         assert dump_tagged(np.array([]), np.array([])) == ""
 
+    @pytest.mark.parametrize(
+        "tags,signs", [([0, 1], [1]), ([0], [1, -1]), ([0], [5]), ([0], [0]), ([-1], [1])]
+    )
+    def test_dump_rejects_malformed_messages(self, tags, signs):
+        with pytest.raises(ParameterError):
+            dump_tagged(np.array(tags), np.array(signs))
+
     def test_per_tag_counts_are_permutation_invariant(self):
         gen = np.random.default_rng(9)
         tags = gen.integers(0, 5, size=400)

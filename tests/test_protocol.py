@@ -1,8 +1,10 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from shufflecount import (
     Contribution,
@@ -20,13 +22,16 @@ from shufflecount import (
     shuffle,
     view_of,
 )
+from shufflecount import protocol
 from shufflecount.audit import exact_mean_messages, gof_integer_samples
 from shufflecount.dist import poi_logpmf
 from shufflecount.protocol import (
     CHUNK_ELEMENTS,
     COUNT_CHUNK,
     PASS_CODES,
+    _chunk_counts,
     _count_codes,
+    _deal,
     decode_wire,
     draw_counts,
     encode_wire,
@@ -145,6 +150,16 @@ class TestWireFormat:
     def test_view_rejects_other_symbols(self):
         with pytest.raises(ParameterError):
             view_of(np.array([1, 0, -1]))
+
+    @pytest.mark.parametrize("msgs", [[1, 0, -1], [3, 1], [-2]])
+    def test_encode_rejects_other_symbols(self, msgs):
+        with pytest.raises(ParameterError):
+            encode_wire(np.array(msgs))
+
+    @pytest.mark.parametrize("bits", [[2, 0, 1], [-1], [0, 1, 255]])
+    def test_decode_rejects_non_bits(self, bits):
+        with pytest.raises(ParameterError):
+            decode_wire(np.array(bits))
 
 
 class TestRunCounting:
@@ -339,6 +354,85 @@ class TestEngine:
             tracemalloc.stop()
         assert counts[0] == codes.size
         assert peak <= 8 * COUNT_CHUNK + 2**16
+
+
+class TestDealtShuffle:
+    """The dealt stream of :func:`pooled_run` has the law of a full shuffle."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        # every chunk after the first draws its counts, and every chunk of
+        # at least one message is arranged by lookup and repair
+        monkeypatch.setattr(protocol, "ARRANGE_MIN", 1)
+        return lambda chunk: monkeypatch.setattr(protocol, "COUNT_CHUNK", chunk)
+
+    def test_tiny_pool_is_uniform_over_arrangements(self, small_chunks):
+        small_chunks(4)
+        totals = (3, 2, 1)
+        arrangements = sorted(set(itertools.permutations([0, 0, 0, 1, 1, 2])))
+        index = {a: i for i, a in enumerate(arrangements)}
+        draws = 30_000
+        rng = RandomSource(70)
+        seen = np.zeros(len(arrangements), dtype=np.int64)
+        for _ in range(draws):
+            chunks = list(_deal(totals, rng))
+            assert [c.size for c in chunks] == [4, 2]
+            seen[index[tuple(np.concatenate(chunks).tolist())]] += 1
+        assert len(arrangements) == 60
+        assert stats.chisquare(seen).pvalue > 0.0027
+
+    def test_position_and_run_statistics_match_a_full_shuffle(self, small_chunks):
+        small_chunks(4096)
+        plus, minus, draws, bins = 15_000, 5_000, 400, 10
+        dealt_rng, full_rng = RandomSource(71), RandomSource(72)
+        rows = {"dealt": [], "full": []}
+        for _ in range(draws):
+            dealt = np.concatenate(list(_deal([minus, plus], dealt_rng)))
+            msgs, _ = shuffle([Contribution(plus, minus, 0, 0, 0)], full_rng)
+            for name, codes in (("dealt", dealt), ("full", (msgs > 0).view(np.uint8))):
+                assert np.count_nonzero(codes) == plus
+                # the plus count of each tenth of the sequence, and runs
+                where = np.add.reduceat(codes, np.arange(0, codes.size, codes.size // bins))
+                runs = 1 + np.count_nonzero(codes[1:] != codes[:-1])
+                longest = max(len(list(g)) for _, g in itertools.groupby(codes.tolist()))
+                rows[name].append([*where, runs, longest])
+        dealt, full = (np.array(rows[k], dtype=np.float64) for k in ("dealt", "full"))
+        se = np.sqrt(dealt.var(axis=0, ddof=1) / draws + full.var(axis=0, ddof=1) / draws)
+        assert np.all(np.abs(dealt.mean(axis=0) - full.mean(axis=0)) <= 3.0 * se)
+        # both match the uniform arrangement's expected number of runs
+        n = plus + minus
+        mean = 1 + 2 * plus * minus / n
+        var = 2 * plus * minus * (2 * plus * minus - n) / (n**2 * (n - 1))
+        for table in (dealt, full):
+            assert abs(table[:, bins].mean() - mean) <= 3.0 * math.sqrt(var / draws)
+
+    def test_chunk_counts_of_a_pool_beyond_hypergeometric_limits(self):
+        # numpy's hypergeometric draws refuse a population of 1e9 or more
+        remaining = np.array([1_200_000_000, 299_999_990, 10], dtype=np.int64)
+        total, size, draws = int(remaining.sum()), COUNT_CHUNK, 2000
+        gen = np.random.default_rng(73)
+        takes = np.array([_chunk_counts(remaining, size, gen) for _ in range(draws)])
+        assert np.all(takes.sum(axis=1) == size)
+        assert np.all((takes >= 0) & (takes <= remaining))
+        share = remaining / total
+        var = size * share * (1 - share) * (total - size) / (total - 1)
+        assert np.all(np.abs(takes.mean(axis=0) - size * share) <= 3.0 * np.sqrt(var / draws))
+
+    def test_pooled_run_memory_is_flat_in_the_pool(self):
+        pools = []
+        for n in (100, 1500):
+            params = derive_params(1.0, 0.5, n)
+            bits = (np.arange(n) < n // 2).astype(np.int64)[:, None]
+            tracemalloc.start()
+            try:
+                counts, _ = pooled_run(bits, [params], RandomSource(74))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * COUNT_CHUNK, n
+            pools.append(int(counts.sum()))
+        assert pools[0] > 2_000_000
+        assert pools[1] >= 4 * pools[0]
 
 
 class TestValidation:
