@@ -485,6 +485,26 @@ class GofResult:
     cells: int
 
 
+def _lumped_chisquare(
+    observed: np.ndarray, expected: np.ndarray, total: int, min_expected: float
+) -> GofResult:
+    """Chi-square test of ``total`` samples over lumped cells.
+
+    Cells expecting at least ``min_expected`` samples are kept; one remainder
+    cell lumps all other mass.
+    """
+    sel = expected >= min_expected
+    f_obs = np.append(observed[sel], total - observed[sel].sum())
+    f_exp = np.append(expected[sel], total - expected[sel].sum())
+    statistic, pvalue = stats.chisquare(f_obs, f_exp)
+    return GofResult(
+        statistic=float(statistic),
+        pvalue=float(pvalue),
+        dof=f_obs.size - 1,
+        cells=f_obs.size,
+    )
+
+
 def gof_integer_samples(
     samples: np.ndarray, logpmf, min_expected: float = 10.0
 ) -> GofResult:
@@ -499,16 +519,7 @@ def gof_integer_samples(
     ks = np.arange(k_max + 1)
     expected = np.exp(logpmf(ks)) * n
     observed = np.bincount(samples, minlength=k_max + 1).astype(np.float64)
-    sel = expected >= min_expected
-    f_obs = np.append(observed[sel], n - observed[sel].sum())
-    f_exp = np.append(expected[sel], n - expected[sel].sum())
-    statistic, pvalue = stats.chisquare(f_obs, f_exp)
-    return GofResult(
-        statistic=float(statistic),
-        pvalue=float(pvalue),
-        dof=f_obs.size - 1,
-        cells=f_obs.size,
-    )
+    return _lumped_chisquare(observed, expected, n, min_expected)
 
 
 def crossvalidate_views(
@@ -531,16 +542,7 @@ def crossvalidate_views(
     expected = np.exp(grid) * trials
     observed = np.zeros_like(expected)
     np.add.at(observed, (v_plus, v_minus), 1.0)
-    sel = expected >= min_expected
-    f_obs = np.append(observed[sel], trials - observed[sel].sum())
-    f_exp = np.append(expected[sel], trials - expected[sel].sum())
-    statistic, pvalue = stats.chisquare(f_obs, f_exp)
-    return GofResult(
-        statistic=float(statistic),
-        pvalue=float(pvalue),
-        dof=f_obs.size - 1,
-        cells=f_obs.size,
-    )
+    return _lumped_chisquare(observed, expected, trials, min_expected)
 
 
 def max_log_ratio(pmf_1: np.ndarray, pmf_2: np.ndarray) -> float:

@@ -46,7 +46,7 @@ from .params import (
     minimal_params,
     require_feasible,
 )
-from .protocol import estimate_trials, run_counting
+from .protocol import FIDELITIES, estimate_trials, run_counting
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -131,8 +131,32 @@ def _read_values(path: str, cast):
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if line:
-            values.append(cast(line))
+            try:
+                values.append(cast(line))
+            except ValueError:
+                raise ParameterError(
+                    f"{path}: cannot read {line!r} as {cast.__name__}"
+                ) from None
     return values
+
+
+def _run_inputs(args, rng: RandomSource, cast, draw) -> list:
+    """Inputs of a real-sum or histogram run, read or drawn, never empty.
+
+    ``--input-file`` is read with ``cast``; ``--uniform N`` takes
+    ``draw(generator, N)`` on substream 9 of the run's seed.
+    """
+    if args.input_file:
+        xs = _read_values(args.input_file, cast)
+    elif args.uniform is not None:
+        if args.uniform < 1:
+            raise ParameterError(f"--uniform must be at least 1, got {args.uniform}")
+        xs = draw(rng.substream(9).generator, args.uniform).tolist()
+    else:
+        raise ParameterError("pass --input-file or --uniform N")
+    if not xs:
+        raise ParameterError(f"{args.input_file} holds no inputs")
+    return xs
 
 
 def _cmd_params(args) -> int:
@@ -212,12 +236,7 @@ def _cmd_run_count(args) -> int:
 def _cmd_run_realsum(args) -> int:
     seed = _seed(args)
     rng = RandomSource(seed)
-    if args.input_file:
-        xs = _read_values(args.input_file, float)
-    elif args.uniform is not None:
-        xs = rng.substream(9).generator.random(args.uniform).tolist()
-    else:
-        raise ParameterError("pass --input-file or --uniform N")
+    xs = _run_inputs(args, rng, float, lambda gen, n: gen.random(n))
     n_bits = args.bits if args.bits is not None else max(1, math.ceil(math.log2(len(xs))))
     run = run_real_sum(xs, args.eps, args.rho, n_bits, rng, fidelity=args.fidelity)
     true_sum = float(sum(xs))
@@ -249,12 +268,9 @@ def _cmd_run_realsum(args) -> int:
 def _cmd_run_histogram(args) -> int:
     seed = _seed(args)
     rng = RandomSource(seed)
-    if args.input_file:
-        xs = _read_values(args.input_file, int)
-    elif args.uniform is not None:
-        xs = (rng.substream(9).generator.integers(0, args.buckets, size=args.uniform)).tolist()
-    else:
-        raise ParameterError("pass --input-file or --uniform N")
+    if args.buckets < 1:
+        raise ParameterError(f"--buckets must be at least 1, got {args.buckets}")
+    xs = _run_inputs(args, rng, int, lambda gen, n: gen.integers(0, args.buckets, size=n))
     run = run_histogram(xs, args.buckets, args.eps, args.rho, rng, fidelity=args.fidelity)
     true_counts = np.bincount(np.asarray(xs), minlength=args.buckets)[: args.buckets]
     errors = np.asarray(run.estimates) - true_counts
@@ -477,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--bits", type=int, default=None)
     rr.add_argument("--input-file", default=None)
     rr.add_argument("--uniform", type=int, default=None, help="generate N seeded uniform inputs")
-    rr.add_argument("--fidelity", choices=("message", "counts", "law"), default="message")
+    rr.add_argument("--fidelity", choices=FIDELITIES, default="message")
     _add_common(rr)
     rr.set_defaults(handler=_cmd_run_realsum)
 
@@ -487,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     rh.add_argument("--buckets", type=int, required=True)
     rh.add_argument("--input-file", default=None)
     rh.add_argument("--uniform", type=int, default=None, help="generate N seeded uniform inputs")
-    rh.add_argument("--fidelity", choices=("message", "counts", "law"), default="message")
+    rh.add_argument("--fidelity", choices=FIDELITIES, default="message")
     _add_common(rh)
     rh.set_defaults(handler=_cmd_run_histogram)
 
@@ -516,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     am.add_argument("--n", type=int, required=True)
     am.add_argument("--ones", type=int, default=None, help="ones count (default: all ones)")
     am.add_argument("--trials", type=int, default=50_000)
-    am.add_argument("--fidelity", choices=("message", "counts", "law"), default="message")
+    am.add_argument("--fidelity", choices=FIDELITIES, default="message")
     am.add_argument("--threads", type=int, default=1)
     _add_common(am)
     am.set_defaults(handler=_cmd_audit_mse)

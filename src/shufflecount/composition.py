@@ -7,10 +7,10 @@ sum of squared place values over squared budgets subject to the total).
 Histograms run one counting instance per bucket at budget ``epsilon / 2``
 each: changing one user's value touches at most two buckets.
 
-Messages from all instances are pooled, tagged with their instance index and
-shuffled together (:func:`protocol.pooled_run`); per-instance views are
-recovered from the tags (counts per tag are permutation invariant, so pooling
-costs nothing).
+Messages from all instances are pooled, tagged with their instance index
+(:func:`protocol.pooled_run`); per-instance views are the per-tag counts of
+the pool, which no shuffle of it changes, so pooling costs nothing and a run
+draws no permutation.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ def dump_tagged(tags: np.ndarray, signs: np.ndarray) -> str:
         raise ParameterError(
             f"tags {tags.shape} and signs {signs.shape} must have one entry per message"
         )
+    if np.any(np.mod(tags, 1) != 0) or np.any(np.mod(signs, 1) != 0):
+        raise ParameterError("tags and signs must be integers")
     messages = [TaggedMessage(int(t), int(s)) for t, s in zip(tags, signs)]
     lines = [f"{m.tag},{m.sign:+d}" for m in messages]
     return "\n".join(lines) + ("\n" if lines else "")

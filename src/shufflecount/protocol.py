@@ -8,21 +8,22 @@ of plus and of minus noise messages, plus a Poisson number of flooding pairs
 shuffled multiset of single-bit messages and outputs its signed sum.
 
 Every run goes through one engine: :func:`draw_counts` is the vectorized
-randomizer, :func:`pooled_run` shuffles the messages of any number of
-instances together (counting is the one-instance case), :func:`signed_sums`
-draws an instance's output without building messages, and :func:`run_trials`
-repeats runs for Monte Carlo measurement. Three simulation fidelities exist:
+randomizer, :func:`pooled_run` pools the messages of any number of instances
+(counting is the one-instance case), :func:`signed_sums` draws an
+instance's output without per-user counts, and :func:`run_trials` repeats
+runs for Monte Carlo measurement. The analyzer reads only per-code totals of
+the pool, which no permutation changes, so a run draws no shuffle;
+:func:`shuffle` materializes a uniformly shuffled sequence where the order
+itself is wanted (wire dumps, tests). Three simulation fidelities exist:
 
 ``message``
-    The default pipeline: messages are materialized and a real shuffle runs.
-    The shuffled pool is dealt as a stream of chunks (:func:`_deal`): each
-    chunk's per-code counts are drawn from what is left of the pool, then the
-    chunk gets a uniform arrangement, so memory stays O(chunk) while the
-    stream has the law of a full shuffle.
+    The default pipeline: every user's message counts in every instance,
+    flooding included, are drawn, and the analyzer reads the pool's per-code
+    totals. Per-user and total message counts are reported.
 ``counts``
-    Per-user noise shares are drawn but the multiset is never built; the
-    estimate law is exactly the same because shuffling does not change counts
-    and flooding cancels in the signed sum.
+    Only what the signed sum needs is drawn: the dropped inputs and every
+    user's noise shares, not flooding or per-user message counts. The
+    estimate law is exactly the same because flooding cancels in the sum.
 ``law``
     Derivation-level simulation of the closed-form estimate law
     ``ones - Binomial(ones, q) + DLap(noise_epsilon)``. No per-user structure.
@@ -30,7 +31,6 @@ repeats runs for Monte Carlo measurement. Three simulation fidelities exist:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,17 +47,6 @@ FIDELITIES = ("message", "counts", "law")
 #: test suite and the benchmark use fits in one chunk, where the stream equals
 #: an unchunked draw.
 CHUNK_ELEMENTS = 1 << 22
-
-#: Messages per dealt chunk of a shuffled pool, which the analyzer tallies at once.
-COUNT_CHUNK = 1 << 17
-
-#: Smallest chunk arranged by lookup and repair (:func:`_arrange`); below it
-#: the arrangement's fixed cost (about 70 µs) exceeds an in-place shuffle.
-ARRANGE_MIN = 1 << 13
-
-#: Most codes the analyzer tallies by one comparison pass each; pools with
-#: more codes are tallied by ``bincount``, whose cost does not grow with them.
-PASS_CODES = 8
 
 
 @dataclass(frozen=True)
@@ -179,120 +168,16 @@ def draw_counts(
     )
 
 
-def _shuffled_codes(totals: Sequence[int], rng: RandomSource) -> np.ndarray:
-    """Pool ``totals[c]`` messages of each wire code ``c`` and shuffle them.
-
-    A pooled message's code is its wire word, ``2 * tag + sign_bit``; it is
-    stored in the smallest unsigned dtype and shuffled in place, so no wider
-    per-message array (index, tag or sign) is ever built.
-    """
-    dtype = np.min_scalar_type(len(totals) - 1)
-    codes = np.repeat(np.arange(len(totals), dtype=dtype), totals)
-    rng.generator.shuffle(codes)
-    return codes
-
-
-def _chunk_counts(remaining: np.ndarray, size: int, gen: np.random.Generator) -> np.ndarray:
-    """Per-code counts of ``size`` messages drawn uniformly from the pool ``remaining``.
-
-    numpy's hypergeometric draws refuse populations of 10**9 or more, so the
-    pool is first thinned: every message is kept independently at a rate a
-    little above ``size / remaining.sum()``, redrawn until at least ``size``
-    are kept. Given their number, the kept messages are a uniform subset of
-    the pool, and ``size`` of them are then drawn without replacement.
-    """
-    rate = min(1.0, (size + 4.0 * math.sqrt(size) + 16.0) / remaining.sum())
-    kept = gen.binomial(remaining, rate)
-    while kept.sum() < size:
-        kept = gen.binomial(remaining, rate)
-    return gen.multivariate_hypergeometric(kept, size, method="marginals")
-
-
-def _arrange(take: np.ndarray, size: int, rng: RandomSource) -> np.ndarray:
-    """A uniformly random sequence of ``take[c]`` messages of each code ``c``.
-
-    Codes are first drawn i.i.d. through a 2**16-entry lookup table that
-    holds about a ``take[c] / size`` share of each code; then each code in
-    surplus frees that many of its positions, chosen uniformly, and the
-    missing codes fill the freed positions in a uniformly shuffled order.
-    The i.i.d. draw is exchangeable and the repair treats every position
-    alike, so the result is exchangeable with counts ``take``: the uniform
-    arrangement. Small chunks, and chunks of more than :data:`PASS_CODES`
-    codes, whose repair would pass over the chunk once per code, are
-    shuffled in place instead.
-    """
-    if size < ARRANGE_MIN or take.size > PASS_CODES:
-        return _shuffled_codes(take, rng)
-    gen = rng.generator
-    dtype = np.min_scalar_type(take.size - 1)
-    entries = take * (1 << 16) // size
-    entries[-1] += (1 << 16) - entries.sum()
-    table = np.repeat(np.arange(take.size, dtype=dtype), entries)
-    words = gen.integers(0, 1 << 64, -(-size // 4), dtype=np.uint64)
-    codes = table.take(words.view(np.uint16)[:size])
-    drawn = np.array([np.count_nonzero(codes == c) for c in range(take.size)])
-    surplus = drawn - take
-    if surplus.any():
-        freed = np.concatenate(
-            [
-                np.flatnonzero(codes == c)[gen.choice(drawn[c], e, replace=False)]
-                for c, e in enumerate(surplus)
-                if e > 0
-            ]
-        )
-        missing = np.repeat(np.arange(take.size, dtype=dtype), np.maximum(-surplus, 0))
-        gen.shuffle(missing)
-        codes[freed] = missing
-    return codes
-
-
-def _deal(totals: Sequence[int], rng: RandomSource):
-    """Yield a uniform shuffle of the pool ``totals`` as chunks of wire codes.
-
-    Each chunk of :data:`COUNT_CHUNK` messages takes its per-code counts
-    from what is left of the pool (:func:`_chunk_counts`) and gets a uniform
-    arrangement (:func:`_arrange`); the concatenated chunks have the law of
-    a full shuffle. A pool of one chunk draws no counts.
-    """
-    left = sum(totals)
-    remaining = np.array(totals, dtype=np.int64)
-    while left > COUNT_CHUNK:
-        take = _chunk_counts(remaining, COUNT_CHUNK, rng.generator)
-        yield _arrange(take, COUNT_CHUNK, rng)
-        remaining -= take
-        left -= COUNT_CHUNK
-    yield _arrange(remaining, left, rng)
-
-
-def _count_codes(codes: np.ndarray, n_codes: int) -> np.ndarray:
-    """The analyzer's tally: messages per code of a shuffled sequence.
-
-    :func:`pooled_run` hands it one dealt chunk at a time. Up to
-    :data:`PASS_CODES` codes, one comparison pass per code (about 0.3 ns a
-    message each); above, ``bincount`` (about 2.5 ns a message whatever the
-    number of codes). Either way a longer sequence is read in chunks of
-    :data:`COUNT_CHUNK`, so ``bincount``'s int64 copy stays small.
-    """
-    counts = np.zeros(n_codes, dtype=np.int64)
-    for start in range(0, codes.size, COUNT_CHUNK):
-        chunk = codes[start : start + COUNT_CHUNK]
-        if n_codes <= PASS_CODES:
-            counts += [np.count_nonzero(chunk == code) for code in range(n_codes)]
-        else:
-            counts += np.bincount(chunk, minlength=n_codes)
-    return counts
-
-
 def pooled_run(
     bits: np.ndarray, instances: Sequence[ProtocolParams], rng: RandomSource
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Message-level run of ``k`` instances over one shared shuffle.
+    """Message-level run of ``k`` instances pooled together.
 
     ``bits[i, j]`` is user ``i``'s input to instance ``j``. Each instance's
-    counts are drawn in turn on ``rng``, then all messages are shuffled
-    together as wire codes, dealt and tallied chunk by chunk. Returns the
-    messages per code (code ``2j`` is instance ``j``'s -1, ``2j + 1`` its +1)
-    and the messages each user sent.
+    counts are drawn in turn on ``rng`` and nothing after: the analyzer
+    reads only the pool's per-code totals, which no permutation changes.
+    Returns the messages per code (code ``2j`` is instance ``j``'s -1,
+    ``2j + 1`` its +1) and the messages each user sent.
     """
     totals: list[int] = []
     per_user = 0
@@ -301,8 +186,7 @@ def pooled_run(
         plus, minus = c.plus_count, c.minus_count
         totals += [int(minus.sum()), int(plus.sum())]
         per_user = per_user + plus + minus
-    counts = sum(_count_codes(chunk, len(totals)) for chunk in _deal(totals, rng))
-    return counts, per_user
+    return np.array(totals, dtype=np.int64), per_user
 
 
 def _noise_difference(params: ProtocolParams, rng: RandomSource, trials: int) -> np.ndarray:
@@ -392,13 +276,16 @@ def shuffle(
 
     Returns the shuffled ``int8`` array of +1/-1 messages together with its
     :class:`View`; the view depends only on the multiset, never on the order.
+    The messages are shuffled in place, so no wider per-message array is
+    built.
     """
     view = View(
         sum(c.plus_count for c in contributions),
         sum(c.minus_count for c in contributions),
     )
-    codes = _shuffled_codes([view.plus_count, view.minus_count], rng)
-    return 1 - 2 * codes.view(np.int8), view
+    messages = np.repeat(np.array([1, -1], dtype=np.int8), [view.plus_count, view.minus_count])
+    rng.generator.shuffle(messages)
+    return messages, view
 
 
 def view_of(messages: np.ndarray) -> View:
@@ -434,10 +321,10 @@ def decode_wire(bits: np.ndarray) -> np.ndarray:
 def run_counting(
     xs: Sequence[int], params: ProtocolParams, rng: RandomSource
 ) -> CountingRun:
-    """Run the full pipeline: randomize every user, shuffle, analyze.
+    """Run the full pipeline: randomize every user, pool, analyze.
 
     This is the one-instance :func:`pooled_run`, drawn on ``rng``'s own
-    stream: the counts of all users first, then the shuffle.
+    stream.
     """
     if len(xs) != params.n_users:
         raise ParameterError(

@@ -120,6 +120,15 @@ class TestRunCount:
         assert out == ""
         assert "non-negative" in err
 
+    def test_non_integer_input_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bits.txt"
+        path.write_text("1\n0.5\n0\n")
+        code, out, err = run_cli(
+            capsys, "run", "count", "--input-file", str(path), "--eps", "1", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "'0.5'" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "count", "--ones", "3", "--zeros", "2",
@@ -153,8 +162,28 @@ class TestRunRealsum:
         assert report["total_messages"] > 0
         assert report["budget_total"] <= 4.0
 
+    @pytest.mark.parametrize("inputs", [["--input-file", "{file}"], ["--uniform", "-1"]])
+    def test_no_inputs_exit_2(self, tmp_path, capsys, inputs):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        inputs = [a.format(file=empty) for a in inputs]
+        code, out, err = run_cli(capsys, "run", "realsum", *inputs, "--eps", "1", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "invalid parameters" in err
+
 
 class TestRunHistogram:
+    @pytest.mark.parametrize(
+        "inputs", [["--uniform", "5", "--buckets", "0"], ["--input-file", "{file}", "--buckets", "2"]]
+    )
+    def test_malformed_inputs_exit_2(self, tmp_path, capsys, inputs):
+        half = tmp_path / "half.txt"
+        half.write_text("1\n0.5\n")
+        inputs = [a.format(file=half) for a in inputs]
+        code, out, err = run_cli(capsys, "run", "histogram", *inputs, "--eps", "1", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "invalid parameters" in err
+
     def test_counts_fidelity_report(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "histogram", "--uniform", "120", "--buckets", "4",

@@ -116,7 +116,11 @@ class TestTagging:
         assert dump_tagged(np.array([]), np.array([])) == ""
 
     @pytest.mark.parametrize(
-        "tags,signs", [([0, 1], [1]), ([0], [1, -1]), ([0], [5]), ([0], [0]), ([-1], [1])]
+        "tags,signs",
+        [
+            ([0, 1], [1]), ([0], [1, -1]), ([0], [5]), ([0], [0]), ([-1], [1]),
+            ([1.7, 2.2], [1.0, -1.0]), ([0], [0.5]),
+        ],
     )
     def test_dump_rejects_malformed_messages(self, tags, signs):
         with pytest.raises(ParameterError):

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from shufflecount import (
     Contribution,
@@ -22,16 +21,10 @@ from shufflecount import (
     shuffle,
     view_of,
 )
-from shufflecount import protocol
 from shufflecount.audit import exact_mean_messages, gof_integer_samples
 from shufflecount.dist import poi_logpmf
 from shufflecount.protocol import (
     CHUNK_ELEMENTS,
-    COUNT_CHUNK,
-    PASS_CODES,
-    _chunk_counts,
-    _count_codes,
-    _deal,
     decode_wire,
     draw_counts,
     encode_wire,
@@ -336,87 +329,46 @@ class TestEngine:
         assert ests.shape == (trials,)
         assert peak <= 32 * CHUNK_ELEMENTS
 
-    @pytest.mark.parametrize("n_codes", [1, 2, PASS_CODES, PASS_CODES + 1, 40, 300])
-    def test_tally_counts_every_code(self, n_codes):
-        dtype = np.min_scalar_type(n_codes - 1)
-        gen = np.random.default_rng(n_codes)
-        codes = gen.integers(0, n_codes, 2 * COUNT_CHUNK + 5).astype(dtype)
-        expected = np.bincount(codes, minlength=n_codes)
-        assert np.array_equal(_count_codes(codes, n_codes), expected)
-
-    def test_tally_of_many_codes_holds_one_chunk(self):
-        codes = np.zeros(8 * COUNT_CHUNK, dtype=np.uint8)
-        tracemalloc.start()
-        try:
-            counts = _count_codes(codes, 40)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert counts[0] == codes.size
-        assert peak <= 8 * COUNT_CHUNK + 2**16
-
 
 class TestDealtShuffle:
-    """The dealt stream of :func:`pooled_run` has the law of a full shuffle."""
+    """A pooled run draws nothing after the randomizer; :func:`shuffle` is uniform."""
 
-    @pytest.fixture
-    def small_chunks(self, monkeypatch):
-        # every chunk after the first draws its counts, and every chunk of
-        # at least one message is arranged by lookup and repair
-        monkeypatch.setattr(protocol, "ARRANGE_MIN", 1)
-        return lambda chunk: monkeypatch.setattr(protocol, "COUNT_CHUNK", chunk)
+    @pytest.mark.parametrize("k", [1, 64])
+    def test_pooled_run_draws_only_the_randomizer(self, k):
+        params = _loose_params(q=0.2, n=6)
+        bits = np.random.default_rng(75).integers(0, 2, (params.n_users, k))
+        rng, twin = RandomSource(76), RandomSource(76)
+        counts, per_user = pooled_run(bits, [params] * k, rng)
+        draws = [draw_counts(bits[:, j], params, twin) for j in range(k)]
+        assert rng.generator.bit_generator.state == twin.generator.bit_generator.state
+        sums = [[c.minus_count.sum(), c.plus_count.sum()] for c in draws]
+        assert np.array_equal(counts, np.ravel(sums))
+        assert np.array_equal(per_user, sum(c.message_count for c in draws))
 
-    def test_tiny_pool_is_uniform_over_arrangements(self, small_chunks):
-        small_chunks(4)
-        totals = (3, 2, 1)
-        arrangements = sorted(set(itertools.permutations([0, 0, 0, 1, 1, 2])))
-        index = {a: i for i, a in enumerate(arrangements)}
-        draws = 30_000
-        rng = RandomSource(70)
-        seen = np.zeros(len(arrangements), dtype=np.int64)
-        for _ in range(draws):
-            chunks = list(_deal(totals, rng))
-            assert [c.size for c in chunks] == [4, 2]
-            seen[index[tuple(np.concatenate(chunks).tolist())]] += 1
-        assert len(arrangements) == 60
-        assert stats.chisquare(seen).pvalue > 0.0027
-
-    def test_position_and_run_statistics_match_a_full_shuffle(self, small_chunks):
-        small_chunks(4096)
+    def test_position_and_run_statistics_match_a_full_shuffle(self):
         plus, minus, draws, bins = 15_000, 5_000, 400, 10
-        dealt_rng, full_rng = RandomSource(71), RandomSource(72)
-        rows = {"dealt": [], "full": []}
+        keys_gen, full_rng = np.random.default_rng(71), RandomSource(72)
+        rows = {"keys": [], "full": []}
         for _ in range(draws):
-            dealt = np.concatenate(list(_deal([minus, plus], dealt_rng)))
+            # reference: a uniform arrangement by sorting i.i.d. random keys
+            ref = (np.argsort(keys_gen.random(plus + minus)) < plus).view(np.uint8)
             msgs, _ = shuffle([Contribution(plus, minus, 0, 0, 0)], full_rng)
-            for name, codes in (("dealt", dealt), ("full", (msgs > 0).view(np.uint8))):
+            for name, codes in (("keys", ref), ("full", (msgs > 0).view(np.uint8))):
                 assert np.count_nonzero(codes) == plus
                 # the plus count of each tenth of the sequence, and runs
                 where = np.add.reduceat(codes, np.arange(0, codes.size, codes.size // bins))
                 runs = 1 + np.count_nonzero(codes[1:] != codes[:-1])
                 longest = max(len(list(g)) for _, g in itertools.groupby(codes.tolist()))
                 rows[name].append([*where, runs, longest])
-        dealt, full = (np.array(rows[k], dtype=np.float64) for k in ("dealt", "full"))
-        se = np.sqrt(dealt.var(axis=0, ddof=1) / draws + full.var(axis=0, ddof=1) / draws)
-        assert np.all(np.abs(dealt.mean(axis=0) - full.mean(axis=0)) <= 3.0 * se)
+        keys, full = (np.array(rows[k], dtype=np.float64) for k in ("keys", "full"))
+        se = np.sqrt(keys.var(axis=0, ddof=1) / draws + full.var(axis=0, ddof=1) / draws)
+        assert np.all(np.abs(keys.mean(axis=0) - full.mean(axis=0)) <= 3.0 * se)
         # both match the uniform arrangement's expected number of runs
         n = plus + minus
         mean = 1 + 2 * plus * minus / n
         var = 2 * plus * minus * (2 * plus * minus - n) / (n**2 * (n - 1))
-        for table in (dealt, full):
+        for table in (keys, full):
             assert abs(table[:, bins].mean() - mean) <= 3.0 * math.sqrt(var / draws)
-
-    def test_chunk_counts_of_a_pool_beyond_hypergeometric_limits(self):
-        # numpy's hypergeometric draws refuse a population of 1e9 or more
-        remaining = np.array([1_200_000_000, 299_999_990, 10], dtype=np.int64)
-        total, size, draws = int(remaining.sum()), COUNT_CHUNK, 2000
-        gen = np.random.default_rng(73)
-        takes = np.array([_chunk_counts(remaining, size, gen) for _ in range(draws)])
-        assert np.all(takes.sum(axis=1) == size)
-        assert np.all((takes >= 0) & (takes <= remaining))
-        share = remaining / total
-        var = size * share * (1 - share) * (total - size) / (total - 1)
-        assert np.all(np.abs(takes.mean(axis=0) - size * share) <= 3.0 * np.sqrt(var / draws))
 
     def test_pooled_run_memory_is_flat_in_the_pool(self):
         pools = []
@@ -429,7 +381,7 @@ class TestDealtShuffle:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 16 * COUNT_CHUNK, n
+            assert peak <= 2**21, n
             pools.append(int(counts.sum()))
         assert pools[0] > 2_000_000
         assert pools[1] >= 4 * pools[0]
