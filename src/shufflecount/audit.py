@@ -46,6 +46,8 @@ DEFAULT_COVERAGE = 1.0 - 1e-9
 DEFAULT_MASS_FLOOR = 1e-30
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_GRID_CAP = 4096
+#: Goodness-of-fit cells expecting fewer samples are lumped into one cell.
+MIN_EXPECTED = 10.0
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,8 @@ def view_logpmf_grid(
             v = (a0 + a1) * params.pad_count
             if u > i_max or v > j_max:
                 continue
-            shifted = np.full((i_max + 1, j_max + 1), NEG_INF)
-            shifted[u:, v:] = lw + base[: i_max + 1 - u, : j_max + 1 - v]
-            acc = np.logaddexp(acc, shifted)
+            block = acc[u:, v:]
+            np.logaddexp(block, lw + base[: i_max + 1 - u, : j_max + 1 - v], out=block)
     return acc
 
 
@@ -219,7 +220,6 @@ def divergence_audit(
     n_users: int,
     params: ProtocolParams,
     coverage: float = DEFAULT_COVERAGE,
-    epsilon_target: float | None = None,
     mass_floor: float = DEFAULT_MASS_FLOOR,
     tolerance: float = DEFAULT_TOLERANCE,
     grid_cap: int = DEFAULT_GRID_CAP,
@@ -227,39 +227,47 @@ def divergence_audit(
     """Audit the privacy guarantee on the canonical neighboring pair.
 
     Compares the exact view distributions of ``(1, 0, ..., 0)`` against
-    ``(0, ..., 0)`` over a grid holding at least ``coverage`` of both masses.
-    The supremum of the absolute log-ratio is taken over grid points where
-    either PMF reaches ``mass_floor``; disjoint-support points (one PMF
-    exactly zero where the other is positive) are reported separately and
-    force an unbounded ratio, whatever their mass.
+    ``(0, ..., 0)`` over one grid, sized from tail quantiles of the flood and
+    noise draws to hold at least ``coverage`` of both masses. The supremum of
+    the absolute log-ratio is taken over grid points where either PMF reaches
+    ``mass_floor``; disjoint-support points (one PMF exactly zero where the
+    other is positive) are reported separately and force an unbounded ratio,
+    whatever their mass. The audit passes when the supremum is at most
+    ``params.epsilon + tolerance``.
 
     Raises
     ------
+    ParameterError
+        If ``coverage`` is outside (0, 1) or ``mass_floor`` outside (0, 1].
     AuditInconclusiveError
-        If the coverage target cannot be met within ``grid_cap``; this is
-        neither a pass nor a fail.
+        If the grid exceeds ``grid_cap``, or holds less than ``coverage`` of
+        either mass (a coverage closer to 1 than floating point resolves);
+        this is neither a pass nor a fail.
     """
     if n_users < 1:
         raise ParameterError(f"n_users must be >= 1, got {n_users}")
-    if epsilon_target is None:
-        epsilon_target = params.epsilon
+    if not 0.0 < coverage < 1.0:
+        raise ParameterError(f"coverage must lie in (0, 1), got {coverage}")
+    if not 0.0 < mass_floor <= 1.0:
+        raise ParameterError(f"mass_floor must lie in (0, 1], got {mass_floor}")
     with_one = DatasetSummary(zeros=n_users - 1, ones=1)
     all_zero = DatasetSummary(zeros=n_users, ones=0)
 
-    tail = (1.0 - coverage) / 8.0
-    while True:
-        i_max, j_max = _grid_bounds(params, n_users, tail)
-        if max(i_max, j_max) > grid_cap:
-            raise AuditInconclusiveError(
-                f"coverage {coverage} not reachable within grid cap {grid_cap}"
-            )
-        lf_x = view_logpmf_grid(with_one, params, i_max, j_max)
-        lf_xp = view_logpmf_grid(all_zero, params, i_max, j_max)
-        mass_x = float(np.exp(logsumexp(lf_x)))
-        mass_xp = float(np.exp(logsumexp(lf_xp)))
-        if mass_x >= coverage and mass_xp >= coverage:
-            break
-        tail /= 4.0
+    # Three tail quantiles bound each mass outside the grid by 3/8 (1 - coverage)
+    # in exact arithmetic, so a grid short of coverage is floating point's limit.
+    i_max, j_max = _grid_bounds(params, n_users, (1.0 - coverage) / 8.0)
+    if max(i_max, j_max) > grid_cap:
+        raise AuditInconclusiveError(
+            f"coverage {coverage} not reachable within grid cap {grid_cap}"
+        )
+    lf_x = view_logpmf_grid(with_one, params, i_max, j_max)
+    lf_xp = view_logpmf_grid(all_zero, params, i_max, j_max)
+    mass_x = float(np.exp(logsumexp(lf_x)))
+    mass_xp = float(np.exp(logsumexp(lf_xp)))
+    if min(mass_x, mass_xp) < coverage:
+        raise AuditInconclusiveError(
+            f"coverage {coverage} beyond floating point: grid mass {min(mass_x, mass_xp)!r}"
+        )
 
     inf_x = np.isneginf(lf_x)
     inf_xp = np.isneginf(lf_xp)
@@ -275,15 +283,10 @@ def divergence_audit(
     else:
         sup = 0.0
 
-    passed = (
-        not support_mismatch
-        and sup <= epsilon_target + tolerance
-        and mass_x >= coverage
-        and mass_xp >= coverage
-    )
+    passed = not support_mismatch and sup <= params.epsilon + tolerance
     return AuditReport(
         sup_abs_log_ratio=sup,
-        epsilon_target=epsilon_target,
+        epsilon_target=params.epsilon,
         mass_covered_x=mass_x,
         mass_covered_xprime=mass_xp,
         grid_i_max=i_max,
@@ -320,6 +323,8 @@ def check_geo_ratio(
     """
     if noise_epsilon <= 0.0:
         raise ParameterError("noise_epsilon must be positive")
+    if i_max < 0:
+        raise ParameterError(f"i_max must be >= 0, got {i_max}")
     i = np.arange(i_max + 1)
     # ln f(i-1) - ln f(i) = -log1p(-p) for i >= 1; -inf margin never occurs
     step = np.where(i >= 1, -math.log1p(-geo_success_prob(noise_epsilon)), NEG_INF)
@@ -346,6 +351,8 @@ def check_poi_ratio(
     lam, s = params.flood_mean, params.pad_count
     if i_max is None:
         i_max = math.ceil(lam + 20.0 * math.sqrt(lam) + s)
+    if i_max < 0:
+        raise ParameterError(f"i_max must be >= 0, got {i_max}")
     i = np.arange(i_max + 1)
     if params.drop_prob > 0.0:
         log_drop_coef = math.log(math.expm1(params.epsilon)) + math.log(
@@ -437,9 +444,9 @@ def measure_mse(
 ) -> MseMeasurement:
     """Monte Carlo MSE against the closed-form law and its bound.
 
-    At ``message`` fidelity every trial materializes and shuffles the full
-    multiset. Requires at least 1000 trials for the standard error to mean
-    anything.
+    At ``message`` fidelity every trial is a full pooled run: the randomizer's
+    draws, then the analyzer on their per-code totals. Requires at least 1000
+    trials for the standard error to mean anything.
     """
     if trials < 1000:
         raise ParameterError(f"trials must be >= 1000, got {trials}")
@@ -486,14 +493,14 @@ class GofResult:
 
 
 def _lumped_chisquare(
-    observed: np.ndarray, expected: np.ndarray, total: int, min_expected: float
+    observed: np.ndarray, expected: np.ndarray, total: int
 ) -> GofResult:
     """Chi-square test of ``total`` samples over lumped cells.
 
-    Cells expecting at least ``min_expected`` samples are kept; one remainder
+    Cells expecting at least ``MIN_EXPECTED`` samples are kept; one remainder
     cell lumps all other mass.
     """
-    sel = expected >= min_expected
+    sel = expected >= MIN_EXPECTED
     f_obs = np.append(observed[sel], total - observed[sel].sum())
     f_exp = np.append(expected[sel], total - expected[sel].sum())
     statistic, pvalue = stats.chisquare(f_obs, f_exp)
@@ -505,12 +512,10 @@ def _lumped_chisquare(
     )
 
 
-def gof_integer_samples(
-    samples: np.ndarray, logpmf, min_expected: float = 10.0
-) -> GofResult:
+def gof_integer_samples(samples: np.ndarray, logpmf) -> GofResult:
     """Chi-square test of non-negative integer samples against an exact PMF.
 
-    Cells with expected count below ``min_expected`` are lumped into a single
+    Cells with expected count below ``MIN_EXPECTED`` are lumped into a single
     remainder cell (which also absorbs all mass beyond the observed range).
     """
     samples = np.asarray(samples)
@@ -519,7 +524,7 @@ def gof_integer_samples(
     ks = np.arange(k_max + 1)
     expected = np.exp(logpmf(ks)) * n
     observed = np.bincount(samples, minlength=k_max + 1).astype(np.float64)
-    return _lumped_chisquare(observed, expected, n, min_expected)
+    return _lumped_chisquare(observed, expected, n)
 
 
 def crossvalidate_views(
@@ -527,7 +532,6 @@ def crossvalidate_views(
     params: ProtocolParams,
     trials: int,
     rng: RandomSource,
-    min_expected: float = 10.0,
 ) -> GofResult:
     """Chi-square simulated views (per-user sampling) against the exact oracle.
 
@@ -542,7 +546,7 @@ def crossvalidate_views(
     expected = np.exp(grid) * trials
     observed = np.zeros_like(expected)
     np.add.at(observed, (v_plus, v_minus), 1.0)
-    return _lumped_chisquare(observed, expected, trials, min_expected)
+    return _lumped_chisquare(observed, expected, trials)
 
 
 def max_log_ratio(pmf_1: np.ndarray, pmf_2: np.ndarray) -> float:

@@ -22,6 +22,10 @@ import numpy as np
 
 from . import __version__
 from .audit import (
+    DEFAULT_COVERAGE,
+    DEFAULT_GRID_CAP,
+    DEFAULT_MASS_FLOOR,
+    DEFAULT_TOLERANCE,
     DatasetSummary,
     check_geo_ratio,
     check_poi_ratio,
@@ -341,6 +345,13 @@ def _cmd_audit_divergence(args) -> int:
     return EXIT_PASS if report_obj.passed else EXIT_FAIL
 
 
+def _three_se_checks(empirical: float, result) -> dict:
+    """Report keys of a Monte Carlo audit: within 3 SE of exact, at most the bound."""
+    within = abs(empirical - result.exact) <= 3.0 * result.std_err
+    below = empirical <= result.bound + 3.0 * result.std_err
+    return {"within_3se_of_exact": within, "at_most_bound": below, "pass": within and below}
+
+
 def _cmd_audit_mse(args) -> int:
     seed = _seed(args)
     params = _explicit_params(args, args.n)
@@ -355,9 +366,6 @@ def _cmd_audit_mse(args) -> int:
         fidelity=args.fidelity,
         threads=args.threads,
     )
-    within = abs(result.empirical_mse - result.exact) <= 3.0 * result.std_err
-    below = result.empirical_mse <= result.bound + 3.0 * result.std_err
-    passed = within and below
     report = {
         "subcommand": "audit mse",
         "seed": seed,
@@ -369,12 +377,10 @@ def _cmd_audit_mse(args) -> int:
         "std_err": result.std_err,
         "exact": result.exact,
         "bound": result.bound,
-        "within_3se_of_exact": within,
-        "at_most_bound": below,
-        "pass": passed,
+        **_three_se_checks(result.empirical_mse, result),
     }
     _emit(args, report)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
 def _cmd_audit_comm(args) -> int:
@@ -382,9 +388,6 @@ def _cmd_audit_comm(args) -> int:
     params = _explicit_params(args, args.n)
     require_feasible(params)
     result = measure_comm(params, args.x, args.trials, RandomSource(seed))
-    within = abs(result.empirical_mean - result.exact) <= 3.0 * result.std_err
-    below = result.empirical_mean <= result.bound + 3.0 * result.std_err
-    passed = within and below
     report = {
         "subcommand": "audit comm",
         "seed": seed,
@@ -395,16 +398,16 @@ def _cmd_audit_comm(args) -> int:
         "std_err": result.std_err,
         "exact": result.exact,
         "bound": result.bound,
-        "within_3se_of_exact": within,
-        "at_most_bound": below,
-        "pass": passed,
+        **_three_se_checks(result.empirical_mean, result),
     }
     _emit(args, report)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
 def _cmd_bench(args) -> int:
     seed = _seed(args)
+    if not args.n_list:
+        raise ParameterError("--n-list names no user count")
     rows = []
     for n in args.n_list:
         params = derive_params(args.eps, args.rho, n)
@@ -520,10 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
     ad = audit_sub.add_parser("divergence", help="exact view max-divergence audit")
     _add_explicit_params(ad)
     ad.add_argument("--n", type=int, default=3)
-    ad.add_argument("--coverage", type=float, default=1.0 - 1e-9)
-    ad.add_argument("--tolerance", type=float, default=1e-6)
-    ad.add_argument("--floor", type=float, default=1e-30)
-    ad.add_argument("--grid-cap", dest="grid_cap", type=int, default=4096)
+    ad.add_argument("--coverage", type=float, default=DEFAULT_COVERAGE)
+    ad.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    ad.add_argument("--floor", type=float, default=DEFAULT_MASS_FLOOR)
+    ad.add_argument("--grid-cap", dest="grid_cap", type=int, default=DEFAULT_GRID_CAP)
     _add_common(ad)
     ad.set_defaults(handler=_cmd_audit_divergence)
 

@@ -244,6 +244,8 @@ def run_trials(
     index and merged in index order, so ``threads`` never changes the
     output. ``counts`` and ``law`` draw every trial at once on ``rng``.
     """
+    if trials < 1 or threads < 1:
+        raise ParameterError(f"trials and threads must be >= 1, got {trials} and {threads}")
     if fidelity == "message":
         out = np.empty((trials, len(instances)), dtype=np.int64)
 

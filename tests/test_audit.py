@@ -114,9 +114,29 @@ class TestDivergenceAudit:
         assert not report.passed
         assert report.sup_abs_log_ratio > 1.0 + 1e-6
 
-    def test_unreachable_coverage_is_inconclusive(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"grid_cap": 100}, {"coverage": 1.0 - 1e-14}],
+        ids=["grid_cap", "coverage"],
+    )
+    def test_unreachable_coverage_is_inconclusive(self, kwargs):
+        # the second coverage lies beyond the mass floating point resolves
         with pytest.raises(AuditInconclusiveError):
-            divergence_audit(3, _reference(3), grid_cap=100)
+            divergence_audit(3, _reference(3), **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"coverage": 0.0},
+            {"coverage": 1.0},
+            {"coverage": 1.5},
+            {"mass_floor": 0.0},
+            {"mass_floor": 2.0},
+        ],
+    )
+    def test_out_of_range_coverage_or_floor_rejected(self, kwargs):
+        with pytest.raises(ParameterError):
+            divergence_audit(3, _reference(3), **kwargs)
 
     def test_json_schema(self):
         report = divergence_audit(2, _reference(2))
@@ -140,6 +160,12 @@ class TestRatioChecks:
     def test_geo_rejects_bad_budget(self):
         with pytest.raises(ParameterError):
             check_geo_ratio(0.0, 10)
+
+    def test_negative_range_rejected(self):
+        with pytest.raises(ParameterError):
+            check_geo_ratio(0.5, -1)
+        with pytest.raises(ParameterError):
+            check_poi_ratio(_reference(3), i_max=-1)
 
     def test_poi_boundary_term_matches_hand_expansion(self):
         # at i = 0 the margin reduces to ln((e^eps - 1) q lam^s / s!)

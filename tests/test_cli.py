@@ -271,6 +271,29 @@ class TestAudit:
         assert "clauses" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--n-list", "100", "--trials", "0"],
+        ["bench", "--n-list", "100", "--trials", "-5"],
+        ["bench", "--n-list", ",", "--format", "csv"],
+        ["audit", "lemmas", "--i-max", "-1"],
+        ["audit", "divergence", "--floor", "0"],
+        ["audit", "divergence", "--floor", "2"],
+        ["audit", "divergence", "--coverage", "1"],
+        ["audit", "mse", "--n", "20", "--trials", "1000", "--fidelity", "counts",
+         "--threads", "0"],
+        ["audit", "mse", "--n", "20", "--trials", "1000", "--fidelity", "counts",
+         "--threads", "-3"],
+    ],
+)
+def test_out_of_range_option_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "invalid parameters" in err
+
+
 class TestBench:
     def test_deterministic_without_timing(self, tmp_path, capsys):
         blobs = []
