@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln, logsumexp, xlogy
 
 from .dist import (
     NEG_INF,
@@ -67,6 +65,8 @@ class DatasetSummary:
 
 
 def _binom_logpmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
+    from scipy.special import gammaln, xlogy
+
     k = np.asarray(k)
     return (
         gammaln(n + 1)
@@ -86,6 +86,8 @@ def _flood_noise_grid(
     where ``eta`` is the noise budget; the cumulative inner sum is built once
     with a running logaddexp.
     """
+    from scipy.special import gammaln
+
     eta = params.noise_epsilon
     p = geo_success_prob(eta)
     w = np.arange(min(i_max, j_max) + 1)
@@ -137,6 +139,8 @@ def exact_view_logpmf(
     Point evaluation with its own finite sums (independent of the grid code
     path, which the tests cross-check against this one).
     """
+    from scipy.special import gammaln, logsumexp
+
     if i < 0 or j < 0:
         return NEG_INF
     eta = params.noise_epsilon
@@ -205,11 +209,22 @@ class AuditReport:
         }
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
+
+
 def _grid_bounds(
     params: ProtocolParams, n_users: int, tail: float
 ) -> tuple[int, int]:
+    from scipy.special import pdtr, pdtrik
+
     p = geo_success_prob(params.noise_epsilon)
-    flood_q = int(stats.poisson.ppf(1.0 - tail, params.flood_mean)) + 2
+    # the Poisson (1 - tail)-quantile by scipy.stats.poisson.ppf's own recipe
+    flood_q = math.ceil(pdtrik(1.0 - tail, params.flood_mean))
+    if flood_q >= 1 and pdtr(flood_q - 1, params.flood_mean) >= 1.0 - tail:
+        flood_q -= 1
+    flood_q += 2
     noise_q = int(math.log(tail) / math.log1p(-p)) + 2
     i_max = n_users * (params.pad_count + 1) + flood_q + noise_q
     j_max = n_users * params.pad_count + flood_q + noise_q
@@ -238,24 +253,33 @@ def divergence_audit(
     Raises
     ------
     ParameterError
-        If ``coverage`` is outside (0, 1) or ``mass_floor`` outside (0, 1].
+        If ``coverage`` is outside (0, 1), ``mass_floor`` outside (0, 1],
+        ``tolerance`` negative or not finite, or ``grid_cap`` below 1.
     AuditInconclusiveError
         If the grid exceeds ``grid_cap``, or holds less than ``coverage`` of
         either mass (a coverage closer to 1 than floating point resolves);
         this is neither a pass nor a fail.
     """
+    from scipy.special import logsumexp
+
     if n_users < 1:
         raise ParameterError(f"n_users must be >= 1, got {n_users}")
     if not 0.0 < coverage < 1.0:
         raise ParameterError(f"coverage must lie in (0, 1), got {coverage}")
     if not 0.0 < mass_floor <= 1.0:
         raise ParameterError(f"mass_floor must lie in (0, 1], got {mass_floor}")
+    _check_tolerance(tolerance)
+    if grid_cap < 1:
+        raise ParameterError(f"grid_cap must be >= 1, got {grid_cap}")
     with_one = DatasetSummary(zeros=n_users - 1, ones=1)
     all_zero = DatasetSummary(zeros=n_users, ones=0)
 
     # Three tail quantiles bound each mass outside the grid by 3/8 (1 - coverage)
     # in exact arithmetic, so a grid short of coverage is floating point's limit.
-    i_max, j_max = _grid_bounds(params, n_users, (1.0 - coverage) / 8.0)
+    tail = (1.0 - coverage) / 8.0
+    if 1.0 - tail == 1.0:
+        raise AuditInconclusiveError(f"coverage {coverage} beyond floating point")
+    i_max, j_max = _grid_bounds(params, n_users, tail)
     if max(i_max, j_max) > grid_cap:
         raise AuditInconclusiveError(
             f"coverage {coverage} not reachable within grid cap {grid_cap}"
@@ -319,13 +343,16 @@ def check_geo_ratio(
 
     The margin ``eta - (ln f(i-1) - ln f(i))`` is identically zero in exact
     arithmetic for ``i >= 1`` (and infinite at ``i = 0``), so the check is a
-    floating-point regression guard with slack ``tolerance``.
+    floating-point regression guard with slack ``tolerance``. The computed
+    margin is also one value for every ``i >= 1``, so only ``i = 0`` and
+    ``i = 1`` are evaluated.
     """
     if noise_epsilon <= 0.0:
         raise ParameterError("noise_epsilon must be positive")
     if i_max < 0:
         raise ParameterError(f"i_max must be >= 0, got {i_max}")
-    i = np.arange(i_max + 1)
+    _check_tolerance(tolerance)
+    i = np.arange(min(i_max, 1) + 1)
     # ln f(i-1) - ln f(i) = -log1p(-p) for i >= 1; -inf margin never occurs
     step = np.where(i >= 1, -math.log1p(-geo_success_prob(noise_epsilon)), NEG_INF)
     margins = noise_epsilon - step
@@ -353,6 +380,7 @@ def check_poi_ratio(
         i_max = math.ceil(lam + 20.0 * math.sqrt(lam) + s)
     if i_max < 0:
         raise ParameterError(f"i_max must be >= 0, got {i_max}")
+    _check_tolerance(tolerance)
     i = np.arange(i_max + 1)
     if params.drop_prob > 0.0:
         log_drop_coef = math.log(math.expm1(params.epsilon)) + math.log(
@@ -500,13 +528,15 @@ def _lumped_chisquare(
     Cells expecting at least ``MIN_EXPECTED`` samples are kept; one remainder
     cell lumps all other mass.
     """
+    from scipy.special import chdtrc
+
     sel = expected >= MIN_EXPECTED
     f_obs = np.append(observed[sel], total - observed[sel].sum())
     f_exp = np.append(expected[sel], total - expected[sel].sum())
-    statistic, pvalue = stats.chisquare(f_obs, f_exp)
+    statistic = float(np.sum((f_obs - f_exp) ** 2 / f_exp))
     return GofResult(
-        statistic=float(statistic),
-        pvalue=float(pvalue),
+        statistic=statistic,
+        pvalue=float(chdtrc(f_obs.size - 1, statistic)),
         dof=f_obs.size - 1,
         cells=f_obs.size,
     )

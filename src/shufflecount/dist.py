@@ -1,10 +1,10 @@
 """Log-space PMFs and seeded samplers for the protocol's noise distributions.
 
-Everything here is computed in log space via ``scipy.special.gammaln`` so that
-counts in the thousands (flooding means, padded message counts) never touch a
-raw factorial. All samplers draw from an explicit :class:`RandomSource`, so
-identical seeds reproduce identical runs and distinct streams can be handed to
-concurrent workers.
+The log-PMFs are computed in log space via ``scipy.special.gammaln`` (imported
+where a log-PMF is evaluated) so that counts in the thousands (flooding means,
+padded message counts) never touch a raw factorial. All samplers draw from an
+explicit :class:`RandomSource`, so identical seeds reproduce identical runs and
+distinct streams can be handed to concurrent workers.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError
 
@@ -96,6 +95,8 @@ def nb_logpmf(r: float, p: float, k) -> float | np.ndarray:
     evaluated through log-gamma so fractional shapes (the n-divided noise
     components) are exact. Coincides with :func:`geo_logpmf` at ``r = 1``.
     """
+    from scipy.special import gammaln
+
     _check_positive("r", r)
     _check_prob("p", p)
     k = np.asarray(k)
@@ -110,6 +111,8 @@ def nb_logpmf(r: float, p: float, k) -> float | np.ndarray:
 
 def poi_logpmf(mean: float, k) -> float | np.ndarray:
     """Log-PMF of the Poisson distribution: ``k ln(mean) - mean - ln k!``."""
+    from scipy.special import gammaln
+
     _check_positive("mean", mean)
     k = np.asarray(k)
     scalar = k.ndim == 0

@@ -26,13 +26,17 @@ from shufflecount import (
     view_logpmf_grid,
 )
 from shufflecount.audit import (
+    MIN_EXPECTED,
     GofResult,
+    RatioCheck,
+    _grid_bounds,
+    _lumped_chisquare,
     gof_integer_samples,
     max_log_ratio,
     messages_bound,
     mse_bound,
 )
-from shufflecount.dist import geo_logpmf, geo_success_prob
+from shufflecount.dist import geo_logpmf, geo_success_prob, poi_logpmf
 
 
 def _reference(n, q=0.01):
@@ -116,11 +120,16 @@ class TestDivergenceAudit:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"grid_cap": 100}, {"coverage": 1.0 - 1e-14}],
-        ids=["grid_cap", "coverage"],
+        [
+            {"grid_cap": 100},
+            {"coverage": 1.0 - 1e-14},
+            {"coverage": 0.9999999999999999},
+        ],
+        ids=["grid_cap", "coverage", "coverage_quantile_at_one"],
     )
     def test_unreachable_coverage_is_inconclusive(self, kwargs):
-        # the second coverage lies beyond the mass floating point resolves
+        # the coverages lie beyond the mass floating point resolves; at the
+        # last, 1 - (1 - coverage) / 8 rounds to a flood quantile at 1
         with pytest.raises(AuditInconclusiveError):
             divergence_audit(3, _reference(3), **kwargs)
 
@@ -132,11 +141,33 @@ class TestDivergenceAudit:
             {"coverage": 1.5},
             {"mass_floor": 0.0},
             {"mass_floor": 2.0},
+            {"tolerance": -1e-9},
+            {"tolerance": math.inf},
+            {"tolerance": math.nan},
+            {"grid_cap": 0},
+            {"grid_cap": -5},
         ],
     )
     def test_out_of_range_coverage_or_floor_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             divergence_audit(3, _reference(3), **kwargs)
+
+    def test_grid_flood_quantile_matches_scipy_stats(self):
+        from scipy import stats
+
+        gen = np.random.default_rng(20_000)
+        means = np.exp(gen.uniform(-3.0, 16.0, size=2000))
+        tails = 10.0 ** gen.uniform(-15.0, math.log10(0.125), size=2000)
+        quantiles = stats.poisson.ppf(1.0 - tails, means)
+        for mean, tail, quantile in zip(means, tails, quantiles):
+            params = ProtocolParams(
+                n_users=1, epsilon=1.0, noise_epsilon=0.5,
+                drop_prob=0.01, pad_count=17, flood_mean=float(mean),
+            )
+            noise_q = int(math.log(tail) / math.log1p(-geo_success_prob(0.5))) + 2
+            i_max, j_max = _grid_bounds(params, 1, float(tail))
+            assert i_max - 18 - noise_q - 2 == int(quantile)
+            assert j_max == i_max - 1
 
     def test_json_schema(self):
         report = divergence_audit(2, _reference(2))
@@ -160,6 +191,28 @@ class TestRatioChecks:
     def test_geo_rejects_bad_budget(self):
         with pytest.raises(ParameterError):
             check_geo_ratio(0.0, 10)
+
+    @pytest.mark.parametrize("eta", [0.5, 2.0])
+    @pytest.mark.parametrize("i_max", [0, 1, 2, 10_000])
+    def test_geo_check_equals_brute_force(self, eta, i_max):
+        i = np.arange(i_max + 1)
+        step = np.where(i >= 1, -math.log1p(-geo_success_prob(eta)), -math.inf)
+        margins = eta - step
+        worst = int(np.argmin(margins))
+        assert check_geo_ratio(eta, i_max) == RatioCheck(
+            ok=bool(margins[worst] >= -1e-9),
+            worst_margin=float(margins[worst]),
+            worst_index=worst,
+            i_max=i_max,
+            tolerance=1e-9,
+        )
+
+    @pytest.mark.parametrize("tolerance", [-1e-9, math.inf, math.nan])
+    def test_out_of_range_tolerance_rejected(self, tolerance):
+        with pytest.raises(ParameterError):
+            check_geo_ratio(0.5, 10, tolerance=tolerance)
+        with pytest.raises(ParameterError):
+            check_poi_ratio(_reference(3), tolerance=tolerance)
 
     def test_negative_range_rejected(self):
         with pytest.raises(ParameterError):
@@ -283,6 +336,25 @@ class TestCrossValidation:
         assert isinstance(good, GofResult)
         assert good.pvalue >= 1e-3
         assert bad.pvalue < 1e-6
+
+    @pytest.mark.parametrize("seed,mean", [(64, 20.0), (65, 20.0), (66, 20.5)])
+    def test_lumped_chisquare_matches_scipy_stats(self, seed, mean):
+        from scipy import stats
+
+        total = 5000
+        samples = RandomSource(seed).generator.poisson(mean, size=total)
+        ks = np.arange(samples.max() + 1)
+        expected = np.exp(poi_logpmf(20.0, ks)) * total
+        observed = np.bincount(samples).astype(np.float64)
+        result = _lumped_chisquare(observed, expected, total)
+        sel = expected >= MIN_EXPECTED
+        reference = stats.chisquare(
+            np.append(observed[sel], total - observed[sel].sum()),
+            np.append(expected[sel], total - expected[sel].sum()),
+        )
+        assert result.statistic == float(reference.statistic)
+        assert result.pvalue == float(reference.pvalue)
+        assert result.cells == sel.sum() + 1
 
 
 @st.composite

@@ -207,6 +207,16 @@ class TestAudit:
         assert report["pass"] is True
         assert report["params"]["pad_count"] == 17
 
+    def test_lemmas_huge_geo_range_passes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "audit", "lemmas", "--i-max", "100000000000"
+        )
+        assert code == 0
+        geo = json.loads(out)["geo_ratio"]
+        assert (geo["ok"], geo["worst_index"], geo["i_max"]) == (
+            True, 1, 100_000_000_000,
+        )
+
     def test_divergence_reference_passes(self, capsys):
         code, out, _ = run_cli(capsys, "audit", "divergence", "--n", "2")
         assert code == 0
@@ -285,6 +295,11 @@ class TestAudit:
          "--threads", "0"],
         ["audit", "mse", "--n", "20", "--trials", "1000", "--fidelity", "counts",
          "--threads", "-3"],
+        ["audit", "divergence", "--tolerance", "inf"],
+        ["audit", "divergence", "--tolerance", "nan"],
+        ["audit", "divergence", "--tolerance=-1e-9"],
+        ["audit", "divergence", "--grid-cap", "-5"],
+        ["audit", "divergence", "--grid-cap", "0"],
     ],
 )
 def test_out_of_range_option_exits_2(capsys, argv):
