@@ -31,6 +31,7 @@ import numpy as np
 from .dist import (
     NEG_INF,
     RandomSource,
+    _check_prob,
     dlap_variance,
     geo_mean,
     geo_success_prob,
@@ -352,9 +353,11 @@ def check_geo_ratio(
     if i_max < 0:
         raise ParameterError(f"i_max must be >= 0, got {i_max}")
     _check_tolerance(tolerance)
+    p = geo_success_prob(noise_epsilon)
+    _check_prob(f"success probability 1 - exp(-{noise_epsilon})", p)  # rounds to 1 above ~37
     i = np.arange(min(i_max, 1) + 1)
     # ln f(i-1) - ln f(i) = -log1p(-p) for i >= 1; -inf margin never occurs
-    step = np.where(i >= 1, -math.log1p(-geo_success_prob(noise_epsilon)), NEG_INF)
+    step = np.where(i >= 1, -math.log1p(-p), NEG_INF)
     margins = noise_epsilon - step
     worst = int(np.argmin(margins))
     return RatioCheck(
@@ -468,7 +471,6 @@ def measure_mse(
     trials: int,
     rng: RandomSource,
     fidelity: str = "message",
-    threads: int = 1,
 ) -> MseMeasurement:
     """Monte Carlo MSE against the closed-form law and its bound.
 
@@ -480,9 +482,7 @@ def measure_mse(
         raise ParameterError(f"trials must be >= 1000, got {trials}")
     if ds.n != params.n_users:
         raise ParameterError("dataset size must match params.n_users")
-    estimates = estimate_trials(
-        ds.zeros, ds.ones, params, trials, rng, fidelity=fidelity, threads=threads
-    )
+    estimates = estimate_trials(ds.zeros, ds.ones, params, trials, rng, fidelity=fidelity)
     sq_err = (estimates - ds.ones).astype(np.float64) ** 2
     return MseMeasurement(
         empirical_mse=float(sq_err.mean()),

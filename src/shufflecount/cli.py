@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -353,19 +354,14 @@ def _three_se_checks(empirical: float, result) -> dict:
 
 
 def _cmd_audit_mse(args) -> int:
+    if args.threads < 1:
+        raise ParameterError(f"--threads must be >= 1, got {args.threads}")
     seed = _seed(args)
     params = _explicit_params(args, args.n)
     require_feasible(params)
     ones = args.ones if args.ones is not None else args.n
     ds = DatasetSummary(zeros=args.n - ones, ones=ones)
-    result = measure_mse(
-        params,
-        ds,
-        args.trials,
-        RandomSource(seed),
-        fidelity=args.fidelity,
-        threads=args.threads,
-    )
+    result = measure_mse(params, ds, args.trials, RandomSource(seed), fidelity=args.fidelity)
     report = {
         "subcommand": "audit mse",
         "seed": seed,
@@ -459,6 +455,7 @@ def _add_explicit_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lam", type=float, default=None, help="flood mean (default: cheapest feasible)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shufflecount",
@@ -536,7 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
     am.add_argument("--ones", type=int, default=None, help="ones count (default: all ones)")
     am.add_argument("--trials", type=int, default=50_000)
     am.add_argument("--fidelity", choices=FIDELITIES, default="message")
-    am.add_argument("--threads", type=int, default=1)
+    am.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility (>= 1); has no effect, trials run batched",
+    )
     _add_common(am)
     am.set_defaults(handler=_cmd_audit_mse)
 

@@ -248,8 +248,8 @@ def real_sum_trials(
 
     Rounding is re-drawn every trial, so the returned estimates carry the
     full pipeline error (rounding plus drops plus noise) against the exact
-    input sum. Trial ``t`` at ``message`` fidelity equals
-    :func:`run_real_sum` on ``rng.substream(t)``.
+    input sum. A single ``message`` trial equals :func:`run_real_sum` on
+    the same stream.
     """
     check_fidelity(fidelity)
     xs = _check_reals(xs)
@@ -320,8 +320,8 @@ def histogram_trials(
 ) -> np.ndarray:
     """Repeated histogram estimates, shape ``(trials, n_buckets)``.
 
-    Trial ``t`` at ``message`` fidelity equals :func:`run_histogram` on
-    ``rng.substream(t)``.
+    A single ``message`` trial equals :func:`run_histogram` on the same
+    stream.
     """
     check_fidelity(fidelity)
     bits = _bucket_bits(xs, n_buckets)

@@ -128,17 +128,26 @@ def sample_geo(p: float, rng: RandomSource, size=None):
 
 
 def sample_nb(r: float, p: float, rng: RandomSource, size=None):
-    """Draw from the negative binomial via its gamma-mixed Poisson form.
+    """Draw from the negative binomial via its compound-Poisson form.
 
-    A rate is drawn from Gamma(shape ``r``, scale ``(1-p)/p``) and fed to a
-    Poisson draw; this is exact for every real ``r > 0``, including the tiny
-    fractional shapes used for per-user noise shares.
+    NB(``r``, ``p``) is the sum of Poisson(``-r ln p``) many
+    Logarithmic(``1-p``) summands (Quenouille), exactly for every real
+    ``r > 0``. The whole array is drawn at once: one Poisson total of
+    summands over all cells, a uniform cell for each (exact by Poisson
+    splitting), their values, then a scatter-add into zeros. The cost grows
+    with the number of summands, not of cells, so the tiny fractional shapes
+    of per-user noise shares, nearly all 0, cost little. ``size=None`` draws
+    one value through the same path.
     """
     _check_positive("r", r)
     _check_prob("p", p)
     gen = rng.generator
-    rates = gen.gamma(r, (1.0 - p) / p, size=size)
-    return gen.poisson(rates)
+    out = np.zeros(() if size is None else size, dtype=np.int64)
+    flat = out.reshape(-1)
+    total = gen.poisson(-r * math.log(p) * flat.size)
+    if total:
+        np.add.at(flat, gen.integers(0, flat.size, total), gen.logseries(1.0 - p, total))
+    return out[()] if size is None else out
 
 
 def sample_poi(mean: float, rng: RandomSource, size=None):

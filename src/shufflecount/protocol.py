@@ -42,10 +42,10 @@ from .params import ProtocolParams, require_feasible
 
 FIDELITIES = ("message", "counts", "law")
 
-#: Most noise shares (trials times ``2 n``) that ``counts`` fidelity holds at
-#: once; larger batches are drawn in chunks of whole trials. Every size the
-#: test suite and the benchmark use fits in one chunk, where the stream equals
-#: an unchunked draw.
+#: Most per-user draws a batch of trials holds at once: ``counts`` fidelity
+#: and :func:`simulate_views` hold ``2 n`` noise shares per trial, ``message``
+#: fidelity ``4 n`` draws (the shares, keep flags and flooding counts). Larger
+#: batches are drawn in chunks of whole trials on the same stream.
 CHUNK_ELEMENTS = 1 << 22
 
 
@@ -154,10 +154,10 @@ def draw_counts(
     """The vectorized randomizer: message counts of the users holding ``bits``.
 
     Same per-user laws as :func:`randomize`, with shares ``1/params.n_users``
-    whatever the number ``m`` of bits. Fields are arrays of shape ``(m,)``,
-    or ``(trials, m)`` when ``trials`` is given.
+    for ``bits`` of shape ``(m,)`` or ``(trials, m)``. Fields have shape
+    ``(m,)``, or ``(trials, m)`` when ``trials`` is given.
     """
-    m = len(bits)
+    m = bits.shape[-1]
     keep, noise, flood = _draws(m, params, rng, () if trials is None else (trials,))
     return Contribution(
         input_plus=np.where(keep, params.pad_count + bits, 0),
@@ -169,24 +169,26 @@ def draw_counts(
 
 
 def pooled_run(
-    bits: np.ndarray, instances: Sequence[ProtocolParams], rng: RandomSource
+    bits: np.ndarray, instances: Sequence[ProtocolParams], rng: RandomSource, trials=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Message-level run of ``k`` instances pooled together.
 
-    ``bits[i, j]`` is user ``i``'s input to instance ``j``. Each instance's
-    counts are drawn in turn on ``rng`` and nothing after: the analyzer
-    reads only the pool's per-code totals, which no permutation changes.
-    Returns the messages per code (code ``2j`` is instance ``j``'s -1,
-    ``2j + 1`` its +1) and the messages each user sent.
+    ``bits[..., i, j]`` is user ``i``'s input to instance ``j``. Each
+    instance's counts are drawn in turn on ``rng``, for all ``trials`` at
+    once when given, and nothing after: the analyzer reads only the pool's
+    per-code totals, which no permutation changes. Returns the messages per
+    code (code ``2j`` is instance ``j``'s -1, ``2j + 1`` its +1) and per
+    user, each with a leading trials axis when ``trials`` is given.
     """
-    totals: list[int] = []
+    totals = []
     per_user = 0
     for j, inst in enumerate(instances):
-        c = draw_counts(bits[:, j], inst, rng)
+        c = draw_counts(bits[..., j], inst, rng, trials)
         plus, minus = c.plus_count, c.minus_count
-        totals += [int(minus.sum()), int(plus.sum())]
+        del c  # hold one instance's draws at a time
+        totals += [minus.sum(axis=-1), plus.sum(axis=-1)]
         per_user = per_user + plus + minus
-    return np.array(totals, dtype=np.int64), per_user
+    return np.stack(totals, axis=-1), per_user
 
 
 def _noise_difference(params: ProtocolParams, rng: RandomSource, trials: int) -> np.ndarray:
@@ -234,41 +236,33 @@ def run_once(bits, instances, rng: RandomSource, fidelity: str):
     return run_trials(bits, instances, 1, rng, fidelity)[0], None
 
 
-def run_trials(
-    bits, instances, trials: int, rng: RandomSource, fidelity: str, threads: int = 1
-) -> np.ndarray:
+def run_trials(bits, instances, trials: int, rng: RandomSource, fidelity: str) -> np.ndarray:
     """The trials engine: per-instance signed sums of repeated runs, ``(trials, k)``.
 
-    ``bits`` is as in :func:`run_once`. Message trial ``t`` is
-    :func:`run_once` on ``rng.substream(t)``; streams are keyed by trial
-    index and merged in index order, so ``threads`` never changes the
-    output. ``counts`` and ``law`` draw every trial at once on ``rng``.
+    ``bits`` is as in :func:`run_once`; every fidelity draws on ``rng``.
+    ``message`` trials come in chunks of ``CHUNK_ELEMENTS // (4 n)``: each
+    draws its inputs, then one :func:`pooled_run` of all its trials, and
+    keeps only the signed sums. ``counts`` and ``law`` draw all inputs, then
+    each instance's :func:`signed_sums`.
     """
-    if trials < 1 or threads < 1:
-        raise ParameterError(f"trials and threads must be >= 1, got {trials} and {threads}")
-    if fidelity == "message":
-        out = np.empty((trials, len(instances)), dtype=np.int64)
-
-        def run_one(t: int) -> None:
-            out[t] = run_once(bits, instances, rng.substream(t), fidelity)[0]
-
-        if threads <= 1:
-            for t in range(trials):
-                run_one(t)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(run_one, range(trials)))
-        return out
-    ones = bits(rng, trials).sum(axis=-2)
-    return np.stack(
-        [
-            signed_sums(ones[..., j], inst, rng, fidelity, size=trials)
-            for j, inst in enumerate(instances)
-        ],
-        axis=-1,
-    )
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if fidelity != "message":
+        ones = bits(rng, trials).sum(axis=-2)
+        return np.stack(
+            [
+                signed_sums(ones[..., j], inst, rng, fidelity, size=trials)
+                for j, inst in enumerate(instances)
+            ],
+            axis=-1,
+        )
+    out = np.empty((trials, len(instances)), dtype=np.int64)
+    rows = max(1, CHUNK_ELEMENTS // (4 * instances[0].n_users))
+    for start in range(0, trials, rows):
+        size = min(rows, trials - start)
+        counts = pooled_run(bits(rng, size), instances, rng, size)[0]
+        out[start : start + size] = counts[:, 1::2] - counts[:, 0::2]
+    return out
 
 
 def shuffle(
@@ -366,9 +360,9 @@ def simulate_views(
     """Simulate the shuffler's view for many runs at counts fidelity.
 
     Every user's randomizer output counts are drawn individually (the same
-    per-user laws as :func:`randomize`, vectorized across trials) and summed;
-    the multiset itself is never materialized because the view is already a
-    function of the counts.
+    per-user laws as :func:`randomize`, in chunks of trials under
+    ``CHUNK_ELEMENTS``) and summed; the multiset itself is never
+    materialized because the view is already a function of the counts.
 
     Returns
     -------
@@ -376,10 +370,15 @@ def simulate_views(
     """
     bits = _count_bits(zeros, ones, params.n_users)
     n = bits.size
-    keep, noise, flood = _draws(n, params, rng, (trials,))
-    flood = flood.sum(axis=1)
-    v_plus = keep @ (params.pad_count + bits) + noise[:, :n].sum(axis=1) + flood
-    v_minus = keep.sum(axis=1) * params.pad_count + noise[:, n:].sum(axis=1) + flood
+    rows = max(1, CHUNK_ELEMENTS // (2 * n))
+    v_plus, v_minus = np.empty((2, trials), dtype=np.int64)
+    for start in range(0, trials, rows):
+        keep, noise, flood = _draws(n, params, rng, (min(rows, trials - start),))
+        flood = flood.sum(axis=1)
+        chunk = slice(start, start + rows)
+        v_plus[chunk] = keep @ (params.pad_count + bits) + noise[:, :n].sum(axis=1) + flood
+        v_minus[chunk] = keep.sum(axis=1) * params.pad_count + noise[:, n:].sum(axis=1) + flood
+        del keep, noise, flood  # hold one chunk's draws at a time
     return v_plus, v_minus
 
 
@@ -390,21 +389,20 @@ def estimate_trials(
     trials: int,
     rng: RandomSource,
     fidelity: str = "message",
-    threads: int = 1,
 ) -> np.ndarray:
     """Repeated protocol estimates for Monte Carlo measurement.
 
-    ``message`` fidelity runs the real pipeline once per trial on a per-trial
-    substream (trial ``t`` equals :func:`run_counting` on
-    ``rng.substream(t)``; thread count never changes the output). ``counts``
-    draws per-user noise shares without building the multiset; ``law``
-    samples the closed-form estimate law. All three produce the same
-    estimate distribution.
+    ``message`` fidelity draws every user's message counts for batches of
+    trials, as :func:`run_counting` does for one run (a single trial equals
+    :func:`run_counting` on the same stream). ``counts`` draws per-user
+    noise shares without building the multiset; ``law`` samples the
+    closed-form estimate law. All three produce the same estimate
+    distribution.
     """
     check_fidelity(fidelity)
     bits = _count_bits(zeros, ones, params.n_users)
     return run_trials(
-        lambda rng, trials=None: bits[:, None], [params], trials, rng, fidelity, threads
+        lambda rng, trials=None: bits[:, None], [params], trials, rng, fidelity
     )[:, 0]
 
 

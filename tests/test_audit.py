@@ -36,7 +36,7 @@ from shufflecount.audit import (
     messages_bound,
     mse_bound,
 )
-from shufflecount.dist import geo_logpmf, geo_success_prob, poi_logpmf
+from shufflecount.dist import geo_logpmf, geo_success_prob, poi_logpmf, sample_nb
 
 
 def _reference(n, q=0.01):
@@ -191,6 +191,14 @@ class TestRatioChecks:
     def test_geo_rejects_bad_budget(self):
         with pytest.raises(ParameterError):
             check_geo_ratio(0.0, 10)
+
+    def test_geo_rejects_budget_whose_tail_rounds_away(self):
+        # 1 - e^-40 rounds to 1.0: no geometric tail is left to check or draw
+        assert geo_success_prob(40.0) == 1.0
+        with pytest.raises(ParameterError):
+            check_geo_ratio(40.0, 10)
+        with pytest.raises(ParameterError):
+            sample_nb(0.1, geo_success_prob(40.0), RandomSource(0), size=3)
 
     @pytest.mark.parametrize("eta", [0.5, 2.0])
     @pytest.mark.parametrize("i_max", [0, 1, 2, 10_000])

@@ -1,8 +1,12 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from shufflecount.cli import SEED_ENV_VAR, main
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def run_cli(capsys, *argv):
@@ -329,3 +333,33 @@ class TestBench:
         )
         assert code == 0
         assert "wall_ms" in json.loads(out)["rows"][0]
+
+
+def test_usage_error_leaves_the_next_call_intact(capsys):
+    # the parser is built once per process and reused after argparse exits
+    argv = ["run", "count", "--ones", "3", "--zeros", "2", "--seed", "1"]
+    code, before, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, err = run_cli(capsys, "run", "count", "--ones", "x", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert "invalid int value" in err
+    code, after, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert after == before
+
+
+def test_benchmark_mc_cases_pass_both_audits(capsys):
+    # the benchmark's mc-trials ops run these cases' audits and count one
+    # that does not pass as a failed op; a change of the Monte Carlo streams
+    # must keep every case passing
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    mc = workloads.MonteCarloTrials
+    failing = []
+    for index in workloads.MC_CASES:
+        for argv in mc.audits(*mc.case(index)):
+            code, out, _ = run_cli(capsys, *argv)
+            if code != 0 or json.loads(out)["pass"] is not True:
+                failing.append((index, argv[argv.index("--fidelity") + 1]))
+    assert failing == []

@@ -29,7 +29,14 @@ from shufflecount.composition import (
     real_sum_trials,
     tag_bits,
 )
-from shufflecount.protocol import Contribution
+from shufflecount.protocol import Contribution, estimate_trials
+
+
+def _padded_only(bits, params, rng, trials=None):
+    """``draw_counts`` with every input kept and no noise or flooding."""
+    shape = bits.shape if trials is None else (trials, bits.shape[-1])
+    pad = np.full(shape, params.pad_count)
+    return Contribution(pad + bits, pad, 0, 0, 0)
 
 
 class TestSplitBudget:
@@ -165,11 +172,7 @@ class TestRealSumParams:
 
 class TestRunRealSum:
     def test_exact_sum_when_noise_is_zeroed(self, monkeypatch):
-        def padded_only(bits, params, rng, trials=None):
-            pad = np.full_like(bits, params.pad_count)
-            return Contribution(pad + bits, pad, 0, 0, 0)
-
-        monkeypatch.setattr(protocol, "draw_counts", padded_only)
+        monkeypatch.setattr(protocol, "draw_counts", _padded_only)
         xs = [0.0, 0.125, 0.25, 0.5, 0.625, 0.875, 1.0 - 2**-3, 0.375]
         run = run_real_sum(xs, 2.0, 0.5, 3, RandomSource(7), fidelity="message")
         assert run.estimate == pytest.approx(sum(xs), abs=1e-12)
@@ -232,25 +235,13 @@ class TestHistogram:
             with pytest.raises(ParameterError):
                 histogram_trials(xs, 8, 1.0, 0.5, 10, RandomSource(0), fidelity)
 
-    def test_message_trials_are_runs_on_substreams(self):
-        xs = [0, 1, 1, 0, 1, 1, 1, 0]
-        rng = RandomSource(5)
-        ests = histogram_trials(xs, 2, 8.0, 0.5, 2, rng, "message")
-        for t in range(2):
-            run = run_histogram(xs, 2, 8.0, 0.5, rng.substream(t), "message")
-            assert tuple(ests[t]) == run.estimates
-
     def test_instance_budget_is_half(self):
         run = run_histogram([0, 1, 2, 3] * 50, 4, 1.0, 0.5, RandomSource(1), "law")
         assert run.instance.epsilon == pytest.approx(0.5)
         assert run.instance == derive_params(0.5, 0.5, 200)
 
     def test_single_bucket_with_zeroed_noise_recovers_count(self, monkeypatch):
-        def padded_only(bits, params, rng, trials=None):
-            pad = np.full_like(bits, params.pad_count)
-            return Contribution(pad + bits, pad, 0, 0, 0)
-
-        monkeypatch.setattr(protocol, "draw_counts", padded_only)
+        monkeypatch.setattr(protocol, "draw_counts", _padded_only)
         run = run_histogram([0] * 37, 1, 1.0, 0.5, RandomSource(2), "message")
         assert run.estimates == (37,)
 
@@ -280,3 +271,19 @@ class TestHistogram:
 
 def test_bit_weights_are_place_values():
     assert bit_weights(3).tolist() == [0.5, 0.25, 0.125]
+
+
+def test_message_trials_with_zeroed_noise_return_the_counts(monkeypatch):
+    # chunks of two trials (8 users): five trials end in a partial chunk
+    monkeypatch.setattr(protocol, "draw_counts", _padded_only)
+    monkeypatch.setattr(protocol, "CHUNK_ELEMENTS", 64)
+    rng = RandomSource(6)
+    ests = estimate_trials(5, 3, derive_params(1.0, 0.5, 8), 5, rng, "message")
+    assert ests.tolist() == [3] * 5
+    # values on the 3-bit grid round to themselves
+    xs = [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875]
+    sums = real_sum_trials(xs, 8.0, 0.5, 3, 5, rng, "message")
+    assert sums.tolist() == [sum(xs)] * 5
+    buckets = [0, 3, 1, 3, 3, 0, 2, 3]
+    hists = histogram_trials(buckets, 4, 8.0, 0.5, 5, rng, "message")
+    assert hists.tolist() == [[2, 1, 1, 4]] * 5

@@ -16,7 +16,7 @@ from shufflecount import (
     sample_nb,
     sample_poi,
 )
-from shufflecount.audit import gof_integer_samples
+from shufflecount.audit import MIN_EXPECTED, gof_integer_samples
 from shufflecount.dist import geo_success_prob
 
 
@@ -163,6 +163,32 @@ class TestSamplers:
         samples = sample_nb(0.25, 0.3935, rng, size=500_000)
         result = gof_integer_samples(samples, lambda k: nb_logpmf(0.25, 0.3935, k))
         assert result.pvalue >= 1e-3
+
+
+NB_DRAWS = 200_000
+#: shapes and budgets where the chi-square applies: the nonzero draws, which
+#: it lumps into one cell when they are rare, expect MIN_EXPECTED or more
+NB_GRID = [
+    (r, eta)
+    for r in (1e-3, 0.01, 1.0 / 3.0, 1.0)
+    for eta in (0.01, 0.5, 4.0, 8.0)
+    if -math.expm1(r * math.log(geo_success_prob(eta))) * NB_DRAWS >= MIN_EXPECTED
+]
+
+
+@pytest.mark.parametrize(("r", "eta"), NB_GRID)
+def test_nb_matches_pmf_at_tiny_shapes_and_extreme_budgets(r, eta):
+    # the compound-Poisson sampler against the log-gamma PMF, from shares
+    # that are almost all 0 to geometric means near 100
+    p = geo_success_prob(eta)
+    samples = sample_nb(r, p, RandomSource(106), size=NB_DRAWS)
+    result = gof_integer_samples(samples, lambda k: nb_logpmf(r, p, k))
+    assert result.pvalue >= 1e-3
+
+
+def test_nb_scalar_and_empty_draws():
+    assert isinstance(sample_nb(0.5, 0.3, RandomSource(107)), np.int64)
+    assert sample_nb(0.5, 0.3, RandomSource(107), size=(0, 3)).shape == (0, 3)
 
 
 @pytest.mark.parametrize("n", [2, 10, 100])

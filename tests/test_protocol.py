@@ -219,14 +219,6 @@ class TestEstimateTrials:
             sq_se = (err**2).std(ddof=1) / math.sqrt(err.size)
             assert abs((err**2).mean() - (var + drift**2)) <= 3.0 * sq_se, fid
 
-    def test_message_fidelity_thread_invariant(self):
-        params = minimal_params(1.0, 0.5, 0.01, 20)
-        single = estimate_trials(10, 10, params, 64, RandomSource(31), "message")
-        pooled = estimate_trials(
-            10, 10, params, 64, RandomSource(31), "message", threads=4
-        )
-        assert np.array_equal(single, pooled)
-
     def test_sample_estimate_matches_law_path(self):
         params = minimal_params(1.0, 0.5, 0.1, 30)
         direct = sample_estimate(25, params, RandomSource(32), size=10_000)
@@ -250,8 +242,9 @@ class TestSimulateViews:
         assert abs(diff.mean() - keep) <= 3.0 * se_d
 
     def test_memory_is_that_of_the_noise_draw(self):
-        # gamma rates and Poisson counts take 32 bytes per user and trial;
-        # holding per-user input or total arrays as well would add 16 or more
+        # the noise shares take 16 bytes per user and trial, the scattered
+        # summands about 10 here, flooding 8 and keep flags 1; holding
+        # per-user input or total arrays as well would add 16 or more
         params = minimal_params(1.0, 0.5, 0.1, 3)
         trials = 100_000
         tracemalloc.start()
@@ -261,6 +254,21 @@ class TestSimulateViews:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * trials * params.n_users
+
+    def test_memory_is_bounded_beyond_one_chunk(self):
+        # two chunks: one chunk's draws under the bound above, plus the two
+        # int64 outputs; one unchunked draw would hold twice the draws
+        params = minimal_params(1.0, 0.5, 0.1, 3)
+        rows = CHUNK_ELEMENTS // (2 * params.n_users)
+        trials = 2 * rows
+        tracemalloc.start()
+        try:
+            v_plus, _ = simulate_views(1, 2, params, trials, RandomSource(43))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v_plus.shape == (trials,)
+        assert peak <= 40 * rows * params.n_users + 16 * trials
 
 
 def test_message_count_trials_mean():
@@ -295,11 +303,9 @@ class TestEngine:
         assert run.estimate == counts[1] - counts[0]
         assert run.view == View(counts[1], counts[0])
         assert run.messages_per_user == tuple(per_user)
-        # message trial t is the same run on substream t
-        rng = RandomSource(63)
-        trials = estimate_trials(70, 30, REFERENCE, 3, rng, "message")
-        for t in range(3):
-            assert trials[t] == run_counting(xs, REFERENCE, rng.substream(t)).estimate
+        # a single message trial is the same run on the same stream
+        trial = estimate_trials(70, 30, REFERENCE, 1, RandomSource(63), "message")
+        assert trial[0] == run_counting(xs, REFERENCE, RandomSource(63)).estimate
 
     def test_pooled_shuffle_holds_one_byte_per_message(self):
         params = derive_params(1.0, 0.5, 100)
@@ -328,6 +334,22 @@ class TestEngine:
             tracemalloc.stop()
         assert ests.shape == (trials,)
         assert peak <= 32 * CHUNK_ELEMENTS
+
+    def test_message_fidelity_memory_is_bounded(self):
+        # three chunks of message trials; one draw holds 10 bytes per
+        # element (shares, keep flags, flooding and input blocks), so one
+        # unchunked draw would hold 30 * CHUNK_ELEMENTS bytes
+        n = 1024
+        trials = 3 * CHUNK_ELEMENTS // (4 * n)
+        params = minimal_params(1.0, 0.5, 0.01, n)
+        tracemalloc.start()
+        try:
+            ests = estimate_trials(0, n, params, trials, RandomSource(66), "message")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ests.shape == (trials,)
+        assert peak <= 16 * CHUNK_ELEMENTS
 
 
 class TestDealtShuffle:
