@@ -193,15 +193,22 @@ def _real_bits(xs: np.ndarray, n_bits: int):
     """Input bits of a real-sum run, stochastically rounded on every draw.
 
     Returns ``bits(rng, trials=None)``: the bits of :func:`encode_real` for
-    the whole batch, shape ``(n, n_bits)`` or ``(trials, n, n_bits)``.
+    the whole batch, ``uint8`` of shape ``(n, n_bits)`` or
+    ``(trials, n, n_bits)``. Each position is extracted in turn from the
+    rounded values in their narrowest dtype, so no wider array of all the
+    bits is built.
     """
     scale = 1 << n_bits
-    shifts = n_bits - 1 - np.arange(n_bits)
+    dtype = np.min_scalar_type(scale - 1)
 
     def bits(rng: RandomSource, trials: int | None = None) -> np.ndarray:
         size = len(xs) if trials is None else (trials, len(xs))
-        v = np.floor(xs * scale + rng.generator.random(size)).astype(np.int64)
-        return (np.minimum(v, scale - 1)[..., None] >> shifts) & 1
+        v = np.floor(xs * scale + rng.generator.random(size))
+        v = np.minimum(v, scale - 1).astype(dtype)
+        out = np.empty(v.shape + (n_bits,), dtype=np.uint8)
+        for k in range(n_bits):
+            np.bitwise_and(v >> (n_bits - 1 - k), 1, out=out[..., k], casting="unsafe")
+        return out
 
     return bits
 

@@ -29,6 +29,21 @@ CLAUSE_PAD_COUNT = "pad_count"
 CLAUSE_FLOOD_MEAN = "flood_mean"
 
 
+def _check_budgets(epsilon: float, noise_epsilon: float, drop_prob: float) -> None:
+    """Raise :class:`ParameterError` unless the budgets and drop probability are in range.
+
+    NaN fails every comparison, so it is rejected with the infinities.
+    """
+    if not (0.0 < epsilon <= MAX_EPSILON):
+        raise ParameterError(f"epsilon must be in (0, {MAX_EPSILON}], got {epsilon}")
+    if not (0.0 < noise_epsilon < math.inf):
+        raise ParameterError(
+            f"noise_epsilon must be positive and finite, got {noise_epsilon}"
+        )
+    if not (0.0 <= drop_prob < 1.0):
+        raise ParameterError(f"drop_prob must be in [0, 1), got {drop_prob}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Concrete parameters of one counting instance.
@@ -65,27 +80,16 @@ class ProtocolParams:
     slack: float | None = None
 
     def __post_init__(self):
-        if self.n_users < 1:
-            raise ParameterError(f"n_users must be >= 1, got {self.n_users}")
-        if not (0.0 < self.epsilon <= MAX_EPSILON):
-            raise ParameterError(
-                f"epsilon must be in (0, {MAX_EPSILON}], got {self.epsilon}"
-            )
-        if not (self.noise_epsilon > 0.0):
-            raise ParameterError(
-                f"noise_epsilon must be positive, got {self.noise_epsilon}"
-            )
-        if not (0.0 <= self.drop_prob < 1.0):
-            raise ParameterError(
-                f"drop_prob must be in [0, 1), got {self.drop_prob}"
-            )
-        if self.pad_count < 1 or self.pad_count != int(self.pad_count):
+        if not (1 <= self.n_users < math.inf):
+            raise ParameterError(f"n_users must be >= 1 and finite, got {self.n_users}")
+        _check_budgets(self.epsilon, self.noise_epsilon, self.drop_prob)
+        if not (1 <= self.pad_count < math.inf) or self.pad_count != int(self.pad_count):
             raise ParameterError(
                 f"pad_count must be a positive integer, got {self.pad_count}"
             )
-        if not (self.flood_mean > 0.0):
+        if not (0.0 < self.flood_mean < math.inf):
             raise ParameterError(
-                f"flood_mean must be positive, got {self.flood_mean}"
+                f"flood_mean must be positive and finite, got {self.flood_mean}"
             )
 
     def to_dict(self) -> dict:
@@ -195,6 +199,7 @@ def minimal_params(
     the flood mean is its clause-3 threshold rounded up to an integer
     (rounding up preserves the clause).
     """
+    _check_budgets(epsilon, noise_epsilon, drop_prob)
     pad_thr = pad_count_threshold(epsilon, noise_epsilon, drop_prob)
     if math.isinf(pad_thr):
         raise InfeasibleParametersError(

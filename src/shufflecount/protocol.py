@@ -160,7 +160,7 @@ def draw_counts(
     m = bits.shape[-1]
     keep, noise, flood = _draws(m, params, rng, () if trials is None else (trials,))
     return Contribution(
-        input_plus=np.where(keep, params.pad_count + bits, 0),
+        input_plus=np.where(keep, params.pad_count + bits.astype(np.int64, copy=False), 0),
         input_minus=np.where(keep, params.pad_count, 0),
         noise_plus=noise[..., :m],
         noise_minus=noise[..., m:],
@@ -181,13 +181,13 @@ def pooled_run(
     user, each with a leading trials axis when ``trials`` is given.
     """
     totals = []
-    per_user = 0
     for j, inst in enumerate(instances):
         c = draw_counts(bits[..., j], inst, rng, trials)
         plus, minus = c.plus_count, c.minus_count
-        del c  # hold one instance's draws at a time
         totals += [minus.sum(axis=-1), plus.sum(axis=-1)]
-        per_user = per_user + plus + minus
+        plus += minus
+        per_user = plus if j == 0 else np.add(per_user, plus, out=per_user)
+        del c, plus, minus  # hold one instance's draws at a time
     return np.stack(totals, axis=-1), per_user
 
 
@@ -248,7 +248,7 @@ def run_trials(bits, instances, trials: int, rng: RandomSource, fidelity: str) -
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if fidelity != "message":
-        ones = bits(rng, trials).sum(axis=-2)
+        ones = bits(rng, trials).sum(axis=-2, dtype=np.int64)
         return np.stack(
             [
                 signed_sums(ones[..., j], inst, rng, fidelity, size=trials)

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from shufflecount import (
     AuditInconclusiveError,
@@ -29,6 +30,7 @@ from shufflecount.audit import (
     MIN_EXPECTED,
     GofResult,
     RatioCheck,
+    _binom_logpmf,
     _grid_bounds,
     _lumped_chisquare,
     gof_integer_samples,
@@ -82,6 +84,81 @@ class TestExactViewLogpmf:
             grid = view_logpmf_grid(ds, params, 400, 400)
             mass = math.exp(logsumexp(grid))
             assert 1.0 - 1e-9 <= mass <= 1.0 + 1e-12
+
+
+def _per_shift_grid(ds, params, i_max, j_max):
+    """Reference view grid: one 2-D logaddexp per participation pair (a0, a1).
+
+    The flood-plus-noise grid ``2 log p - eta (a + b) + C[min(a, b)]`` is
+    built once and added, shifted by ``(m pad + a1, m pad)``, for every pair
+    of nonzero weight.
+    """
+    eta = params.noise_epsilon
+    w = np.arange(min(i_max, j_max) + 1)
+    cumulative = np.logaddexp.accumulate(
+        w * (math.log(params.flood_mean) + 2.0 * eta)
+        - params.flood_mean
+        - gammaln(w + 1)
+    )
+    a = np.arange(i_max + 1)[:, None]
+    b = np.arange(j_max + 1)[None, :]
+    base = (
+        2.0 * math.log(geo_success_prob(eta))
+        - eta * (a + b)
+        + cumulative[np.minimum(a, b)]
+    )
+    keep = 1.0 - params.drop_prob
+    lw0 = _binom_logpmf(ds.zeros, keep, np.arange(ds.zeros + 1))
+    lw1 = _binom_logpmf(ds.ones, keep, np.arange(ds.ones + 1))
+    acc = np.full((i_max + 1, j_max + 1), -math.inf)
+    for a0 in range(ds.zeros + 1):
+        for a1 in range(ds.ones + 1):
+            lw = lw0[a0] + lw1[a1]
+            u = (a0 + a1) * params.pad_count + a1
+            v = (a0 + a1) * params.pad_count
+            if lw == -math.inf or u > i_max or v > j_max:
+                continue
+            block = acc[u:, v:]
+            np.logaddexp(block, lw + base[: i_max + 1 - u, : j_max + 1 - v], out=block)
+    return acc
+
+
+class TestViewGrid:
+    @pytest.mark.parametrize("q", [0.0, 0.01, 0.3])
+    @pytest.mark.parametrize("pad", [1, 3, 17])
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 127.0])
+    def test_matches_per_shift_reference(self, q, pad, lam):
+        n = 4
+        params = ProtocolParams(
+            n_users=n, epsilon=1.0, noise_epsilon=0.5,
+            drop_prob=q, pad_count=pad, flood_mean=lam,
+        )
+        for ones in (0, 1, 2, n):
+            ds = DatasetSummary(zeros=n - ones, ones=ones)
+            for i_max, j_max in ((40, 90), (90, 40), (0, 0), (5, 2)):
+                grid = view_logpmf_grid(ds, params, i_max, j_max)
+                ref = _per_shift_grid(ds, params, i_max, j_max)
+                assert grid.shape == ref.shape
+                assert np.array_equal(np.isneginf(grid), np.isneginf(ref))
+                finite = np.isfinite(ref)
+                assert np.all(np.isfinite(grid) == finite)
+                if finite.any():
+                    assert np.max(np.abs(grid[finite] - ref[finite])) <= 1e-9
+
+    def test_with_one_grid_memory(self):
+        # the audit-oracle grid of the reference set at n = 20 may hold the
+        # grid, one staircase term and its mask, and 1-D arrays, but no
+        # second float grid beside them
+        params = _reference(20)
+        ds = DatasetSummary(zeros=19, ones=1)
+        view_logpmf_grid(ds, params, 5, 5)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            grid = view_logpmf_grid(ds, params, 614, 594)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * grid.nbytes
 
 
 class TestDivergenceAudit:

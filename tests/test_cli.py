@@ -304,6 +304,11 @@ class TestAudit:
         ["audit", "divergence", "--tolerance=-1e-9"],
         ["audit", "divergence", "--grid-cap", "-5"],
         ["audit", "divergence", "--grid-cap", "0"],
+        ["audit", "divergence", "--n", "3", "--eps", "nan"],
+        ["audit", "divergence", "--n", "3", "--eps", "inf"],
+        ["audit", "divergence", "--n", "3", "--lam", "inf"],
+        ["audit", "lemmas", "--eps", "nan"],
+        ["audit", "lemmas", "--lam", "inf"],
     ],
 )
 def test_out_of_range_option_exits_2(capsys, argv):

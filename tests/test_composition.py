@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,23 @@ class TestHistogram:
 
 def test_bit_weights_are_place_values():
     assert bit_weights(3).tolist() == [0.5, 0.25, 0.125]
+
+
+def test_real_sum_chunk_holds_one_byte_per_bit():
+    # one chunk of message trials holds its rounding bits, one byte each,
+    # beside one instance's draws: six more bits may add at most two bytes
+    # per user-trial each
+    n, trials = 256, 1024
+    xs = np.random.default_rng(3).random(n)
+    peaks = {}
+    for n_bits in (2, 8):
+        tracemalloc.start()
+        try:
+            real_sum_trials(xs, 2.0, 0.5, n_bits, trials, RandomSource(1), "message")
+            peaks[n_bits] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] - peaks[2] <= 2 * 6 * n * trials
 
 
 def test_message_trials_with_zeroed_noise_return_the_counts(monkeypatch):

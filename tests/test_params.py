@@ -173,6 +173,22 @@ class TestMinimalParams:
         with pytest.raises(InfeasibleParametersError):
             minimal_params(1.0, 0.5, 0.0, 3)
 
+    @pytest.mark.parametrize(
+        "eps, eta, q",
+        [
+            (math.nan, 0.5, 0.01),
+            (math.inf, 0.5, 0.01),
+            (1e3, 0.5, 0.01),  # e^eps overflows
+            (1.0, math.nan, 0.01),
+            (1.0, -math.inf, 0.01),
+            (1.0, 0.5, math.nan),
+        ],
+    )
+    def test_non_finite_or_out_of_range_inputs_rejected(self, eps, eta, q):
+        with pytest.raises(ParameterError) as info:
+            minimal_params(eps, eta, q, 3)
+        assert not isinstance(info.value, InfeasibleParametersError)
+
 
 class TestProtocolParamsValidation:
     def test_field_domains(self):
@@ -186,6 +202,17 @@ class TestProtocolParamsValidation:
             _params(1.0, -0.5, 0.01, 17, 127.0)
         with pytest.raises(ParameterError):
             _params(0.0, 0.5, 0.01, 17, 127.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_fields_rejected(self, value):
+        with pytest.raises(ParameterError):
+            _params(1.0, value, 0.01, 17, 127.0)
+        with pytest.raises(ParameterError):
+            _params(1.0, 0.5, 0.01, 17, value)
+        with pytest.raises(ParameterError):
+            _params(1.0, 0.5, 0.01, value, 127.0)
+        with pytest.raises(ParameterError):
+            _params(1.0, 0.5, 0.01, 17, 127.0, n=value)
 
     def test_zero_drop_prob_is_representable(self):
         p = _params(1.0, 0.5, 0.0, 17, 127.0)
