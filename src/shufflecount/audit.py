@@ -24,9 +24,18 @@ on. A grid costs ``n1 + 1`` broadcast passes, one per ``a1``.
 
 The divergence audit compares the exact view distributions of the
 neighboring pair ``(1, 0, ..., 0)`` vs ``(0, ..., 0)`` over a grid covering
-almost all of both masses. It is an empirical certification for regression
-detection, not a proof: the guarantee over the infinite support is the
-protocol's own.
+almost all of both masses, and builds no grid. With ``h`` the mixture over
+the zero-input users (``h_n`` for ``x'``, ``h_{n-1}`` beside the one-input
+user for ``x``), both views are ``2 log p - eta (i + j)`` plus a profile:
+``h_n[min(i, j)]`` for ``x'``, and for ``x`` the terms ``a1 = 0`` and
+``a1 = 1`` read at ``min(i, j)`` and ``min(i - 1, j)``. Below the diagonal
+(``j < i``) both read ``t = j``; on or above it ``t = i`` and ``t - 1``. So
+the log ratio is one constant per class (side, ``t = min(i, j)``), and a
+class's mass is its cell nearest the diagonal times a geometric partial sum
+over its row or column. Sup, masses, support and mass floor all come from
+1-D arrays of length ``min(i_max, j_max) + 1``. The audit is an empirical
+certification for regression detection, not a proof: the guarantee over the
+infinite support is the protocol's own.
 """
 
 from __future__ import annotations
@@ -43,7 +52,6 @@ from .dist import (
     dlap_variance,
     geo_mean,
     geo_success_prob,
-    poi_logpmf,
 )
 from .errors import AuditInconclusiveError, ParameterError
 from .params import ProtocolParams
@@ -86,40 +94,53 @@ def _binom_logpmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
     )
 
 
+def _zero_mixture(zeros: int, params: ProtocolParams, t_max: int) -> np.ndarray:
+    """The mixture over ``a0`` of ``zeros`` users, as a 1-D log profile of ``t``.
+
+    ``h[t] = log sum_a0 Bin(a0) e^{2 eta a0 pad} C[t - a0 pad]`` on
+    ``[0, t_max]``, with ``C[t] = log sum_{w <= t} e^{2 eta w} Poi(w)`` the
+    running flood sum: the view law at ``a1 = 0`` up to ``2 log p -
+    eta (i + j)``. The terms of ``a1 > 0`` are shifts of it.
+    """
+    from scipy.special import gammaln
+
+    eta = params.noise_epsilon
+    pad = params.pad_count
+    w = np.arange(t_max + 1)
+    flood = np.logaddexp.accumulate(
+        w * (math.log(params.flood_mean) + 2.0 * eta)
+        - params.flood_mean
+        - gammaln(w + 1)
+    )
+    h = np.full(t_max + 1, NEG_INF)
+    keep = 1.0 - params.drop_prob
+    for a0, lw in enumerate(_binom_logpmf(zeros, keep, np.arange(zeros + 1))):
+        s = a0 * pad
+        if lw == NEG_INF or s > t_max:
+            continue
+        np.logaddexp(h[s:], lw + 2.0 * eta * s + flood[: t_max + 1 - s], out=h[s:])
+    return h
+
+
 def view_logpmf_grid(
     ds: DatasetSummary, params: ProtocolParams, i_max: int, j_max: int
 ) -> np.ndarray:
     """Exact view log-PMF on the rectangle ``[0, i_max] x [0, j_max]``.
 
     Built by the staircase identity of the module docstring: one 1-D
-    log-sum ``h`` over ``a0``, shifted for each ``a1`` to ``g``, whose grid
-    row ``i`` reads ``g[j]`` for ``j < i - a1`` and ``g[i - a1]`` from there
-    on. That is ``n1 + 1`` grid passes and one ``-eta (i + j)`` add; every
-    sum is finite.
+    log-sum ``h`` over ``a0`` (:func:`_zero_mixture`), shifted for each
+    ``a1`` to ``g``, whose grid row ``i`` reads ``g[j]`` for ``j < i - a1``
+    and ``g[i - a1]`` from there on. That is ``n1 + 1`` grid passes and one
+    ``-eta (i + j)`` add; every sum is finite.
     """
-    from scipy.special import gammaln
-
     eta = params.noise_epsilon
     pad = params.pad_count
-    keep = 1.0 - params.drop_prob
     t_max = min(i_max, j_max)
-    w = np.arange(t_max + 1)
-    # C[t] = log sum_{w <= t} e^{2 eta w} Poi(w)
-    flood = np.logaddexp.accumulate(
-        w * (math.log(params.flood_mean) + 2.0 * eta)
-        - params.flood_mean
-        - gammaln(w + 1)
-    )
-    # h[t]: the a0 mixture at a1 = 0; the a1 terms are shifts of it
-    h = np.full(t_max + 1, NEG_INF)
-    for a0, lw in enumerate(_binom_logpmf(ds.zeros, keep, np.arange(ds.zeros + 1))):
-        s = a0 * pad
-        if lw == NEG_INF or s > t_max:
-            continue
-        np.logaddexp(h[s:], lw + 2.0 * eta * s + flood[: t_max + 1 - s], out=h[s:])
+    h = _zero_mixture(ds.zeros, params, t_max)
     i = np.arange(i_max + 1)
     j = np.arange(j_max + 1)
     acc = None
+    keep = 1.0 - params.drop_prob
     for a1, lw in enumerate(_binom_logpmf(ds.ones, keep, np.arange(ds.ones + 1))):
         s = a1 * pad
         if lw == NEG_INF or s > t_max:
@@ -256,6 +277,14 @@ def divergence_audit(
     whatever their mass. The audit passes when the supremum is at most
     ``params.epsilon + tolerance``.
 
+    No grid is built. The cells below the diagonal with ``j = t`` share one
+    log ratio, as do the cells on or above it with ``i = t`` (module
+    docstring), so each class (side, ``t``) is one entry of a 1-D profile:
+    its mass is ``p^2 e^profile`` times ``sum_{i=t+1}^{i_max} e^{-eta (i + t)}``
+    below or ``sum_{j=t}^{j_max} e^{-eta (t + j)}`` above, its cell nearest
+    the diagonal, ``(t + 1, t)`` or ``(t, t)``, decides the mass floor, and
+    it is off the support iff its profile is.
+
     Raises
     ------
     ParameterError
@@ -275,8 +304,6 @@ def divergence_audit(
     _check_tolerance(tolerance)
     if grid_cap < 1:
         raise ParameterError(f"grid_cap must be >= 1, got {grid_cap}")
-    with_one = DatasetSummary(zeros=n_users - 1, ones=1)
-    all_zero = DatasetSummary(zeros=n_users, ones=0)
 
     # Three tail quantiles bound each mass outside the grid by 3/8 (1 - coverage)
     # in exact arithmetic, so a grid short of coverage is floating point's limit.
@@ -288,12 +315,44 @@ def divergence_audit(
         raise AuditInconclusiveError(
             f"coverage {coverage} not reachable within grid cap {grid_cap}"
         )
-    lf_x = view_logpmf_grid(with_one, params, i_max, j_max)
-    lf_xp = view_logpmf_grid(all_zero, params, i_max, j_max)
-    # every cell is a log-probability, so no exp overflows
-    mass_x = float(np.exp(lf_x).sum())
-    mass_xp = float(np.exp(lf_xp).sum())
-    if min(mass_x, mass_xp) < coverage:
+    eta = params.noise_epsilon
+    pad = params.pad_count
+    t_max = min(i_max, j_max)
+    # the one-input user's terms a1 = 0 and 1 over the other n - 1 users'
+    # mixture, read at min(i, j) and min(i - 1, j)
+    h = _zero_mixture(n_users - 1, params, t_max)
+    lw0, lw1 = _binom_logpmf(1, 1.0 - params.drop_prob, np.arange(2))
+    g0 = lw0 + h
+    # g1[u + 1] is the a1 = 1 term at u = min(i - 1, j): t below the
+    # diagonal, t - 1 on or above it
+    g1 = np.full(t_max + 2, NEG_INF)
+    if pad <= t_max:
+        g1[pad + 1 :] = lw1 + eta * (2 * pad + 1) + h[: t_max + 1 - pad]
+    h_xp = _zero_mixture(n_users, params, t_max)
+    # classes (side, t): t = j below the diagonal (j < i), t = i on or above
+    # it; every cell of a class is its profile minus eta (i + j)
+    n_below = min(j_max + 1, i_max)
+    t = np.arange(t_max + 1)
+    lf_x = np.concatenate((
+        np.logaddexp(g0[:n_below], g1[1 : n_below + 1]),
+        np.logaddexp(g0, g1[:-1]),
+    ))
+    lf_xp = np.concatenate((h_xp[:n_below], h_xp))
+    # each class's cell nearest the diagonal, (t + 1, t) below and (t, t)
+    # above, and its cell count, rows t + 1 .. i_max or columns t .. j_max
+    i = np.concatenate((t[:n_below] + 1, t))
+    j = np.concatenate((t[:n_below], t))
+    cells = np.concatenate((i_max - t[:n_below], j_max + 1 - t))
+    log_p = math.log(geo_success_prob(eta))
+    near = 2.0 * log_p - eta * i
+    near_x = lf_x + near - eta * j
+    near_xp = lf_xp + near - eta * j
+    # a class's mass is its nearest cell times a geometric partial sum; the
+    # log weight goes in before exp, so every term is a log-probability
+    span = np.log(-np.expm1(-eta * cells)) - log_p
+    mass_x = float(np.exp(near_x + span).sum())
+    mass_xp = float(np.exp(near_xp + span).sum())
+    if not (mass_x >= coverage and mass_xp >= coverage):  # so is a NaN mass
         raise AuditInconclusiveError(
             f"coverage {coverage} beyond floating point: grid mass {min(mass_x, mass_xp)!r}"
         )
@@ -302,9 +361,9 @@ def divergence_audit(
     inf_xp = np.isneginf(lf_xp)
     support_mismatch = bool(np.any(inf_x != inf_xp))
 
-    mask = ((lf_x >= math.log(mass_floor)) | (lf_xp >= math.log(mass_floor))) & ~(
-        inf_x & inf_xp
-    )
+    # a class reaches the floor iff its cell nearest the diagonal does
+    log_floor = math.log(mass_floor)
+    mask = ((near_x >= log_floor) | (near_xp >= log_floor)) & ~(inf_x & inf_xp)
     if support_mismatch:
         sup = math.inf
     elif np.any(mask):
@@ -379,7 +438,13 @@ def check_poi_ratio(
     """Verify the flooding inequality on ``[0, i_max]``.
 
     Checks ``(e^eps - 1) q f(i + pad) + e^{eps - eta} f(i - 1) >= f(i)`` for
-    the Poisson flood PMF ``f``, in log space with a log-sum-exp on the left.
+    the Poisson flood PMF ``f``. Divided by ``f(i)``, the margin is
+
+        log((e^eps - 1) q lam^pad / prod_{k=1}^{pad} (i + k) + e^{eps - eta} i / lam)
+
+    The function ``F`` inside the log is convex in ``i``, so its integer
+    minimum on the range is the first point whose forward difference is not
+    negative, found by bisection: ``O(log i_max)`` points, never the range.
     The default range extends to ``flood_mean + 20 sqrt(flood_mean) + pad``.
     """
     lam, s = params.flood_mean, params.pad_count
@@ -388,22 +453,34 @@ def check_poi_ratio(
     if i_max < 0:
         raise ParameterError(f"i_max must be >= 0, got {i_max}")
     _check_tolerance(tolerance)
-    i = np.arange(i_max + 1)
     if params.drop_prob > 0.0:
         log_drop_coef = math.log(math.expm1(params.epsilon)) + math.log(
             params.drop_prob
         )
-        term_pad = log_drop_coef + poi_logpmf(lam, i + s)
     else:
-        term_pad = np.full(i.shape, NEG_INF)
-    term_down = (params.epsilon - params.noise_epsilon) + poi_logpmf(lam, i - 1)
-    lhs = np.logaddexp(term_pad, term_down)
-    margins = lhs - poi_logpmf(lam, i)
-    worst = int(np.argmin(margins))
+        log_drop_coef = NEG_INF
+    log_down_coef = params.epsilon - params.noise_epsilon
+
+    def log_rise(i: int, m: int) -> float:
+        # sum_{k=1}^{m} log((i + k) / lam) term by term: no large gammaln cancels
+        return float(np.log((np.arange(1.0, m + 1.0) + i) / lam).sum())
+
+    # F(i + 1) >= F(i) iff log_rise(i, pad + 1) >= log((e^eps - 1) q pad /
+    # e^{eps - eta}); log_rise grows with i, also in floating point
+    log_turn = log_drop_coef + math.log(s) - log_down_coef
+    lo, hi = 0, i_max
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if log_rise(mid, s + 1) >= log_turn:
+            hi = mid
+        else:
+            lo = mid + 1
+    term_down = log_down_coef + math.log(lo / lam) if lo > 0 else NEG_INF
+    worst_margin = float(np.logaddexp(log_drop_coef - log_rise(lo, s), term_down))
     return RatioCheck(
-        ok=bool(margins[worst] >= -tolerance),
-        worst_margin=float(margins[worst]),
-        worst_index=worst,
+        ok=worst_margin >= -tolerance,
+        worst_margin=worst_margin,
+        worst_index=lo,
         i_max=i_max,
         tolerance=tolerance,
     )

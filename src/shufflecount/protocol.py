@@ -170,23 +170,26 @@ def draw_counts(
 
 def pooled_run(
     bits: np.ndarray, instances: Sequence[ProtocolParams], rng: RandomSource, trials=None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Message-level run of ``k`` instances pooled together.
 
     ``bits[..., i, j]`` is user ``i``'s input to instance ``j``. Each
     instance's counts are drawn in turn on ``rng``, for all ``trials`` at
     once when given, and nothing after: the analyzer reads only the pool's
     per-code totals, which no permutation changes. Returns the messages per
-    code (code ``2j`` is instance ``j``'s -1, ``2j + 1`` its +1) and per
-    user, each with a leading trials axis when ``trials`` is given.
+    code (code ``2j`` is instance ``j``'s -1, ``2j + 1`` its +1), with a
+    leading trials axis when ``trials`` is given, and the messages per user
+    of a single run, or ``None`` when ``trials`` is given.
     """
     totals = []
+    per_user = None
     for j, inst in enumerate(instances):
         c = draw_counts(bits[..., j], inst, rng, trials)
         plus, minus = c.plus_count, c.minus_count
         totals += [minus.sum(axis=-1), plus.sum(axis=-1)]
-        plus += minus
-        per_user = plus if j == 0 else np.add(per_user, plus, out=per_user)
+        if trials is None:
+            plus += minus
+            per_user = plus if j == 0 else np.add(per_user, plus, out=per_user)
         del c, plus, minus  # hold one instance's draws at a time
     return np.stack(totals, axis=-1), per_user
 
@@ -231,8 +234,8 @@ def run_once(bits, instances, rng: RandomSource, fidelity: str):
     ``message`` fidelity.
     """
     if fidelity == "message":
-        counts, per_user = pooled_run(bits(rng), instances, rng)
-        return counts[1::2] - counts[0::2], int(per_user.sum())
+        counts = pooled_run(bits(rng), instances, rng)[0]
+        return counts[1::2] - counts[0::2], int(counts.sum())
     return run_trials(bits, instances, 1, rng, fidelity)[0], None
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -26,6 +27,7 @@ from shufflecount import (
     minimal_params,
     view_logpmf_grid,
 )
+from shufflecount import audit
 from shufflecount.audit import (
     MIN_EXPECTED,
     GofResult,
@@ -159,6 +161,107 @@ class TestViewGrid:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * grid.nbytes
+
+
+def _grid_audit(
+    n_users, params, coverage=1.0 - 1e-9, mass_floor=1e-30, tolerance=1e-6,
+    grid_cap=4096,
+):
+    """Reference divergence audit over the two full view grids.
+
+    Builds ``view_logpmf_grid`` for ``(1, 0, ..., 0)`` and ``(0, ..., 0)``
+    and takes masses, support, mass-floor mask and sup cell by cell.
+    """
+    tail = (1.0 - coverage) / 8.0
+    if 1.0 - tail == 1.0:
+        raise AuditInconclusiveError("coverage beyond floating point")
+    i_max, j_max = _grid_bounds(params, n_users, tail)
+    if max(i_max, j_max) > grid_cap:
+        raise AuditInconclusiveError("grid cap")
+    lf_x = view_logpmf_grid(DatasetSummary(n_users - 1, 1), params, i_max, j_max)
+    lf_xp = view_logpmf_grid(DatasetSummary(n_users, 0), params, i_max, j_max)
+    mass_x = float(np.exp(lf_x).sum())
+    mass_xp = float(np.exp(lf_xp).sum())
+    if min(mass_x, mass_xp) < coverage:
+        raise AuditInconclusiveError("grid mass")
+    inf_x = np.isneginf(lf_x)
+    inf_xp = np.isneginf(lf_xp)
+    support_mismatch = bool(np.any(inf_x != inf_xp))
+    mask = ((lf_x >= math.log(mass_floor)) | (lf_xp >= math.log(mass_floor))) & ~(
+        inf_x & inf_xp
+    )
+    if support_mismatch:
+        sup = math.inf
+    elif np.any(mask):
+        sup = float(np.max(np.abs(lf_x[mask] - lf_xp[mask])))
+    else:
+        sup = 0.0
+    return {
+        "pass": not support_mismatch and sup <= params.epsilon + tolerance,
+        "support_mismatch": support_mismatch,
+        "grid": (i_max, j_max),
+        "sup": sup,
+        "mass_x": mass_x,
+        "mass_xp": mass_xp,
+    }
+
+
+class TestOneDimensionalAudit:
+    """The audit's 1-D class profiles against the two full grids."""
+
+    @pytest.mark.parametrize("q", [0.0, 0.01, 0.3])
+    @pytest.mark.parametrize("pad", [1, 3, 17])
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 127.0])
+    def test_matches_grid_reference(self, q, pad, lam):
+        for (eta, eps), n, kwargs in itertools.product(
+            [(0.5, 1.0), (0.9, 1.0), (1.0, 2.0)],
+            [1, 2, 3, 5, 20],
+            [{}, {"coverage": 0.999}, {"mass_floor": 1e-10}, {"grid_cap": 300}],
+        ):
+            params = ProtocolParams(
+                n_users=n, epsilon=eps, noise_epsilon=eta,
+                drop_prob=q, pad_count=pad, flood_mean=lam,
+            )
+            try:
+                ref = _grid_audit(n, params, **kwargs)
+            except AuditInconclusiveError:
+                with pytest.raises(AuditInconclusiveError):
+                    divergence_audit(n, params, **kwargs)
+                continue
+            report = divergence_audit(n, params, **kwargs)
+            case = (eta, eps, n, kwargs)
+            assert report.passed == ref["pass"], case
+            assert report.support_mismatch == ref["support_mismatch"], case
+            assert (report.grid_i_max, report.grid_j_max) == ref["grid"], case
+            if math.isinf(ref["sup"]):
+                assert report.sup_abs_log_ratio == ref["sup"], case
+            else:
+                assert abs(report.sup_abs_log_ratio - ref["sup"]) <= 1e-12, case
+            assert abs(report.mass_covered_x - ref["mass_x"]) <= 1e-12, case
+            assert abs(report.mass_covered_xprime - ref["mass_xp"]) <= 1e-12, case
+
+    def test_memory_is_one_dimensional(self):
+        # two 615 x 595 float grids would take 5.9 MB; the profiles hold
+        # a few arrays of t_max + 1 = 595 entries
+        params = _reference(20)
+        divergence_audit(20, params)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            report = divergence_audit(20, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        t_max = min(report.grid_i_max, report.grid_j_max)
+        assert peak <= 64 * 8 * (t_max + 1)
+
+    def test_nan_mass_is_inconclusive(self, monkeypatch):
+        # a profile that overflowed to NaN must not pass the coverage check
+        def nan_mixture(zeros, params, t_max):
+            return np.full(t_max + 1, math.nan)
+
+        monkeypatch.setattr(audit, "_zero_mixture", nan_mixture)
+        with np.errstate(invalid="ignore"), pytest.raises(AuditInconclusiveError):
+            divergence_audit(3, _reference(3))
 
 
 class TestDivergenceAudit:
@@ -332,6 +435,42 @@ class TestRatioChecks:
         )
         check = check_poi_ratio(params)
         assert not check.ok
+
+    @staticmethod
+    def _poi_margins(params):
+        """Brute-force flood margins over the whole default range."""
+        lam, s = params.flood_mean, params.pad_count
+        i = np.arange(math.ceil(lam + 20.0 * math.sqrt(lam) + s) + 1)
+        if params.drop_prob > 0.0:
+            term_pad = (
+                math.log(math.expm1(params.epsilon) * params.drop_prob)
+                + poi_logpmf(lam, i + s)
+            )
+        else:
+            term_pad = np.full(i.shape, -math.inf)
+        term_down = params.epsilon - params.noise_epsilon + poi_logpmf(lam, i - 1)
+        return np.logaddexp(term_pad, term_down) - poi_logpmf(lam, i)
+
+    @pytest.mark.parametrize("q", [0.0, 0.001, 0.01, 0.3])
+    @pytest.mark.parametrize("pad", [1, 3, 17, 200])
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 127.0, 1e3, 1e4])
+    def test_poi_check_equals_brute_force(self, q, pad, lam):
+        for eta, eps in [(0.5, 1.0), (0.9, 1.0), (1.0, 2.0)]:
+            params = ProtocolParams(
+                n_users=3, epsilon=eps, noise_epsilon=eta,
+                drop_prob=q, pad_count=pad, flood_mean=lam,
+            )
+            margins = self._poi_margins(params)
+            worst = int(np.argmin(margins))
+            check = check_poi_ratio(params)
+            assert check.i_max == margins.size - 1
+            assert check.ok == bool(margins[worst] >= -1e-9)
+            if math.isinf(margins[worst]):
+                assert (check.worst_margin, check.worst_index) == (margins[worst], worst)
+                continue
+            assert abs(check.worst_margin - margins[worst]) <= 1e-9
+            # equal, or tied with the brute-force minimum
+            assert abs(margins[check.worst_index] - margins[worst]) <= 1e-9
 
     @pytest.mark.parametrize("eps,n", [(0.5, 100), (2.0, 1000)])
     def test_every_feasible_derived_set_passes_both_checks(self, eps, n):

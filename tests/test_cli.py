@@ -221,6 +221,16 @@ class TestAudit:
             True, 1, 100_000_000_000,
         )
 
+    @pytest.mark.parametrize("lam", ["1e9", "1e14"])
+    def test_lemmas_huge_flood_mean_reports(self, capsys, lam):
+        # the flood range [0, lam + 20 sqrt(lam) + pad] is never materialized
+        code, out, _ = run_cli(capsys, "audit", "lemmas", "--lam", lam)
+        assert code in (0, 1)
+        flood = json.loads(out)["flood_ratio"]
+        assert flood["i_max"] >= float(lam)
+        assert 0 <= flood["worst_index"] <= flood["i_max"]
+        assert (code == 0) == flood["ok"]
+
     def test_divergence_reference_passes(self, capsys):
         code, out, _ = run_cli(capsys, "audit", "divergence", "--n", "2")
         assert code == 0

@@ -291,6 +291,24 @@ def test_real_sum_chunk_holds_one_byte_per_bit():
     assert peaks[8] - peaks[2] <= 2 * 6 * n * trials
 
 
+def test_message_trials_hold_no_per_user_total():
+    # one chunk of message trials at n = 1024: a second instance adds its
+    # rounding bits (1 MiB), not a (trials, n) per-user message total
+    n = 1024
+    trials = protocol.CHUNK_ELEMENTS // (4 * n)
+    xs = np.random.default_rng(3).random(n)
+    real_sum_trials(xs, 2.0, 0.5, 1, 4, RandomSource(1), "message")  # warm up
+    peaks = {}
+    for n_bits in (1, 2):
+        tracemalloc.start()
+        try:
+            real_sum_trials(xs, 2.0, 0.5, n_bits, trials, RandomSource(1), "message")
+            peaks[n_bits] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= peaks[1] + 2 * 2**20
+
+
 def test_message_trials_with_zeroed_noise_return_the_counts(monkeypatch):
     # chunks of two trials (8 users): five trials end in a partial chunk
     monkeypatch.setattr(protocol, "draw_counts", _padded_only)

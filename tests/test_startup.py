@@ -48,9 +48,10 @@ def _loaded(tmp_path, argv):
         ["bench", "--n-list", "100", "--trials", "100"],
         ["audit", "mse", "--n", "20", "--trials", "1000"],
         ["audit", "comm", "--n", "20", "--trials", "1000"],
+        ["audit", "lemmas"],
     ],
     ids=["import", "run-count", "run-realsum", "run-histogram", "params",
-         "bench", "audit-mse", "audit-comm"],
+         "bench", "audit-mse", "audit-comm", "audit-lemmas"],
 )
 def test_no_scipy_submodule_loaded(tmp_path, argv):
     code, modules = _loaded(tmp_path, argv)
