@@ -52,6 +52,7 @@ from .dist import (
     dlap_variance,
     geo_mean,
     geo_success_prob,
+    poi_logpmf,
 )
 from .errors import AuditInconclusiveError, ParameterError
 from .params import ProtocolParams
@@ -102,16 +103,10 @@ def _zero_mixture(zeros: int, params: ProtocolParams, t_max: int) -> np.ndarray:
     running flood sum: the view law at ``a1 = 0`` up to ``2 log p -
     eta (i + j)``. The terms of ``a1 > 0`` are shifts of it.
     """
-    from scipy.special import gammaln
-
     eta = params.noise_epsilon
     pad = params.pad_count
     w = np.arange(t_max + 1)
-    flood = np.logaddexp.accumulate(
-        w * (math.log(params.flood_mean) + 2.0 * eta)
-        - params.flood_mean
-        - gammaln(w + 1)
-    )
+    flood = np.logaddexp.accumulate(poi_logpmf(params.flood_mean, w) + 2.0 * eta * w)
     h = np.full(t_max + 1, NEG_INF)
     keep = 1.0 - params.drop_prob
     for a0, lw in enumerate(_binom_logpmf(zeros, keep, np.arange(zeros + 1))):

@@ -96,7 +96,10 @@ def _seed(args) -> int:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParameterError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     raise ParameterError(
         f"a seed is required: pass --seed or set {SEED_ENV_VAR}"
     )

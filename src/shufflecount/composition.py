@@ -27,11 +27,10 @@ from .params import (
     ProtocolParams,
     derive_params,
     minimal_params,
-    require_feasible,
     target_drop_prob,
     target_noise_epsilon,
 )
-from .protocol import check_fidelity, run_once, run_trials
+from .protocol import run_trials
 
 #: Budget decay ratio between consecutive bit positions.
 BETA = 2.0 ** (-2.0 / 3.0)
@@ -192,25 +191,30 @@ def _check_reals(xs: Sequence[float]) -> np.ndarray:
 def _real_bits(xs: np.ndarray, n_bits: int):
     """Input bits of a real-sum run, stochastically rounded on every draw.
 
-    Returns ``bits(rng, trials=None)``: the bits of :func:`encode_real` for
-    the whole batch, ``uint8`` of shape ``(n, n_bits)`` or
-    ``(trials, n, n_bits)``. Each position is extracted in turn from the
-    rounded values in their narrowest dtype, so no wider array of all the
-    bits is built.
+    Returns ``draw(rng, rows)``: the bits of :func:`encode_real` for ``rows``
+    trials, ``uint8`` of shape ``(rows, n, n_bits)``. Each position is
+    extracted in turn from the rounded values in their narrowest dtype, so no
+    wider array of all the bits is built.
     """
     scale = 1 << n_bits
     dtype = np.min_scalar_type(scale - 1)
 
-    def bits(rng: RandomSource, trials: int | None = None) -> np.ndarray:
-        size = len(xs) if trials is None else (trials, len(xs))
-        v = np.floor(xs * scale + rng.generator.random(size))
+    def draw(rng: RandomSource, rows: int) -> np.ndarray:
+        v = np.floor(xs * scale + rng.generator.random((rows, len(xs))))
         v = np.minimum(v, scale - 1).astype(dtype)
         out = np.empty(v.shape + (n_bits,), dtype=np.uint8)
         for k in range(n_bits):
             np.bitwise_and(v >> (n_bits - 1 - k), 1, out=out[..., k], casting="unsafe")
         return out
 
-    return bits
+    return draw
+
+
+def _real_sum_trials(xs, epsilon, slack, n_bits, trials, rng, fidelity):
+    """Instances, per-bit signed sums and message totals of real-sum trials."""
+    xs = _check_reals(xs)
+    instances = real_sum_params(epsilon, slack, n_bits, xs.size)
+    return (instances, *run_trials(_real_bits(xs, n_bits), instances, trials, rng, fidelity))
 
 
 def run_real_sum(
@@ -225,20 +229,16 @@ def run_real_sum(
 
     Inputs are stochastically rounded to ``n_bits`` fixed-point bits; one
     counting instance runs per bit position and the estimate is the
-    place-value weighted sum of the instance outputs.
+    place-value weighted sum of the instance outputs. This is trial 0 of
+    :func:`real_sum_trials` on the same stream.
     """
-    check_fidelity(fidelity)
-    xs = _check_reals(xs)
-    instances = real_sum_params(epsilon, slack, n_bits, xs.size)
-    for inst in instances:
-        require_feasible(inst)
-    counts, total = run_once(_real_bits(xs, n_bits), instances, rng, fidelity)
+    instances, counts, totals = _real_sum_trials(xs, epsilon, slack, n_bits, 1, rng, fidelity)
     return RealSumRun(
-        estimate=float(bit_weights(n_bits) @ counts),
-        bit_counts=tuple(int(c) for c in counts),
+        estimate=float(bit_weights(n_bits) @ counts[0]),
+        bit_counts=tuple(int(c) for c in counts[0]),
         instances=tuple(instances),
         fidelity=fidelity,
-        total_messages=total,
+        total_messages=None if totals is None else int(totals[0]),
     )
 
 
@@ -255,13 +255,9 @@ def real_sum_trials(
 
     Rounding is re-drawn every trial, so the returned estimates carry the
     full pipeline error (rounding plus drops plus noise) against the exact
-    input sum. A single ``message`` trial equals :func:`run_real_sum` on
-    the same stream.
+    input sum.
     """
-    check_fidelity(fidelity)
-    xs = _check_reals(xs)
-    instances = real_sum_params(epsilon, slack, n_bits, xs.size)
-    counts = run_trials(_real_bits(xs, n_bits), instances, trials, rng, fidelity)
+    counts = _real_sum_trials(xs, epsilon, slack, n_bits, trials, rng, fidelity)[1]
     return counts @ bit_weights(n_bits)
 
 
@@ -287,6 +283,13 @@ def _bucket_bits(xs: Sequence[int], n_buckets: int) -> np.ndarray:
     return (xs[:, None] == np.arange(n_buckets)).astype(np.int64)
 
 
+def _histogram_trials(xs, n_buckets, epsilon, slack, trials, rng, fidelity):
+    """Shared instance, per-bucket signed sums and message totals of histogram trials."""
+    bits = _bucket_bits(xs, n_buckets)
+    inst = histogram_params(epsilon, slack, len(bits))
+    return (inst, *run_trials(bits, [inst] * n_buckets, trials, rng, fidelity))
+
+
 def run_histogram(
     xs: Sequence[int],
     n_buckets: int,
@@ -299,20 +302,15 @@ def run_histogram(
 
     One counting instance runs per bucket on the indicator bits
     ``x_i == b``, each at budget ``epsilon / 2``; messages are pooled and
-    tagged with the bucket index.
+    tagged with the bucket index. This is trial 0 of
+    :func:`histogram_trials` on the same stream.
     """
-    check_fidelity(fidelity)
-    bits = _bucket_bits(xs, n_buckets)
-    inst = histogram_params(epsilon, slack, len(bits))
-    require_feasible(inst)
-    counts, total = run_once(
-        lambda rng, trials=None: bits, [inst] * n_buckets, rng, fidelity
-    )
+    inst, counts, totals = _histogram_trials(xs, n_buckets, epsilon, slack, 1, rng, fidelity)
     return HistogramRun(
-        estimates=tuple(int(c) for c in counts),
+        estimates=tuple(int(c) for c in counts[0]),
         instance=inst,
         fidelity=fidelity,
-        total_messages=total,
+        total_messages=None if totals is None else int(totals[0]),
     )
 
 
@@ -325,14 +323,5 @@ def histogram_trials(
     rng: RandomSource,
     fidelity: str = "counts",
 ) -> np.ndarray:
-    """Repeated histogram estimates, shape ``(trials, n_buckets)``.
-
-    A single ``message`` trial equals :func:`run_histogram` on the same
-    stream.
-    """
-    check_fidelity(fidelity)
-    bits = _bucket_bits(xs, n_buckets)
-    inst = histogram_params(epsilon, slack, len(bits))
-    return run_trials(
-        lambda rng, trials=None: bits, [inst] * n_buckets, trials, rng, fidelity
-    )
+    """Repeated histogram estimates, shape ``(trials, n_buckets)``."""
+    return _histogram_trials(xs, n_buckets, epsilon, slack, trials, rng, fidelity)[1]

@@ -10,8 +10,9 @@ shuffled multiset of single-bit messages and outputs its signed sum.
 Every run goes through one engine: :func:`draw_counts` is the vectorized
 randomizer, :func:`pooled_run` pools the messages of any number of instances
 (counting is the one-instance case), :func:`signed_sums` draws an
-instance's output without per-user counts, and :func:`run_trials` repeats
-runs for Monte Carlo measurement. The analyzer reads only per-code totals of
+instance's output without per-user counts, and :func:`run_trials` drives
+every batch of runs (a single run is its trial 0) in chunks of whole trials
+under :data:`CHUNK_ELEMENTS`. The analyzer reads only per-code totals of
 the pool, which no permutation changes, so a run draws no shuffle;
 :func:`shuffle` materializes a uniformly shuffled sequence where the order
 itself is wanted (wire dumps, tests). Three simulation fidelities exist:
@@ -42,10 +43,11 @@ from .params import ProtocolParams, require_feasible
 
 FIDELITIES = ("message", "counts", "law")
 
-#: Most per-user draws a batch of trials holds at once: ``counts`` fidelity
-#: and :func:`simulate_views` hold ``2 n`` noise shares per trial, ``message``
-#: fidelity ``4 n`` draws (the shares, keep flags and flooding counts). Larger
-#: batches are drawn in chunks of whole trials on the same stream.
+#: Most per-user draws a batch of trials holds at once; :func:`_batches` cuts
+#: every batch into chunks of whole trials under it, drawn in turn on one
+#: stream. A trial is ``4 n`` draws in :func:`run_trials` (shares, keep flags
+#: and flooding, or the real sum's rounding) and ``2 n`` noise shares in
+#: :func:`_noise_difference` and :func:`simulate_views`.
 CHUNK_ELEMENTS = 1 << 22
 
 
@@ -102,6 +104,17 @@ def check_fidelity(fidelity: str) -> None:
     """Raise :class:`ParameterError` unless ``fidelity`` is one of :data:`FIDELITIES`."""
     if fidelity not in FIDELITIES:
         raise ParameterError(f"fidelity must be one of {FIDELITIES}")
+
+
+def _batches(trials: int, per_trial: int):
+    """Chunks ``(slice, size)`` of whole trials, at most :data:`CHUNK_ELEMENTS` draws each.
+
+    Rejects fewer than one trial when called, before anything is drawn.
+    """
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    rows = max(1, CHUNK_ELEMENTS // per_trial)
+    return ((slice(s, s + rows), min(rows, trials - s)) for s in range(0, trials, rows))
 
 
 def _count_bits(zeros: int, ones: int, n: int) -> np.ndarray:
@@ -198,11 +211,12 @@ def _noise_difference(params: ProtocolParams, rng: RandomSource, trials: int) ->
     """Plus minus minus noise shares of all users, per trial, in bounded chunks."""
     n = params.n_users
     p = geo_success_prob(params.noise_epsilon)
-    rows = max(1, CHUNK_ELEMENTS // (2 * n))
+    chunks = _batches(trials, 2 * n)
     out = np.empty(trials, dtype=np.int64)
-    for start in range(0, trials, rows):
-        noise = sample_nb(1.0 / n, p, rng, size=(min(rows, trials - start), 2 * n))
-        out[start : start + rows] = noise[:, :n].sum(axis=1) - noise[:, n:].sum(axis=1)
+    for chunk, size in chunks:
+        noise = sample_nb(1.0 / n, p, rng, size=(size, 2 * n))
+        out[chunk] = noise[:, :n].sum(axis=1) - noise[:, n:].sum(axis=1)
+        del noise  # hold one chunk's shares at a time
     return out
 
 
@@ -220,52 +234,45 @@ def signed_sums(ones, params: ProtocolParams, rng: RandomSource, fidelity: str, 
     kept = ones - rng.generator.binomial(ones, params.drop_prob, size=size)
     if fidelity == "law":
         return kept + sample_dlap(params.noise_epsilon, rng, size=size)
-    if size is None:
-        return kept + _noise_difference(params, rng, 1)[0]
     return kept + _noise_difference(params, rng, size)
 
 
-def run_once(bits, instances, rng: RandomSource, fidelity: str):
-    """One run of pooled instances: per-instance signed sums and message total.
+def run_trials(inputs, instances, trials: int, rng: RandomSource, fidelity: str):
+    """The trials engine: per-instance signed sums ``(trials, k)`` and message totals.
 
-    ``bits(rng, trials=None)`` returns the ``(n, k)`` input matrix, or
-    ``(trials, n, k)`` when ``trials`` is given; it may draw on ``rng`` (the
-    real sum's rounding) or ignore it. The total is ``None`` below
-    ``message`` fidelity.
+    ``inputs`` is the fixed ``(n, k)`` matrix or the real sum's rounding
+    ``draw(rng, rows)``, which returns ``(rows, n, k)``. Trials come on
+    ``rng`` in chunks of ``CHUNK_ELEMENTS // (4 n)``, so a single run is
+    trial 0 of any batch on the same stream. A ``message`` chunk draws its
+    inputs, then one :func:`pooled_run` of its trials; ``counts`` and
+    ``law`` sum the inputs (drawn ones chunk by chunk, a fixed matrix once),
+    then draw each instance's :func:`signed_sums`. The totals, ``(trials,)``,
+    are ``None`` below ``message`` fidelity.
     """
+    check_fidelity(fidelity)
+    k = len(instances)
+    chunks = _batches(trials, 4 * instances[0].n_users)
+    fixed = not callable(inputs)
     if fidelity == "message":
-        counts = pooled_run(bits(rng), instances, rng)[0]
-        return counts[1::2] - counts[0::2], int(counts.sum())
-    return run_trials(bits, instances, 1, rng, fidelity)[0], None
-
-
-def run_trials(bits, instances, trials: int, rng: RandomSource, fidelity: str) -> np.ndarray:
-    """The trials engine: per-instance signed sums of repeated runs, ``(trials, k)``.
-
-    ``bits`` is as in :func:`run_once`; every fidelity draws on ``rng``.
-    ``message`` trials come in chunks of ``CHUNK_ELEMENTS // (4 n)``: each
-    draws its inputs, then one :func:`pooled_run` of all its trials, and
-    keeps only the signed sums. ``counts`` and ``law`` draw all inputs, then
-    each instance's :func:`signed_sums`.
-    """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    if fidelity != "message":
-        ones = bits(rng, trials).sum(axis=-2, dtype=np.int64)
-        return np.stack(
-            [
-                signed_sums(ones[..., j], inst, rng, fidelity, size=trials)
-                for j, inst in enumerate(instances)
-            ],
-            axis=-1,
-        )
-    out = np.empty((trials, len(instances)), dtype=np.int64)
-    rows = max(1, CHUNK_ELEMENTS // (4 * instances[0].n_users))
-    for start in range(0, trials, rows):
-        size = min(rows, trials - start)
-        counts = pooled_run(bits(rng, size), instances, rng, size)[0]
-        out[start : start + size] = counts[:, 1::2] - counts[:, 0::2]
-    return out
+        sums = np.empty((trials, k), dtype=np.int64)
+        totals = np.empty(trials, dtype=np.int64)
+        for chunk, size in chunks:
+            bits = inputs if fixed else inputs(rng, size)
+            counts = pooled_run(bits, instances, rng, size)[0]
+            sums[chunk] = counts[:, 1::2] - counts[:, 0::2]
+            totals[chunk] = counts.sum(axis=1)
+        return sums, totals
+    if fixed:
+        ones = inputs.sum(axis=0, dtype=np.int64)
+    else:
+        ones = np.empty((trials, k), dtype=np.int64)
+        for chunk, size in chunks:
+            ones[chunk] = inputs(rng, size).sum(axis=1, dtype=np.int64)
+    sums = [
+        signed_sums(ones[..., j], inst, rng, fidelity, size=trials)
+        for j, inst in enumerate(instances)
+    ]
+    return np.stack(sums, axis=-1), None
 
 
 def shuffle(
@@ -373,12 +380,11 @@ def simulate_views(
     """
     bits = _count_bits(zeros, ones, params.n_users)
     n = bits.size
-    rows = max(1, CHUNK_ELEMENTS // (2 * n))
+    chunks = _batches(trials, 2 * n)
     v_plus, v_minus = np.empty((2, trials), dtype=np.int64)
-    for start in range(0, trials, rows):
-        keep, noise, flood = _draws(n, params, rng, (min(rows, trials - start),))
+    for chunk, size in chunks:
+        keep, noise, flood = _draws(n, params, rng, (size,))
         flood = flood.sum(axis=1)
-        chunk = slice(start, start + rows)
         v_plus[chunk] = keep @ (params.pad_count + bits) + noise[:, :n].sum(axis=1) + flood
         v_minus[chunk] = keep.sum(axis=1) * params.pad_count + noise[:, n:].sum(axis=1) + flood
         del keep, noise, flood  # hold one chunk's draws at a time
@@ -402,11 +408,8 @@ def estimate_trials(
     closed-form estimate law. All three produce the same estimate
     distribution.
     """
-    check_fidelity(fidelity)
     bits = _count_bits(zeros, ones, params.n_users)
-    return run_trials(
-        lambda rng, trials=None: bits[:, None], [params], trials, rng, fidelity
-    )[:, 0]
+    return run_trials(bits[:, None], [params], trials, rng, fidelity)[0][:, 0]
 
 
 def message_count_trials(
@@ -414,4 +417,8 @@ def message_count_trials(
 ) -> np.ndarray:
     """Total messages sent by a single user with input ``x``, over many runs."""
     bits = np.array([_check_bit(x)], dtype=np.int64)
-    return draw_counts(bits, params, rng, trials).message_count[:, 0]
+    chunks = _batches(trials, 4)
+    out = np.empty(trials, dtype=np.int64)
+    for chunk, size in chunks:
+        out[chunk] = draw_counts(bits, params, rng, size).message_count[:, 0]
+    return out

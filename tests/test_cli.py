@@ -79,6 +79,13 @@ class TestSeedHandling:
         assert code == 0
         assert json.loads(out)["seed"] == 77
 
+    @pytest.mark.parametrize("value", ["abc", "1e3"])
+    def test_non_integer_env_seed_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv(SEED_ENV_VAR, value)
+        code, _, err = run_cli(capsys, "run", "count", "--ones", "2", "--zeros", "1")
+        assert code == 2
+        assert "invalid parameters" in err and SEED_ENV_VAR in err
+
 
 class TestRunCount:
     def test_deterministic_report_bytes(self, tmp_path, capsys):

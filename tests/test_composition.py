@@ -21,6 +21,7 @@ from shufflecount import (
 from shufflecount import protocol
 from shufflecount.composition import (
     BETA,
+    _real_bits,
     bit_weights,
     decode_bits,
     dump_tagged,
@@ -307,6 +308,49 @@ def test_message_trials_hold_no_per_user_total():
         finally:
             tracemalloc.stop()
     assert peaks[2] <= peaks[1] + 2 * 2**20
+
+
+@pytest.mark.parametrize("fidelity", ["message", "counts", "law"])
+def test_single_runs_are_trial_zero_on_the_same_stream(fidelity):
+    xs = np.random.default_rng(4).random(40)
+    run = run_real_sum(xs, 2.0, 0.5, 3, RandomSource(5), fidelity)
+    (estimate,) = real_sum_trials(xs, 2.0, 0.5, 3, 1, RandomSource(5), fidelity)
+    instances = real_sum_params(2.0, 0.5, 3, xs.size)
+    sums, totals = protocol.run_trials(
+        _real_bits(xs, 3), instances, 1, RandomSource(5), fidelity
+    )
+    assert run.estimate == estimate
+    assert run.bit_counts == tuple(sums[0])
+    assert run.total_messages == (None if totals is None else totals[0])
+    assert (run.total_messages is None) == (fidelity != "message")
+
+    buckets = np.random.default_rng(6).integers(0, 4, 40)
+    hist = run_histogram(buckets, 4, 2.0, 0.5, RandomSource(7), fidelity)
+    (counts,) = histogram_trials(buckets, 4, 2.0, 0.5, 1, RandomSource(7), fidelity)
+    bits = (buckets[:, None] == np.arange(4)).astype(np.int64)
+    sums, totals = protocol.run_trials(
+        bits, [hist.instance] * 4, 1, RandomSource(7), fidelity
+    )
+    assert hist.estimates == tuple(counts) == tuple(sums[0])
+    assert hist.total_messages == (None if totals is None else totals[0])
+    assert (hist.total_messages is None) == (fidelity != "message")
+
+
+@pytest.mark.parametrize("fidelity", ["counts", "law"])
+def test_summed_trials_memory_does_not_grow_with_trials(fidelity):
+    # the rounding draw of all trials at once would hold about 17 bytes per
+    # user and trial: 65 MiB at 4000 trials, 259 MiB at 16000
+    xs = np.random.default_rng(3).random(1000)
+    real_sum_trials(xs, 2.0, 0.5, 4, 4, RandomSource(1), fidelity)  # warm up
+    peaks = {}
+    for trials in (4000, 16000):
+        tracemalloc.start()
+        try:
+            real_sum_trials(xs, 2.0, 0.5, 4, trials, RandomSource(1), fidelity)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16000] <= peaks[4000] + 4 * 2**20
 
 
 def test_message_trials_with_zeroed_noise_return_the_counts(monkeypatch):

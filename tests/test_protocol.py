@@ -21,7 +21,12 @@ from shufflecount import (
     shuffle,
     view_of,
 )
-from shufflecount.audit import exact_mean_messages, gof_integer_samples
+from shufflecount.audit import (
+    DatasetSummary,
+    crossvalidate_views,
+    exact_mean_messages,
+    gof_integer_samples,
+)
 from shufflecount.dist import poi_logpmf
 from shufflecount.protocol import (
     CHUNK_ELEMENTS,
@@ -424,3 +429,16 @@ class TestValidation:
                 estimate_trials(-5, 35, params, 10, RandomSource(0), fidelity)
             with pytest.raises(ParameterError):
                 simulate_views(-5, 35, params, 10, RandomSource(0))
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_batches_reject_fewer_than_one_trial(self, trials):
+        params = minimal_params(1.0, 0.5, 0.1, 3)
+        with pytest.raises(ParameterError):
+            simulate_views(1, 2, params, trials, RandomSource(0))
+        with pytest.raises(ParameterError):
+            message_count_trials(1, params, trials, RandomSource(0))
+        with pytest.raises(ParameterError):
+            crossvalidate_views(DatasetSummary(1, 2), params, trials, RandomSource(0))
+        for fidelity in ("message", "counts", "law"):
+            with pytest.raises(ParameterError):
+                estimate_trials(1, 2, params, trials, RandomSource(0), fidelity)
