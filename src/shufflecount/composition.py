@@ -229,8 +229,8 @@ def run_real_sum(
 
     Inputs are stochastically rounded to ``n_bits`` fixed-point bits; one
     counting instance runs per bit position and the estimate is the
-    place-value weighted sum of the instance outputs. This is trial 0 of
-    :func:`real_sum_trials` on the same stream.
+    place-value weighted sum of the instance outputs. This is a one-trial
+    batch of :func:`real_sum_trials` on the same stream.
     """
     instances, counts, totals = _real_sum_trials(xs, epsilon, slack, n_bits, 1, rng, fidelity)
     return RealSumRun(
@@ -302,7 +302,7 @@ def run_histogram(
 
     One counting instance runs per bucket on the indicator bits
     ``x_i == b``, each at budget ``epsilon / 2``; messages are pooled and
-    tagged with the bucket index. This is trial 0 of
+    tagged with the bucket index. This is a one-trial batch of
     :func:`histogram_trials` on the same stream.
     """
     inst, counts, totals = _histogram_trials(xs, n_buckets, epsilon, slack, 1, rng, fidelity)

@@ -127,7 +127,7 @@ def sample_geo(p: float, rng: RandomSource, size=None):
     return rng.generator.geometric(p, size=size) - 1
 
 
-def sample_nb(r: float, p: float, rng: RandomSource, size=None):
+def sample_nb(r: float, p: float, rng: RandomSource, size=None, group: int = 1):
     """Draw from the negative binomial via its compound-Poisson form.
 
     NB(``r``, ``p``) is the sum of Poisson(``-r ln p``) many
@@ -138,15 +138,24 @@ def sample_nb(r: float, p: float, rng: RandomSource, size=None):
     with the number of summands, not of cells, so the tiny fractional shapes
     of per-user noise shares, nearly all 0, cost little. ``size=None`` draws
     one value through the same path.
+
+    With ``group > 1`` the last axis of ``size`` is cut into runs of
+    ``group`` cells and each summand is added into its cell's run: the
+    result, of shape ``size[:-1] + (size[-1] // group,)``, holds the sums of
+    the same draws over each run, and no per-cell array is built.
     """
     _check_positive("r", r)
     _check_prob("p", p)
+    shape = () if size is None else tuple(np.atleast_1d(size).tolist())
+    if group != 1 and not (shape and group >= 1 and shape[-1] % group == 0):
+        raise ParameterError(f"group {group} must divide the last axis of size {size}")
     gen = rng.generator
-    out = np.zeros(() if size is None else size, dtype=np.int64)
-    flat = out.reshape(-1)
-    total = gen.poisson(-r * math.log(p) * flat.size)
+    cells = math.prod(shape)
+    out = np.zeros(shape[:-1] + (shape[-1] // group,) if shape else (), dtype=np.int64)
+    total = gen.poisson(-r * math.log(p) * cells)
     if total:
-        np.add.at(flat, gen.integers(0, flat.size, total), gen.logseries(1.0 - p, total))
+        run = gen.integers(0, cells, total) // group
+        np.add.at(out.reshape(-1), run, gen.logseries(1.0 - p, total))
     return out[()] if size is None else out
 
 

@@ -11,8 +11,10 @@ Every run goes through one engine: :func:`draw_counts` is the vectorized
 randomizer, :func:`pooled_run` pools the messages of any number of instances
 (counting is the one-instance case), :func:`signed_sums` draws an
 instance's output without per-user counts, and :func:`run_trials` drives
-every batch of runs (a single run is its trial 0) in chunks of whole trials
-under :data:`CHUNK_ELEMENTS`. The analyzer reads only per-code totals of
+every batch of runs (a single run is a one-trial batch on the same stream)
+in chunks of whole trials under :data:`CHUNK_ELEMENTS`. A batch sums each
+draw over users as it is made (:func:`_draw_totals`), so no per-user array
+outlives its draw. The analyzer reads only per-code totals of
 the pool, which no permutation changes, so a run draws no shuffle;
 :func:`shuffle` materializes a uniformly shuffled sequence where the order
 itself is wanted (wire dumps, tests). Three simulation fidelities exist:
@@ -33,6 +35,7 @@ itself is wanted (wire dumps, tests). Three simulation fidelities exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -43,11 +46,13 @@ from .params import ProtocolParams, require_feasible
 
 FIDELITIES = ("message", "counts", "law")
 
-#: Most per-user draws a batch of trials holds at once; :func:`_batches` cuts
+#: Per-user draws in one chunk of a batch of trials; :func:`_batches` cuts
 #: every batch into chunks of whole trials under it, drawn in turn on one
-#: stream. A trial is ``4 n`` draws in :func:`run_trials` (shares, keep flags
-#: and flooding, or the real sum's rounding) and ``2 n`` noise shares in
-#: :func:`_noise_difference` and :func:`simulate_views`.
+#: stream, and each chunk's Poisson total of noise summands is a boundary of
+#: that stream. A trial is ``4 n`` draws in :func:`run_trials` (shares, keep
+#: flags and flooding, or the real sum's rounding) and ``2 n`` noise shares in
+#: :func:`_noise_difference` and :func:`simulate_views`. A batch sums each
+#: draw over users as it is made, so no per-user array outlives its draw.
 CHUNK_ELEMENTS = 1 << 22
 
 
@@ -106,13 +111,19 @@ def check_fidelity(fidelity: str) -> None:
         raise ParameterError(f"fidelity must be one of {FIDELITIES}")
 
 
+def _check_trials(trials) -> None:
+    """Reject anything but a whole number (an ``int`` or numpy integer, not a bool) >= 1."""
+    if isinstance(trials, bool) or not isinstance(trials, Integral) or trials < 1:
+        raise ParameterError(f"trials must be an integer >= 1, got {trials!r}")
+
+
 def _batches(trials: int, per_trial: int):
     """Chunks ``(slice, size)`` of whole trials, at most :data:`CHUNK_ELEMENTS` draws each.
 
-    Rejects fewer than one trial when called, before anything is drawn.
+    Checks ``trials`` (:func:`_check_trials`) when called, before anything
+    is drawn.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     rows = max(1, CHUNK_ELEMENTS // per_trial)
     return ((slice(s, s + rows), min(rows, trials - s)) for s in range(0, trials, rows))
 
@@ -148,17 +159,19 @@ def randomize(x: int, params: ProtocolParams, rng: RandomSource) -> Contribution
     return Contribution(input_plus, input_minus, noise_plus, noise_minus, flood)
 
 
-def _draws(m: int, params: ProtocolParams, rng: RandomSource, lead: tuple):
-    """The randomizer's draws for ``m`` users, shape ``lead + (m,)`` each.
+def _draws(m: int, params: ProtocolParams, rng: RandomSource, lead: tuple, group: int = 1):
+    """The randomizer's draws for ``m`` users, yielded one at a time in stream order.
 
-    Keep flags, noise shares (``2m``, plus shares first) and flooding counts,
-    drawn in that order on ``rng`` with shares ``1/params.n_users``.
+    Keep flags ``lead + (m,)``, noise shares of shape ``1/params.n_users``
+    (``2m``, plus shares first, summed over runs of ``group`` by
+    :func:`sample_nb`) and flooding counts ``lead + (m,)``. Each is drawn
+    on ``rng`` only when asked for, so a caller can reduce one draw before
+    the next is made.
     """
-    keep = rng.generator.random(lead + (m,)) >= params.drop_prob
+    yield rng.generator.random(lead + (m,)) >= params.drop_prob
     p = geo_success_prob(params.noise_epsilon)
-    noise = sample_nb(1.0 / params.n_users, p, rng, size=lead + (2 * m,))
-    flood = sample_poi(params.flood_mean / params.n_users, rng, size=lead + (m,))
-    return keep, noise, flood
+    yield sample_nb(1.0 / params.n_users, p, rng, size=lead + (2 * m,), group=group)
+    yield sample_poi(params.flood_mean / params.n_users, rng, size=lead + (m,))
 
 
 def draw_counts(
@@ -181,15 +194,37 @@ def draw_counts(
     )
 
 
+def _draw_totals(bits: np.ndarray, params: ProtocolParams, rng: RandomSource, trials: int):
+    """Per-trial plus and minus message totals of the users holding ``bits``.
+
+    The draws of :func:`draw_counts` with ``trials``, in the same order on
+    the same stream, each summed over users as it is drawn, so no
+    ``(trials, m)`` array outlives its draw. The kept input blocks add
+    ``pad * kept + count(keep & bits)`` plus-messages and ``pad * kept``
+    minus-messages. ``bits`` has shape ``(m,)`` or ``(trials, m)``.
+    """
+    m = bits.shape[-1]
+    draws = _draws(m, params, rng, (trials,), group=m)
+    keep = next(draws)
+    padded = params.pad_count * np.count_nonzero(keep, axis=-1)
+    kept_ones = np.count_nonzero(np.logical_and(keep, bits, out=keep), axis=-1)
+    del keep
+    noise = next(draws)
+    flood = next(draws).sum(axis=-1)
+    return padded + kept_ones + noise[:, 0] + flood, padded + noise[:, 1] + flood
+
+
 def pooled_run(
     bits: np.ndarray, instances: Sequence[ProtocolParams], rng: RandomSource, trials=None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Message-level run of ``k`` instances pooled together.
 
     ``bits[..., i, j]`` is user ``i``'s input to instance ``j``. Each
-    instance's counts are drawn in turn on ``rng``, for all ``trials`` at
-    once when given, and nothing after: the analyzer reads only the pool's
-    per-code totals, which no permutation changes. Returns the messages per
+    instance's counts are drawn in turn on ``rng``, and nothing after: the
+    analyzer reads only the pool's per-code totals, which no permutation
+    changes. A single run draws per-user counts (:func:`draw_counts`); with
+    ``trials``, the same draws for all trials at once are summed over users
+    as they are drawn (:func:`_draw_totals`). Returns the messages per
     code (code ``2j`` is instance ``j``'s -1, ``2j + 1`` its +1), with a
     leading trials axis when ``trials`` is given, and the messages per user
     of a single run, or ``None`` when ``trials`` is given.
@@ -197,26 +232,27 @@ def pooled_run(
     totals = []
     per_user = None
     for j, inst in enumerate(instances):
-        c = draw_counts(bits[..., j], inst, rng, trials)
+        if trials is not None:
+            plus, minus = _draw_totals(bits[..., j], inst, rng, trials)
+            totals += [minus, plus]
+            continue
+        c = draw_counts(bits[..., j], inst, rng)
         plus, minus = c.plus_count, c.minus_count
-        totals += [minus.sum(axis=-1), plus.sum(axis=-1)]
-        if trials is None:
-            plus += minus
-            per_user = plus if j == 0 else np.add(per_user, plus, out=per_user)
+        totals += [minus.sum(), plus.sum()]
+        plus += minus
+        per_user = plus if j == 0 else np.add(per_user, plus, out=per_user)
         del c, plus, minus  # hold one instance's draws at a time
     return np.stack(totals, axis=-1), per_user
 
 
 def _noise_difference(params: ProtocolParams, rng: RandomSource, trials: int) -> np.ndarray:
-    """Plus minus minus noise shares of all users, per trial, in bounded chunks."""
+    """Plus minus minus noise shares of all users, per trial, summed as they are drawn."""
     n = params.n_users
     p = geo_success_prob(params.noise_epsilon)
-    chunks = _batches(trials, 2 * n)
     out = np.empty(trials, dtype=np.int64)
-    for chunk, size in chunks:
-        noise = sample_nb(1.0 / n, p, rng, size=(size, 2 * n))
-        out[chunk] = noise[:, :n].sum(axis=1) - noise[:, n:].sum(axis=1)
-        del noise  # hold one chunk's shares at a time
+    for chunk, size in _batches(trials, 2 * n):
+        noise = sample_nb(1.0 / n, p, rng, size=(size, 2 * n), group=n)
+        out[chunk] = noise[:, 0] - noise[:, 1]
     return out
 
 
@@ -226,9 +262,14 @@ def signed_sums(ones, params: ProtocolParams, rng: RandomSource, fidelity: str, 
     ``ones - Binomial(ones, drop_prob)`` plus the noise difference: the
     summed per-user shares at ``counts`` fidelity, one discrete Laplace draw
     at ``law`` fidelity. Flooding cancels in the sum and is not drawn.
-    ``ones`` is a count or an array of counts of shape ``size``.
+    ``ones`` is a count or an array of counts of shape ``size``: a number of
+    trials, which only ``law`` fidelity may leave out for a single draw.
     """
     n = params.n_users
+    if fidelity not in ("counts", "law"):
+        raise ParameterError(f"signed_sums fidelity must be 'counts' or 'law', got {fidelity!r}")
+    if size is not None or fidelity == "counts":
+        _check_trials(size)
     if np.any(np.asarray(ones) < 0) or np.any(np.asarray(ones) > n):
         raise ParameterError(f"ones must lie in [0, n_users={n}]")
     kept = ones - rng.generator.binomial(ones, params.drop_prob, size=size)
@@ -242,8 +283,8 @@ def run_trials(inputs, instances, trials: int, rng: RandomSource, fidelity: str)
 
     ``inputs`` is the fixed ``(n, k)`` matrix or the real sum's rounding
     ``draw(rng, rows)``, which returns ``(rows, n, k)``. Trials come on
-    ``rng`` in chunks of ``CHUNK_ELEMENTS // (4 n)``, so a single run is
-    trial 0 of any batch on the same stream. A ``message`` chunk draws its
+    ``rng`` in chunks of ``CHUNK_ELEMENTS // (4 n)``; a single run is a
+    one-trial batch on the same stream. A ``message`` chunk draws its
     inputs, then one :func:`pooled_run` of its trials; ``counts`` and
     ``law`` sum the inputs (drawn ones chunk by chunk, a fixed matrix once),
     then draw each instance's :func:`signed_sums`. The totals, ``(trials,)``,
@@ -371,23 +412,19 @@ def simulate_views(
 
     Every user's randomizer output counts are drawn individually (the same
     per-user laws as :func:`randomize`, in chunks of trials under
-    ``CHUNK_ELEMENTS``) and summed; the multiset itself is never
-    materialized because the view is already a function of the counts.
+    ``CHUNK_ELEMENTS``) and summed over users as they are drawn
+    (:func:`_draw_totals`); the multiset itself is never materialized
+    because the view is already a function of the counts.
 
     Returns
     -------
     (v_plus, v_minus) : pair of int64 arrays of length ``trials``.
     """
     bits = _count_bits(zeros, ones, params.n_users)
-    n = bits.size
-    chunks = _batches(trials, 2 * n)
+    chunks = _batches(trials, 2 * bits.size)
     v_plus, v_minus = np.empty((2, trials), dtype=np.int64)
     for chunk, size in chunks:
-        keep, noise, flood = _draws(n, params, rng, (size,))
-        flood = flood.sum(axis=1)
-        v_plus[chunk] = keep @ (params.pad_count + bits) + noise[:, :n].sum(axis=1) + flood
-        v_minus[chunk] = keep.sum(axis=1) * params.pad_count + noise[:, n:].sum(axis=1) + flood
-        del keep, noise, flood  # hold one chunk's draws at a time
+        v_plus[chunk], v_minus[chunk] = _draw_totals(bits, params, rng, size)
     return v_plus, v_minus
 
 

@@ -41,6 +41,17 @@ def _padded_only(bits, params, rng, trials=None):
     return Contribution(pad + bits, pad, 0, 0, 0)
 
 
+def _padded_totals(bits, params, rng, trials):
+    """``_draw_totals`` with every input kept and no noise or flooding."""
+    minus = np.full(trials, params.pad_count * bits.shape[-1])
+    return minus + bits.sum(axis=-1, dtype=np.int64), minus
+
+
+def _zero_noise(monkeypatch):
+    monkeypatch.setattr(protocol, "draw_counts", _padded_only)
+    monkeypatch.setattr(protocol, "_draw_totals", _padded_totals)
+
+
 class TestSplitBudget:
     def test_single_instance_gets_everything(self):
         assert split_budget(1.3, 1).tolist() == [1.3]
@@ -174,7 +185,7 @@ class TestRealSumParams:
 
 class TestRunRealSum:
     def test_exact_sum_when_noise_is_zeroed(self, monkeypatch):
-        monkeypatch.setattr(protocol, "draw_counts", _padded_only)
+        _zero_noise(monkeypatch)
         xs = [0.0, 0.125, 0.25, 0.5, 0.625, 0.875, 1.0 - 2**-3, 0.375]
         run = run_real_sum(xs, 2.0, 0.5, 3, RandomSource(7), fidelity="message")
         assert run.estimate == pytest.approx(sum(xs), abs=1e-12)
@@ -243,7 +254,7 @@ class TestHistogram:
         assert run.instance == derive_params(0.5, 0.5, 200)
 
     def test_single_bucket_with_zeroed_noise_recovers_count(self, monkeypatch):
-        monkeypatch.setattr(protocol, "draw_counts", _padded_only)
+        _zero_noise(monkeypatch)
         run = run_histogram([0] * 37, 1, 1.0, 0.5, RandomSource(2), "message")
         assert run.estimates == (37,)
 
@@ -355,7 +366,7 @@ def test_summed_trials_memory_does_not_grow_with_trials(fidelity):
 
 def test_message_trials_with_zeroed_noise_return_the_counts(monkeypatch):
     # chunks of two trials (8 users): five trials end in a partial chunk
-    monkeypatch.setattr(protocol, "draw_counts", _padded_only)
+    _zero_noise(monkeypatch)
     monkeypatch.setattr(protocol, "CHUNK_ELEMENTS", 64)
     rng = RandomSource(6)
     ests = estimate_trials(5, 3, derive_params(1.0, 0.5, 8), 5, rng, "message")

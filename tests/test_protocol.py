@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from shufflecount import protocol
 from shufflecount import (
     Contribution,
     ParameterError,
@@ -30,12 +31,15 @@ from shufflecount.audit import (
 from shufflecount.dist import poi_logpmf
 from shufflecount.protocol import (
     CHUNK_ELEMENTS,
+    FIDELITIES,
     decode_wire,
     draw_counts,
     encode_wire,
     estimate_trials,
     message_count_trials,
     pooled_run,
+    run_trials,
+    signed_sums,
     simulate_views,
 )
 
@@ -356,6 +360,26 @@ class TestEngine:
         assert ests.shape == (trials,)
         assert peak <= 16 * CHUNK_ELEMENTS
 
+    @pytest.mark.parametrize(
+        ("fidelity", "per_trial", "bound"), [("message", 4, 12), ("counts", 2, 1)]
+    )
+    def test_one_chunk_sums_its_draws_over_users(self, fidelity, per_trial, bound):
+        # one chunk at n = 1024, in bytes per user and trial: the keep flags'
+        # uniforms (8) are the largest draw once every draw is summed over
+        # users as it is made, and the noise shares go straight into
+        # per-trial totals; per-user arrays held 56 (message) and 16 (counts)
+        n = 1024
+        trials = CHUNK_ELEMENTS // (per_trial * n)
+        params = minimal_params(1.0, 0.5, 0.01, n)
+        estimate_trials(0, n, params, 4, RandomSource(67), fidelity)  # warm up
+        tracemalloc.start()
+        try:
+            estimate_trials(0, n, params, trials, RandomSource(67), fidelity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * n * trials
+
 
 class TestDealtShuffle:
     """A pooled run draws nothing after the randomizer; :func:`shuffle` is uniform."""
@@ -371,6 +395,36 @@ class TestDealtShuffle:
         sums = [[c.minus_count.sum(), c.plus_count.sum()] for c in draws]
         assert np.array_equal(counts, np.ravel(sums))
         assert np.array_equal(per_user, sum(c.message_count for c in draws))
+
+    @pytest.mark.parametrize("rounded", [False, True], ids=["fixed", "rounded"])
+    @pytest.mark.parametrize("k", [1, 64])
+    def test_batched_runs_sum_the_per_user_draws(self, monkeypatch, k, rounded):
+        # chunks of three trials (6 users): seven trials end in a partial
+        # chunk; inputs are a fixed int64 matrix or uint8 bits drawn per chunk
+        monkeypatch.setattr(protocol, "CHUNK_ELEMENTS", 72)
+        instances = [_loose_params(q=0.1 + 0.2 * (j % 3), n=6) for j in range(k)]
+        fixed = np.random.default_rng(77).integers(0, 2, (6, k))
+
+        def rounding(rng, rows):
+            return (rng.generator.random((rows, 6, k)) < 0.3).astype(np.uint8)
+
+        inputs = rounding if rounded else fixed
+        rng, twin = RandomSource(78), RandomSource(78)
+        sums, totals = run_trials(inputs, instances, 7, rng, "message")
+        ref_sums, ref_totals = [], []
+        for _, size in protocol._batches(7, 4 * 6):
+            bits = inputs(twin, size) if rounded else fixed
+            draws = [
+                draw_counts(bits[..., j], inst, twin, size)
+                for j, inst in enumerate(instances)
+            ]
+            plus = np.stack([c.plus_count.sum(axis=1) for c in draws], axis=1)
+            minus = np.stack([c.minus_count.sum(axis=1) for c in draws], axis=1)
+            ref_sums.append(plus - minus)
+            ref_totals.append((plus + minus).sum(axis=1))
+        assert rng.generator.bit_generator.state == twin.generator.bit_generator.state
+        assert np.array_equal(sums, np.concatenate(ref_sums))
+        assert np.array_equal(totals, np.concatenate(ref_totals))
 
     def test_position_and_run_statistics_match_a_full_shuffle(self):
         plus, minus, draws, bins = 15_000, 5_000, 400, 10
@@ -442,3 +496,28 @@ class TestValidation:
         for fidelity in ("message", "counts", "law"):
             with pytest.raises(ParameterError):
                 estimate_trials(1, 2, params, trials, RandomSource(0), fidelity)
+
+    @pytest.mark.parametrize(
+        "trials",
+        [2.5, True, np.bool_(True), None, "3"],
+        ids=["float", "bool", "numpy-bool", "none", "str"],
+    )
+    def test_trials_must_be_a_whole_number(self, trials):
+        params = minimal_params(1.0, 0.5, 0.1, 3)
+        entry_points = [
+            lambda t: simulate_views(1, 2, params, t, RandomSource(0))[0],
+            lambda t: message_count_trials(1, params, t, RandomSource(0)),
+            lambda t: signed_sums(2, params, RandomSource(0), "counts", size=t),
+            *(
+                lambda t, f=f: estimate_trials(1, 2, params, t, RandomSource(0), f)
+                for f in FIDELITIES
+            ),
+        ]
+        for call in entry_points:
+            with pytest.raises(ParameterError):
+                call(trials)
+            assert call(np.int64(2)).shape == (2,)
+        # signed_sums draws only the counts and law fidelities
+        for fidelity in ("message", "bogus"):
+            with pytest.raises(ParameterError):
+                signed_sums(2, params, RandomSource(0), fidelity, size=2)
