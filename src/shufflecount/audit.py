@@ -48,13 +48,12 @@ import numpy as np
 from .dist import (
     NEG_INF,
     RandomSource,
-    _check_prob,
     dlap_variance,
     geo_mean,
     geo_success_prob,
     poi_logpmf,
 )
-from .errors import AuditInconclusiveError, ParameterError
+from .errors import AuditInconclusiveError, ParameterError, check_array, check_count, check_real
 from .params import ProtocolParams
 from .protocol import estimate_trials, message_count_trials, simulate_views
 
@@ -74,8 +73,8 @@ class DatasetSummary:
     ones: int
 
     def __post_init__(self):
-        if self.zeros < 0 or self.ones < 0 or self.zeros + self.ones < 1:
-            raise ParameterError("dataset must have non-negative counts, n >= 1")
+        zeros, ones = check_count("zeros", self.zeros), check_count("ones", self.ones)
+        check_count("n", zeros + ones, 1)
 
     @property
     def n(self) -> int:
@@ -128,6 +127,8 @@ def view_logpmf_grid(
     and ``g[i - a1]`` from there on. That is ``n1 + 1`` grid passes and one
     ``-eta (i + j)`` add; every sum is finite.
     """
+    i_max = check_count("i_max", i_max)
+    j_max = check_count("j_max", j_max)
     eta = params.noise_epsilon
     pad = params.pad_count
     t_max = min(i_max, j_max)
@@ -163,7 +164,7 @@ def exact_view_logpmf(
     """
     from scipy.special import gammaln, logsumexp
 
-    if i < 0 or j < 0:
+    if check_count("i", i, -math.inf) < 0 or check_count("j", j, -math.inf) < 0:
         return NEG_INF
     eta = params.noise_epsilon
     p = geo_success_prob(eta)
@@ -231,9 +232,8 @@ class AuditReport:
         }
 
 
-def _check_tolerance(tolerance: float) -> None:
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
+#: Interval of :func:`errors.check_real` for the audits' ``tolerance``.
+TOLERANCE = (0.0, math.inf, "[)")
 
 
 def _grid_bounds(
@@ -290,15 +290,11 @@ def divergence_audit(
         either mass (a coverage closer to 1 than floating point resolves);
         this is neither a pass nor a fail.
     """
-    if n_users < 1:
-        raise ParameterError(f"n_users must be >= 1, got {n_users}")
-    if not 0.0 < coverage < 1.0:
-        raise ParameterError(f"coverage must lie in (0, 1), got {coverage}")
-    if not 0.0 < mass_floor <= 1.0:
-        raise ParameterError(f"mass_floor must lie in (0, 1], got {mass_floor}")
-    _check_tolerance(tolerance)
-    if grid_cap < 1:
-        raise ParameterError(f"grid_cap must be >= 1, got {grid_cap}")
+    n_users = check_count("n_users", n_users, 1)
+    check_real("coverage", coverage, 0.0, 1.0)
+    check_real("mass_floor", mass_floor, 0.0, 1.0, "(]")
+    check_real("tolerance", tolerance, *TOLERANCE)
+    check_count("grid_cap", grid_cap, 1)
 
     # Three tail quantiles bound each mass outside the grid by 3/8 (1 - coverage)
     # in exact arithmetic, so a grid short of coverage is floating point's limit.
@@ -406,13 +402,12 @@ def check_geo_ratio(
     margin is also one value for every ``i >= 1``, so only ``i = 0`` and
     ``i = 1`` are evaluated.
     """
-    if noise_epsilon <= 0.0:
-        raise ParameterError("noise_epsilon must be positive")
-    if i_max < 0:
-        raise ParameterError(f"i_max must be >= 0, got {i_max}")
-    _check_tolerance(tolerance)
+    check_real("noise_epsilon", noise_epsilon)
+    i_max = check_count("i_max", i_max)
+    check_real("tolerance", tolerance, *TOLERANCE)
     p = geo_success_prob(noise_epsilon)
-    _check_prob(f"success probability 1 - exp(-{noise_epsilon})", p)  # rounds to 1 above ~37
+    # p rounds to 1 above eta ~ 37, leaving no geometric tail to check
+    check_real(f"success probability 1 - exp(-{noise_epsilon})", p, 0.0, 1.0)
     i = np.arange(min(i_max, 1) + 1)
     # ln f(i-1) - ln f(i) = -log1p(-p) for i >= 1; -inf margin never occurs
     step = np.where(i >= 1, -math.log1p(-p), NEG_INF)
@@ -445,9 +440,8 @@ def check_poi_ratio(
     lam, s = params.flood_mean, params.pad_count
     if i_max is None:
         i_max = math.ceil(lam + 20.0 * math.sqrt(lam) + s)
-    if i_max < 0:
-        raise ParameterError(f"i_max must be >= 0, got {i_max}")
-    _check_tolerance(tolerance)
+    i_max = check_count("i_max", i_max)
+    check_real("tolerance", tolerance, *TOLERANCE)
     if params.drop_prob > 0.0:
         log_drop_coef = math.log(math.expm1(params.epsilon)) + math.log(
             params.drop_prob
@@ -483,6 +477,7 @@ def check_poi_ratio(
 
 def exact_mse(params: ProtocolParams, ones: int) -> float:
     """Closed-form MSE of the estimator on a dataset with ``ones`` ones."""
+    check_count("ones", ones, 0, params.n_users)
     q = params.drop_prob
     return (
         dlap_variance(params.noise_epsilon)
@@ -499,6 +494,7 @@ def mse_bound(params: ProtocolParams) -> float:
 
 def exact_mean_messages(params: ProtocolParams, x: int) -> float:
     """Expected messages one user with input ``x`` sends."""
+    check_count("x", x, 0, 1)
     p = geo_success_prob(params.noise_epsilon)
     return (
         (1.0 - params.drop_prob) * (2 * params.pad_count + x)
@@ -554,8 +550,7 @@ def measure_mse(
     draws, then the analyzer on their per-code totals. Requires at least 1000
     trials for the standard error to mean anything.
     """
-    if trials < 1000:
-        raise ParameterError(f"trials must be >= 1000, got {trials}")
+    check_count("trials", trials, 1000)
     if ds.n != params.n_users:
         raise ParameterError("dataset size must match params.n_users")
     estimates = estimate_trials(ds.zeros, ds.ones, params, trials, rng, fidelity=fidelity)
@@ -574,8 +569,7 @@ def measure_comm(
     params: ProtocolParams, x: int, trials: int, rng: RandomSource
 ) -> CommMeasurement:
     """Monte Carlo per-user message count against its expectation and bound."""
-    if trials < 1000:
-        raise ParameterError(f"trials must be >= 1000, got {trials}")
+    check_count("trials", trials, 1000)
     counts = message_count_trials(x, params, trials, rng).astype(np.float64)
     return CommMeasurement(
         empirical_mean=float(counts.mean()),
@@ -624,7 +618,7 @@ def gof_integer_samples(samples: np.ndarray, logpmf) -> GofResult:
     Cells with expected count below ``MIN_EXPECTED`` are lumped into a single
     remainder cell (which also absorbs all mass beyond the observed range).
     """
-    samples = np.asarray(samples)
+    samples = check_array("samples", samples, 0, math.inf)
     n = samples.size
     k_max = int(samples.max())
     ks = np.arange(k_max + 1)

@@ -43,6 +43,7 @@ from .errors import (
     AuditInconclusiveError,
     DegenerateInputError,
     ParameterError,
+    check_count,
 )
 from .params import (
     ProtocolParams,
@@ -157,9 +158,8 @@ def _run_inputs(args, rng: RandomSource, cast, draw) -> list:
     if args.input_file:
         xs = _read_values(args.input_file, cast)
     elif args.uniform is not None:
-        if args.uniform < 1:
-            raise ParameterError(f"--uniform must be at least 1, got {args.uniform}")
-        xs = draw(rng.substream(9).generator, args.uniform).tolist()
+        n = check_count("--uniform", args.uniform, 1)
+        xs = draw(rng.substream(9).generator, n).tolist()
     else:
         raise ParameterError("pass --input-file or --uniform N")
     if not xs:
@@ -198,10 +198,7 @@ def _cmd_params(args) -> int:
 
 def _count_inputs(args) -> list[int]:
     if args.input_file:
-        xs = _read_values(args.input_file, int)
-        if any(x not in (0, 1) for x in xs):
-            raise ParameterError("count inputs must be bits")
-        return xs
+        return _read_values(args.input_file, int)  # run_counting checks the bits
     if args.ones is None:
         raise ParameterError("pass --ones/--zeros or --input-file")
     zeros = args.zeros if args.zeros is not None else 0
@@ -276,8 +273,7 @@ def _cmd_run_realsum(args) -> int:
 def _cmd_run_histogram(args) -> int:
     seed = _seed(args)
     rng = RandomSource(seed)
-    if args.buckets < 1:
-        raise ParameterError(f"--buckets must be at least 1, got {args.buckets}")
+    check_count("--buckets", args.buckets, 1)  # before --uniform draws from it
     xs = _run_inputs(args, rng, int, lambda gen, n: gen.integers(0, args.buckets, size=n))
     run = run_histogram(xs, args.buckets, args.eps, args.rho, rng, fidelity=args.fidelity)
     true_counts = np.bincount(np.asarray(xs), minlength=args.buckets)[: args.buckets]
@@ -357,8 +353,7 @@ def _three_se_checks(empirical: float, result) -> dict:
 
 
 def _cmd_audit_mse(args) -> int:
-    if args.threads < 1:
-        raise ParameterError(f"--threads must be >= 1, got {args.threads}")
+    check_count("--threads", args.threads, 1)
     seed = _seed(args)
     params = _explicit_params(args, args.n)
     require_feasible(params)

@@ -22,8 +22,16 @@ from typing import Sequence
 import numpy as np
 
 from .dist import RandomSource
-from .errors import DegenerateInputError, ParameterError
+from .errors import (
+    DegenerateInputError,
+    ParameterError,
+    check_array,
+    check_choice,
+    check_count,
+    check_real,
+)
 from .params import (
+    SLACK,
     ProtocolParams,
     derive_params,
     minimal_params,
@@ -44,17 +52,13 @@ class TaggedMessage:
     sign: int
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ParameterError(f"sign must be +1 or -1, got {self.sign}")
-        if self.tag < 0:
-            raise ParameterError(f"tag must be non-negative, got {self.tag}")
+        check_count("tag", self.tag)
+        check_choice("sign", self.sign, (1, -1))
 
 
 def tag_bits(num_instances: int) -> int:
     """Fixed-width binary tag size for ``num_instances`` pooled instances."""
-    if num_instances < 1:
-        raise ParameterError("num_instances must be >= 1")
-    return max(0, math.ceil(math.log2(num_instances))) if num_instances > 1 else 0
+    return (check_count("num_instances", num_instances, 1) - 1).bit_length()
 
 
 def message_bits(num_instances: int) -> int:
@@ -69,9 +73,7 @@ def dump_tagged(tags: np.ndarray, signs: np.ndarray) -> str:
         raise ParameterError(
             f"tags {tags.shape} and signs {signs.shape} must have one entry per message"
         )
-    if np.any(np.mod(tags, 1) != 0) or np.any(np.mod(signs, 1) != 0):
-        raise ParameterError("tags and signs must be integers")
-    messages = [TaggedMessage(int(t), int(s)) for t, s in zip(tags, signs)]
+    messages = [TaggedMessage(t, s) for t, s in zip(tags.tolist(), signs.tolist())]
     lines = [f"{m.tag},{m.sign:+d}" for m in messages]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -82,10 +84,8 @@ def split_budget(epsilon: float, k: int) -> np.ndarray:
     ``eps_j = eps * (1 - beta) * beta**j / (1 - beta**k)``; the parts sum to
     ``epsilon`` up to 1e-12 and never exceed it.
     """
-    if epsilon <= 0.0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    epsilon = check_real("epsilon", epsilon)
+    k = check_count("k", k, 1)
     j = np.arange(k)
     parts = epsilon * (1.0 - BETA) * BETA**j / (1.0 - BETA**k)
     excess = math.fsum(parts) - epsilon
@@ -106,10 +106,8 @@ def encode_real(x: float, n_bits: int, rng: RandomSource) -> np.ndarray:
     the representable range (values within one step of 1 clamp to the largest
     representable point). Bits come most significant first.
     """
-    if not (0.0 <= x <= 1.0):
-        raise ParameterError(f"inputs must lie in [0, 1], got {x}")
-    if n_bits < 1:
-        raise ParameterError(f"n_bits must be >= 1, got {n_bits}")
+    check_real("x", x, 0.0, 1.0, "[]")
+    n_bits = check_count("n_bits", n_bits, 1)
     scale = 1 << n_bits
     v = int(x * scale + rng.generator.random())
     v = min(v, scale - 1)
@@ -119,7 +117,7 @@ def encode_real(x: float, n_bits: int, rng: RandomSource) -> np.ndarray:
 
 def decode_bits(bits: np.ndarray) -> float:
     """Value of an MSB-first fixed-point bit vector."""
-    bits = np.asarray(bits)
+    bits = check_array("bits", bits, 0, 1)
     return float(bits @ bit_weights(bits.size))
 
 
@@ -136,6 +134,7 @@ def real_sum_params(
     bits at realistic user counts.
     """
     budgets = split_budget(epsilon, n_bits)
+    check_real("slack", slack, *SLACK)
     drop_prob = target_drop_prob(epsilon, slack, n_users)
     instances = []
     for j, eps_j in enumerate(budgets):
@@ -177,17 +176,6 @@ class HistogramRun:
     total_messages: int | None = None
 
 
-
-
-def _check_reals(xs: Sequence[float]) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ParameterError("xs must be a non-empty 1-d sequence")
-    if not np.all((xs >= 0.0) & (xs <= 1.0)):
-        raise ParameterError("inputs must lie in [0, 1]")
-    return xs
-
-
 def _real_bits(xs: np.ndarray, n_bits: int):
     """Input bits of a real-sum run, stochastically rounded on every draw.
 
@@ -212,7 +200,7 @@ def _real_bits(xs: np.ndarray, n_bits: int):
 
 def _real_sum_trials(xs, epsilon, slack, n_bits, trials, rng, fidelity):
     """Instances, per-bit signed sums and message totals of real-sum trials."""
-    xs = _check_reals(xs)
+    xs = check_array("xs", xs, 0.0, 1.0, "iuf")
     instances = real_sum_params(epsilon, slack, n_bits, xs.size)
     return (instances, *run_trials(_real_bits(xs, n_bits), instances, trials, rng, fidelity))
 
@@ -265,21 +253,13 @@ def histogram_params(
     epsilon: float, slack: float, n_users: int
 ) -> ProtocolParams:
     """Shared per-bucket instance parameters: full derivation at ``epsilon/2``."""
-    return derive_params(epsilon / 2.0, slack, n_users)
+    return derive_params(check_real("epsilon", epsilon) / 2.0, slack, n_users)
 
 
 def _bucket_bits(xs: Sequence[int], n_buckets: int) -> np.ndarray:
     """Indicator bits ``x_i == b`` of validated bucket values, shape (n, n_buckets)."""
-    if n_buckets < 1:
-        raise ParameterError(f"n_buckets must be >= 1, got {n_buckets}")
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ParameterError("xs must be a non-empty 1-d sequence")
-    if np.any((xs < 0) | (xs >= n_buckets)):
-        raise ParameterError(
-            f"values must lie in [0, {n_buckets}), got range "
-            f"[{xs.min()}, {xs.max()}]"
-        )
+    n_buckets = check_count("n_buckets", n_buckets, 1)
+    xs = check_array("xs", xs, 0, n_buckets - 1)
     return (xs[:, None] == np.arange(n_buckets)).astype(np.int64)
 
 

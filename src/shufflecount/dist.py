@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_count, check_real
 
 NEG_INF = float("-inf")
 
@@ -31,19 +31,17 @@ class RandomSource:
     seed : int
         Non-negative master seed.
     stream : int or tuple of int, optional
-        Stream path under the master seed. Defaults to the root stream.
+        Stream path of non-negative integers under the master seed.
+        Defaults to the root stream.
     """
 
     __slots__ = ("seed", "stream", "_generator")
 
     def __init__(self, seed: int, stream: int | tuple[int, ...] = ()):
-        if isinstance(stream, int):
+        if not isinstance(stream, tuple):
             stream = (stream,)
-        seed = int(seed)
-        if seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {seed}")
-        self.seed = seed
-        self.stream = tuple(int(t) for t in stream)
+        self.seed = check_count("seed", seed)
+        self.stream = tuple(check_count("stream", t) for t in stream)
         self._generator: np.random.Generator | None = None
 
     @property
@@ -56,20 +54,10 @@ class RandomSource:
 
     def substream(self, *path: int) -> "RandomSource":
         """A fresh independent stream one level below this one."""
-        return RandomSource(self.seed, self.stream + tuple(int(p) for p in path))
+        return RandomSource(self.seed, self.stream + path)
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream={self.stream})"
-
-
-def _check_prob(name: str, p: float) -> None:
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
-        raise ParameterError(f"{name} must be in (0, 1), got {p}")
-
-
-def _check_positive(name: str, x: float) -> None:
-    if not (x > 0.0) or not math.isfinite(x):
-        raise ParameterError(f"{name} must be a positive finite real, got {x}")
 
 
 def _as_result(values: np.ndarray, scalar: bool):
@@ -81,7 +69,7 @@ def geo_logpmf(p: float, k) -> float | np.ndarray:
 
     ``f(k) = p (1-p)^k`` for ``k >= 0``; minus infinity off-support.
     """
-    _check_prob("p", p)
+    check_real("p", p, 0.0, 1.0)
     k = np.asarray(k)
     scalar = k.ndim == 0
     out = np.where(k >= 0, math.log(p) + k * math.log1p(-p), NEG_INF)
@@ -97,8 +85,8 @@ def nb_logpmf(r: float, p: float, k) -> float | np.ndarray:
     """
     from scipy.special import gammaln
 
-    _check_positive("r", r)
-    _check_prob("p", p)
+    check_real("r", r)
+    check_real("p", p, 0.0, 1.0)
     k = np.asarray(k)
     scalar = k.ndim == 0
     kk = np.where(k >= 0, k, 0)  # keep gammaln off its poles; masked below
@@ -113,7 +101,7 @@ def poi_logpmf(mean: float, k) -> float | np.ndarray:
     """Log-PMF of the Poisson distribution: ``k ln(mean) - mean - ln k!``."""
     from scipy.special import gammaln
 
-    _check_positive("mean", mean)
+    check_real("mean", mean)
     k = np.asarray(k)
     scalar = k.ndim == 0
     kk = np.where(k >= 0, k, 0)
@@ -123,7 +111,7 @@ def poi_logpmf(mean: float, k) -> float | np.ndarray:
 
 def sample_geo(p: float, rng: RandomSource, size=None):
     """Draw from the geometric on {0, 1, ...} with PMF ``p (1-p)^k``."""
-    _check_prob("p", p)
+    check_real("p", p, 0.0, 1.0)
     return rng.generator.geometric(p, size=size) - 1
 
 
@@ -144,10 +132,10 @@ def sample_nb(r: float, p: float, rng: RandomSource, size=None, group: int = 1):
     result, of shape ``size[:-1] + (size[-1] // group,)``, holds the sums of
     the same draws over each run, and no per-cell array is built.
     """
-    _check_positive("r", r)
-    _check_prob("p", p)
+    check_real("r", r)
+    check_real("p", p, 0.0, 1.0)
     shape = () if size is None else tuple(np.atleast_1d(size).tolist())
-    if group != 1 and not (shape and group >= 1 and shape[-1] % group == 0):
+    if check_count("group", group, 1) != 1 and not (shape and shape[-1] % group == 0):
         raise ParameterError(f"group {group} must divide the last axis of size {size}")
     gen = rng.generator
     cells = math.prod(shape)
@@ -161,7 +149,7 @@ def sample_nb(r: float, p: float, rng: RandomSource, size=None, group: int = 1):
 
 def sample_poi(mean: float, rng: RandomSource, size=None):
     """Draw from Poisson(``mean``)."""
-    _check_positive("mean", mean)
+    check_real("mean", mean)
     return rng.generator.poisson(mean, size=size)
 
 
@@ -178,17 +166,17 @@ def sample_dlap(a: float, rng: RandomSource, size=None):
 
 def geo_success_prob(a: float) -> float:
     """Success probability ``1 - e^{-a}`` of the geometric with log-ratio ``a``."""
-    _check_positive("a", a)
+    check_real("a", a)
     return -math.expm1(-a)
 
 
 def geo_mean(p: float) -> float:
     """Expectation ``(1-p)/p`` of the geometric on {0, 1, ...}."""
-    _check_prob("p", p)
+    check_real("p", p, 0.0, 1.0)
     return (1.0 - p) / p
 
 
 def dlap_variance(a: float) -> float:
     """Variance ``2 e^{-a} / (1 - e^{-a})^2`` of the discrete Laplace."""
-    _check_positive("a", a)
+    check_real("a", a)
     return 2.0 * math.exp(-a) / math.expm1(-a) ** 2

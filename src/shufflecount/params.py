@@ -18,30 +18,27 @@ import math
 from dataclasses import dataclass, field
 
 from .dist import dlap_variance
-from .errors import DegenerateInputError, InfeasibleParametersError, ParameterError
+from .errors import (
+    DegenerateInputError,
+    InfeasibleParametersError,
+    ParameterError,
+    check_count,
+    check_real,
+)
 
 #: Largest accepted privacy budget. The guarantees are meant for constant-order
 #: budgets; 8 covers every practical regime while keeping e^eps comfortable.
 MAX_EPSILON = 8.0
 
+#: Intervals of :func:`errors.check_real`: the budget, the accuracy slack and
+#: the drop probability (zero is representable, never feasible).
+EPSILON = (0.0, MAX_EPSILON, "(]")
+SLACK = (0.0, 0.5, "(]")
+DROP_PROB = (0.0, 1.0, "[)")
+
 CLAUSE_BUDGET_GAP = "budget_gap"
 CLAUSE_PAD_COUNT = "pad_count"
 CLAUSE_FLOOD_MEAN = "flood_mean"
-
-
-def _check_budgets(epsilon: float, noise_epsilon: float, drop_prob: float) -> None:
-    """Raise :class:`ParameterError` unless the budgets and drop probability are in range.
-
-    NaN fails every comparison, so it is rejected with the infinities.
-    """
-    if not (0.0 < epsilon <= MAX_EPSILON):
-        raise ParameterError(f"epsilon must be in (0, {MAX_EPSILON}], got {epsilon}")
-    if not (0.0 < noise_epsilon < math.inf):
-        raise ParameterError(
-            f"noise_epsilon must be positive and finite, got {noise_epsilon}"
-        )
-    if not (0.0 <= drop_prob < 1.0):
-        raise ParameterError(f"drop_prob must be in [0, 1), got {drop_prob}")
 
 
 @dataclass(frozen=True)
@@ -80,17 +77,14 @@ class ProtocolParams:
     slack: float | None = None
 
     def __post_init__(self):
-        if not (1 <= self.n_users < math.inf):
-            raise ParameterError(f"n_users must be >= 1 and finite, got {self.n_users}")
-        _check_budgets(self.epsilon, self.noise_epsilon, self.drop_prob)
-        if not (1 <= self.pad_count < math.inf) or self.pad_count != int(self.pad_count):
-            raise ParameterError(
-                f"pad_count must be a positive integer, got {self.pad_count}"
-            )
-        if not (0.0 < self.flood_mean < math.inf):
-            raise ParameterError(
-                f"flood_mean must be positive and finite, got {self.flood_mean}"
-            )
+        check_count("n_users", self.n_users, 1)
+        check_real("epsilon", self.epsilon, *EPSILON)
+        check_real("noise_epsilon", self.noise_epsilon)
+        check_real("drop_prob", self.drop_prob, *DROP_PROB)
+        check_count("pad_count", self.pad_count, 1)
+        check_real("flood_mean", self.flood_mean)
+        if self.slack is not None:
+            check_real("slack", self.slack, *SLACK)
 
     def to_dict(self) -> dict:
         return {
@@ -199,7 +193,9 @@ def minimal_params(
     the flood mean is its clause-3 threshold rounded up to an integer
     (rounding up preserves the clause).
     """
-    _check_budgets(epsilon, noise_epsilon, drop_prob)
+    check_real("epsilon", epsilon, *EPSILON)
+    check_real("noise_epsilon", noise_epsilon)
+    check_real("drop_prob", drop_prob, *DROP_PROB)
     pad_thr = pad_count_threshold(epsilon, noise_epsilon, drop_prob)
     if math.isinf(pad_thr):
         raise InfeasibleParametersError(
@@ -249,12 +245,9 @@ def derive_params(epsilon: float, slack: float, n_users: int) -> ProtocolParams:
     InfeasibleParametersError
         If the drop-probability recipe lands at or above 1.
     """
-    if not (0.0 < epsilon <= MAX_EPSILON):
-        raise ParameterError(f"epsilon must be in (0, {MAX_EPSILON}], got {epsilon}")
-    if not (0.0 < slack <= 0.5):
-        raise ParameterError(f"slack must be in (0, 0.5], got {slack}")
-    if n_users < 1:
-        raise ParameterError(f"n_users must be >= 1, got {n_users}")
+    epsilon = check_real("epsilon", epsilon, *EPSILON)
+    slack = check_real("slack", slack, *SLACK)
+    n_users = check_count("n_users", n_users, 1)
     if epsilon < 1.0 / n_users:
         raise DegenerateInputError(
             f"epsilon={epsilon} is below 1/n_users={1.0 / n_users}: "

@@ -35,24 +35,26 @@ itself is wanted (wire dumps, tests). Three simulation fidelities exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from .dist import RandomSource, geo_success_prob, sample_dlap, sample_nb, sample_poi
-from .errors import ParameterError
+from .errors import ParameterError, check_array, check_choice, check_count
 from .params import ProtocolParams, require_feasible
 
 FIDELITIES = ("message", "counts", "law")
 
 #: Per-user draws in one chunk of a batch of trials; :func:`_batches` cuts
-#: every batch into chunks of whole trials under it, drawn in turn on one
-#: stream, and each chunk's Poisson total of noise summands is a boundary of
-#: that stream. A trial is ``4 n`` draws in :func:`run_trials` (shares, keep
-#: flags and flooding, or the real sum's rounding) and ``2 n`` noise shares in
-#: :func:`_noise_difference` and :func:`simulate_views`. A batch sums each
-#: draw over users as it is made, so no per-user array outlives its draw.
+#: every batch into chunks of whole trials, drawn in turn on one stream, and
+#: each chunk's Poisson total of noise summands is a boundary of that stream.
+#: :func:`run_trials` sizes chunks for ``4 n`` draws per trial (shares, keep
+#: flags and flooding, or the real sum's rounding) and :func:`_noise_difference`
+#: for the ``2 n`` noise shares it draws. :func:`simulate_views` sizes them for
+#: ``2 n`` but draws ``4 n`` (keep flags, shares and flooding), so its chunks
+#: hold up to twice this many draws; resizing them would change every seeded
+#: view simulation. A batch sums each draw over users as it is made, so no
+#: per-user array outlives its draw.
 CHUNK_ELEMENTS = 1 << 22
 
 
@@ -99,41 +101,21 @@ class CountingRun:
     view: View
 
 
-def _check_bit(x: int) -> int:
-    if x not in (0, 1):
-        raise ParameterError(f"inputs must be bits in {{0, 1}}, got {x!r}")
-    return int(x)
-
-
-def check_fidelity(fidelity: str) -> None:
-    """Raise :class:`ParameterError` unless ``fidelity`` is one of :data:`FIDELITIES`."""
-    if fidelity not in FIDELITIES:
-        raise ParameterError(f"fidelity must be one of {FIDELITIES}")
-
-
-def _check_trials(trials) -> None:
-    """Reject anything but a whole number (an ``int`` or numpy integer, not a bool) >= 1."""
-    if isinstance(trials, bool) or not isinstance(trials, Integral) or trials < 1:
-        raise ParameterError(f"trials must be an integer >= 1, got {trials!r}")
-
-
 def _batches(trials: int, per_trial: int):
     """Chunks ``(slice, size)`` of whole trials, at most :data:`CHUNK_ELEMENTS` draws each.
 
-    Checks ``trials`` (:func:`_check_trials`) when called, before anything
-    is drawn.
+    Checks that ``trials`` is a count >= 1 when called, before anything is
+    drawn.
     """
-    _check_trials(trials)
+    trials = check_count("trials", trials, 1)
     rows = max(1, CHUNK_ELEMENTS // per_trial)
     return ((slice(s, s + rows), min(rows, trials - s)) for s in range(0, trials, rows))
 
 
 def _count_bits(zeros: int, ones: int, n: int) -> np.ndarray:
-    """Input bits of a counting dataset, ones first."""
-    if zeros < 0 or ones < 0 or zeros + ones != n:
-        raise ParameterError(
-            f"zeros and ones must be non-negative and sum to n_users={n}"
-        )
+    """Input bits of a counting dataset of ``n = zeros + ones`` users, ones first."""
+    ones = check_count("ones", ones, 0, n)
+    zeros = check_count("zeros", zeros, n - ones, n - ones)
     return np.repeat(np.array([1, 0], dtype=np.int64), [ones, zeros])
 
 
@@ -145,7 +127,7 @@ def randomize(x: int, params: ProtocolParams, rng: RandomSource) -> Contribution
     binomial with shape ``1/n`` (so they sum to a geometric across users) and
     the flooding count is Poisson with mean ``flood_mean / n``.
     """
-    x = _check_bit(x)
+    x = check_count("x", x, 0, 1)
     gen = rng.generator
     if gen.random() < params.drop_prob:
         input_plus = input_minus = 0
@@ -265,13 +247,10 @@ def signed_sums(ones, params: ProtocolParams, rng: RandomSource, fidelity: str, 
     ``ones`` is a count or an array of counts of shape ``size``: a number of
     trials, which only ``law`` fidelity may leave out for a single draw.
     """
-    n = params.n_users
-    if fidelity not in ("counts", "law"):
-        raise ParameterError(f"signed_sums fidelity must be 'counts' or 'law', got {fidelity!r}")
+    check_choice("fidelity", fidelity, ("counts", "law"))
     if size is not None or fidelity == "counts":
-        _check_trials(size)
-    if np.any(np.asarray(ones) < 0) or np.any(np.asarray(ones) > n):
-        raise ParameterError(f"ones must lie in [0, n_users={n}]")
+        check_count("size", size, 1)
+    check_array("ones", np.atleast_1d(ones), 0, params.n_users)
     kept = ones - rng.generator.binomial(ones, params.drop_prob, size=size)
     if fidelity == "law":
         return kept + sample_dlap(params.noise_epsilon, rng, size=size)
@@ -290,7 +269,7 @@ def run_trials(inputs, instances, trials: int, rng: RandomSource, fidelity: str)
     then draw each instance's :func:`signed_sums`. The totals, ``(trials,)``,
     are ``None`` below ``message`` fidelity.
     """
-    check_fidelity(fidelity)
+    check_choice("fidelity", fidelity, FIDELITIES)
     k = len(instances)
     chunks = _batches(trials, 4 * instances[0].n_users)
     fixed = not callable(inputs)
@@ -373,11 +352,9 @@ def run_counting(
     This is the one-instance :func:`pooled_run`, drawn on ``rng``'s own
     stream.
     """
-    if len(xs) != params.n_users:
-        raise ParameterError(
-            f"got {len(xs)} inputs for n_users={params.n_users}"
-        )
-    bits = np.array([_check_bit(x) for x in xs], dtype=np.int64)
+    bits = check_array("xs", xs, 0, 1)
+    if bits.size != params.n_users:
+        raise ParameterError(f"got {bits.size} inputs for n_users={params.n_users}")
     require_feasible(params)
     counts, per_user = pooled_run(bits[:, None], [params], rng)
     view = View(int(counts[1]), int(counts[0]))
@@ -411,9 +388,9 @@ def simulate_views(
     """Simulate the shuffler's view for many runs at counts fidelity.
 
     Every user's randomizer output counts are drawn individually (the same
-    per-user laws as :func:`randomize`, in chunks of trials under
-    ``CHUNK_ELEMENTS``) and summed over users as they are drawn
-    (:func:`_draw_totals`); the multiset itself is never materialized
+    per-user laws as :func:`randomize`, ``4 n`` draws per trial in chunks of
+    ``CHUNK_ELEMENTS // (2 n)`` trials) and summed over users as they are
+    drawn (:func:`_draw_totals`); the multiset itself is never materialized
     because the view is already a function of the counts.
 
     Returns
@@ -453,7 +430,7 @@ def message_count_trials(
     x: int, params: ProtocolParams, trials: int, rng: RandomSource
 ) -> np.ndarray:
     """Total messages sent by a single user with input ``x``, over many runs."""
-    bits = np.array([_check_bit(x)], dtype=np.int64)
+    bits = np.array([check_count("x", x, 0, 1)], dtype=np.int64)
     chunks = _batches(trials, 4)
     out = np.empty(trials, dtype=np.int64)
     for chunk, size in chunks:

@@ -140,6 +140,15 @@ class TestRunCount:
         assert (code, out) == (2, "")
         assert "'0.5'" in err
 
+    def test_non_bit_input_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bits.txt"
+        path.write_text("1\n2\n0\n")
+        code, out, err = run_cli(
+            capsys, "run", "count", "--input-file", str(path), "--eps", "1", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "invalid parameters" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "count", "--ones", "3", "--zeros", "2",

@@ -122,6 +122,7 @@ class TestTagging:
         assert tag_bits(2) == 1
         assert tag_bits(8) == 3
         assert message_bits(10) == 5
+        assert tag_bits(2**53 + 1) == 54  # log2 rounds 2**53 + 1 down to 2**53
 
     def test_tagged_message_validation(self):
         TaggedMessage(3, 1)

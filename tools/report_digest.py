@@ -10,8 +10,11 @@ The package is imported from ``PYTHONPATH``; every report comes from
 ``shufflecount.cli.main`` in this process. The list covers ``run count``,
 ``run realsum`` and ``run histogram`` (each at every fidelity it takes),
 ``audit mse`` at every fidelity across several trial chunks, ``audit comm``
-and ``bench``, each at seeds 1, 7 and 9001, plus both audits of every
-vetted mc-trials case of the benchmark (``perfbench/workloads.py``).
+and ``bench``, each at seeds 1, 7 and 9001; ``params`` in derive and check
+mode, ``audit lemmas`` and ``audit divergence`` on the reference set
+(``--n 3`` and ``--n 20``, and the failing ``--q 0`` control); and both
+audits of every vetted mc-trials case of the benchmark
+(``perfbench/workloads.py``).
 Each line is ``<sha256>  <exit code>  <argv>``.
 """
 
@@ -50,6 +53,23 @@ def seeded_calls(seed: int) -> list[list[str]]:
     return calls
 
 
+def unseeded_calls() -> list[list[str]]:
+    calls = [
+        ["params", "--eps", "1", "--rho", "0.5", "--n", "1000"],
+        ["params", "--eps", "1", "--n", "100", "--eps-prime", "0.5", "--q", "0.01"],
+        ["params", *REFERENCE, "--n", "100"],
+        ["params", "--eps", "1", "--n", "100", "--eps-prime", "0.5", "--q", "0.01",
+         "--s", "16", "--lam", "127"],
+    ]
+    for n in ("3", "20"):
+        calls += [
+            ["audit", "lemmas", *REFERENCE, "--n", n],
+            ["audit", "divergence", *REFERENCE, "--n", n],
+        ]
+    no_drops = ["--eps", "1", "--eps-prime", "0.5", "--q", "0"]
+    return calls + [["audit", "divergence", *no_drops, "--n", "3"]]
+
+
 def mc_case_calls() -> list[list[str]]:
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
@@ -68,7 +88,8 @@ def digest(argv: list[str]) -> tuple[str, int]:
 
 
 def run() -> None:
-    calls = [argv for seed in SEEDS for argv in seeded_calls(seed)] + mc_case_calls()
+    calls = [argv for seed in SEEDS for argv in seeded_calls(seed)]
+    calls += unseeded_calls() + mc_case_calls()
     for argv in calls:
         sha, code = digest(argv)
         print(f"{sha}  {code}  {' '.join(argv)}", flush=True)
