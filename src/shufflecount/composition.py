@@ -135,6 +135,7 @@ def real_sum_params(
     """
     budgets = split_budget(epsilon, n_bits)
     check_real("slack", slack, *SLACK)
+    n_users = check_count("n_users", n_users, 1)
     drop_prob = target_drop_prob(epsilon, slack, n_users)
     instances = []
     for j, eps_j in enumerate(budgets):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, check_count, check_real
+from .errors import ParameterError, check_count, check_points, check_real, check_shape
 
 NEG_INF = float("-inf")
 
@@ -70,7 +70,7 @@ def geo_logpmf(p: float, k) -> float | np.ndarray:
     ``f(k) = p (1-p)^k`` for ``k >= 0``; minus infinity off-support.
     """
     check_real("p", p, 0.0, 1.0)
-    k = np.asarray(k)
+    k = check_points("k", k)
     scalar = k.ndim == 0
     out = np.where(k >= 0, math.log(p) + k * math.log1p(-p), NEG_INF)
     return _as_result(out, scalar)
@@ -87,7 +87,7 @@ def nb_logpmf(r: float, p: float, k) -> float | np.ndarray:
 
     check_real("r", r)
     check_real("p", p, 0.0, 1.0)
-    k = np.asarray(k)
+    k = check_points("k", k)
     scalar = k.ndim == 0
     kk = np.where(k >= 0, k, 0)  # keep gammaln off its poles; masked below
     log_coef = gammaln(kk + r) - gammaln(kk + 1) - gammaln(r)
@@ -102,7 +102,7 @@ def poi_logpmf(mean: float, k) -> float | np.ndarray:
     from scipy.special import gammaln
 
     check_real("mean", mean)
-    k = np.asarray(k)
+    k = check_points("k", k)
     scalar = k.ndim == 0
     kk = np.where(k >= 0, k, 0)
     out = np.where(k >= 0, kk * math.log(mean) - mean - gammaln(kk + 1), NEG_INF)
@@ -112,7 +112,7 @@ def poi_logpmf(mean: float, k) -> float | np.ndarray:
 def sample_geo(p: float, rng: RandomSource, size=None):
     """Draw from the geometric on {0, 1, ...} with PMF ``p (1-p)^k``."""
     check_real("p", p, 0.0, 1.0)
-    return rng.generator.geometric(p, size=size) - 1
+    return rng.generator.geometric(p, size=check_shape("size", size)) - 1
 
 
 def sample_nb(r: float, p: float, rng: RandomSource, size=None, group: int = 1):
@@ -134,7 +134,7 @@ def sample_nb(r: float, p: float, rng: RandomSource, size=None, group: int = 1):
     """
     check_real("r", r)
     check_real("p", p, 0.0, 1.0)
-    shape = () if size is None else tuple(np.atleast_1d(size).tolist())
+    shape = check_shape("size", size) or ()
     if check_count("group", group, 1) != 1 and not (shape and shape[-1] % group == 0):
         raise ParameterError(f"group {group} must divide the last axis of size {size}")
     gen = rng.generator
@@ -150,7 +150,7 @@ def sample_nb(r: float, p: float, rng: RandomSource, size=None, group: int = 1):
 def sample_poi(mean: float, rng: RandomSource, size=None):
     """Draw from Poisson(``mean``)."""
     check_real("mean", mean)
-    return rng.generator.poisson(mean, size=size)
+    return rng.generator.poisson(mean, size=check_shape("size", size))
 
 
 def sample_dlap(a: float, rng: RandomSource, size=None):
@@ -160,6 +160,7 @@ def sample_dlap(a: float, rng: RandomSource, size=None):
     success probability ``1 - e^{-a}``.
     """
     p = geo_success_prob(a)
+    size = check_shape("size", size)
     gen = rng.generator
     return (gen.geometric(p, size=size) - 1) - (gen.geometric(p, size=size) - 1)
 

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the input checks that raise them.
 
-What counts as a valid count, real, choice or array is decided here once;
+What counts as a valid count, real, choice, array, sampler shape or PMF
+evaluation point is decided here once;
 every public entry point validates its inputs through these checks. Each
 returns the normalized value or raises :class:`ParameterError` naming the
 parameter and the value. None of them draws randomness or loops in Python
@@ -88,5 +89,29 @@ def check_array(name: str, values, low, high, kinds: str = "iu") -> np.ndarray:
         raise ParameterError(
             f"{name} must be a non-empty 1-d array of {what} in [{low}, {high}], "
             f"got {np.array2string(arr, threshold=6, edgeitems=3)}"
+        )
+    return arr
+
+
+def check_shape(name: str, size) -> tuple | None:
+    """A sampler's ``size`` as a tuple of counts: ``None``, a count, or a sequence of counts."""
+    if size is None:
+        return None
+    if isinstance(size, (tuple, list)):
+        return tuple(check_count(name, d) for d in size)
+    return (check_count(name, size),)
+
+
+def check_points(name: str, values) -> np.ndarray:
+    """``values`` as an integer array of any shape: evaluation points of a PMF.
+
+    The test is the dtype kind alone, so an integer array passes in O(1)
+    whatever its size. Reals (even ``2.0``), bools and strings fail; negative
+    points are legal (off the support).
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ParameterError(
+            f"{name} must be integers, got {np.array2string(arr, threshold=6, edgeitems=3)}"
         )
     return arr

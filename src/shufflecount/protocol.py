@@ -14,15 +14,18 @@ instance's output without per-user counts, and :func:`run_trials` drives
 every batch of runs (a single run is a one-trial batch on the same stream)
 in chunks of whole trials under :data:`CHUNK_ELEMENTS`. A batch sums each
 draw over users as it is made (:func:`_draw_totals`), so no per-user array
-outlives its draw. The analyzer reads only per-code totals of
-the pool, which no permutation changes, so a run draws no shuffle;
-:func:`shuffle` materializes a uniformly shuffled sequence where the order
-itself is wanted (wire dumps, tests). Three simulation fidelities exist:
+outlives its draw, and draws each trial's flooding as one Poisson total
+over users. The analyzer reads only per-code totals of the pool, which no
+permutation changes, so a run draws no shuffle; :func:`shuffle` materializes
+a uniformly shuffled sequence where the order itself is wanted (wire dumps,
+tests). Three simulation fidelities exist:
 
 ``message``
     The default pipeline: every user's message counts in every instance,
     flooding included, are drawn, and the analyzer reads the pool's per-code
-    totals. Per-user and total message counts are reported.
+    totals. Per-user and total message counts are reported. A single run
+    draws flooding per user; a batch of trials draws it as each trial's
+    Poisson total, the same law as the per-user sum.
 ``counts``
     Only what the signed sum needs is drawn: the dropped inputs and every
     user's noise shares, not flooding or per-user message counts. The
@@ -48,14 +51,20 @@ FIDELITIES = ("message", "counts", "law")
 #: Per-user draws in one chunk of a batch of trials; :func:`_batches` cuts
 #: every batch into chunks of whole trials, drawn in turn on one stream, and
 #: each chunk's Poisson total of noise summands is a boundary of that stream.
-#: :func:`run_trials` sizes chunks for ``4 n`` draws per trial (shares, keep
-#: flags and flooding, or the real sum's rounding) and :func:`_noise_difference`
-#: for the ``2 n`` noise shares it draws. :func:`simulate_views` sizes them for
-#: ``2 n`` but draws ``4 n`` (keep flags, shares and flooding), so its chunks
-#: hold up to twice this many draws; resizing them would change every seeded
-#: view simulation. A batch sums each draw over users as it is made, so no
-#: per-user array outlives its draw.
+#: :func:`run_trials` sizes chunks for ``4 n`` draws per trial: ``2 n`` noise
+#: shares, ``n`` keep flags and ``n`` for the real sum's rounding; a batch's
+#: flooding is one draw per trial. :func:`_noise_difference` sizes them for
+#: the ``2 n`` noise shares it draws. :func:`simulate_views` sizes them for
+#: ``2 n`` but draws ``3 n + 1`` (keep flags, shares and one flooding total),
+#: so its chunks hold up to 1.5 times this many draws; resizing them would
+#: change every seeded view simulation. A batch sums each draw over users as
+#: it is made, so no per-user array outlives its draw.
 CHUNK_ELEMENTS = 1 << 22
+
+#: The layout of every seeded stream: which draws a run or batch makes, in
+#: which order and shape. A change that moves any seeded draw bumps it, and
+#: ``tests/test_protocol.py`` pins it with the digest of seeded runs.
+STREAM_LAYOUT = 1
 
 
 @dataclass(frozen=True)
@@ -145,15 +154,23 @@ def _draws(m: int, params: ProtocolParams, rng: RandomSource, lead: tuple, group
     """The randomizer's draws for ``m`` users, yielded one at a time in stream order.
 
     Keep flags ``lead + (m,)``, noise shares of shape ``1/params.n_users``
-    (``2m``, plus shares first, summed over runs of ``group`` by
-    :func:`sample_nb`) and flooding counts ``lead + (m,)``. Each is drawn
-    on ``rng`` only when asked for, so a caller can reduce one draw before
-    the next is made.
+    (``2m``, plus shares first) and flooding counts ``lead + (m,)``. Each is
+    drawn on ``rng`` only when asked for, so a caller can reduce one draw
+    before the next is made.
+
+    With ``group > 1`` the users are cut into runs of ``group`` and the noise
+    and flooding come as one value per run, ``lead + (2m // group,)`` and
+    ``lead + (m // group,)``. The two are summed differently. Grouped noise
+    is the same draws summed (:func:`sample_nb`), so it is exact in the
+    stream. Grouped flooding is one Poisson(``flood_mean * group / n``) per
+    run: the same law as the per-user sum, by Poisson additivity, but not
+    the same draws.
     """
     yield rng.generator.random(lead + (m,)) >= params.drop_prob
     p = geo_success_prob(params.noise_epsilon)
     yield sample_nb(1.0 / params.n_users, p, rng, size=lead + (2 * m,), group=group)
-    yield sample_poi(params.flood_mean / params.n_users, rng, size=lead + (m,))
+    flood_mean = params.flood_mean * group / params.n_users
+    yield sample_poi(flood_mean, rng, size=lead + (m // group,))
 
 
 def draw_counts(
@@ -179,11 +196,15 @@ def draw_counts(
 def _draw_totals(bits: np.ndarray, params: ProtocolParams, rng: RandomSource, trials: int):
     """Per-trial plus and minus message totals of the users holding ``bits``.
 
-    The draws of :func:`draw_counts` with ``trials``, in the same order on
-    the same stream, each summed over users as it is drawn, so no
-    ``(trials, m)`` array outlives its draw. The kept input blocks add
-    ``pad * kept + count(keep & bits)`` plus-messages and ``pad * kept``
-    minus-messages. ``bits`` has shape ``(m,)`` or ``(trials, m)``.
+    The keep flags and noise shares of :func:`draw_counts` with ``trials``,
+    the same draws in the same order on the same stream, each summed over
+    users as it is drawn, so no ``(trials, m)`` array outlives its draw.
+    Flooding comes last, as each trial's Poisson total over all ``m`` users
+    (:func:`_draws` with ``group = m``): the same law as the per-user sum,
+    not the same draws, and no ``(trials, m)`` flooding array. The kept
+    input blocks add ``pad * kept + count(keep & bits)`` plus-messages and
+    ``pad * kept`` minus-messages. ``bits`` has shape ``(m,)`` or
+    ``(trials, m)``.
     """
     m = bits.shape[-1]
     draws = _draws(m, params, rng, (trials,), group=m)
@@ -192,7 +213,7 @@ def _draw_totals(bits: np.ndarray, params: ProtocolParams, rng: RandomSource, tr
     kept_ones = np.count_nonzero(np.logical_and(keep, bits, out=keep), axis=-1)
     del keep
     noise = next(draws)
-    flood = next(draws).sum(axis=-1)
+    flood = next(draws)[:, 0]
     return padded + kept_ones + noise[:, 0] + flood, padded + noise[:, 1] + flood
 
 
@@ -205,8 +226,9 @@ def pooled_run(
     instance's counts are drawn in turn on ``rng``, and nothing after: the
     analyzer reads only the pool's per-code totals, which no permutation
     changes. A single run draws per-user counts (:func:`draw_counts`); with
-    ``trials``, the same draws for all trials at once are summed over users
-    as they are drawn (:func:`_draw_totals`). Returns the messages per
+    ``trials``, the same keep flags and noise shares for all trials at once
+    are summed over users as they are drawn, and each trial's flooding is
+    one Poisson total (:func:`_draw_totals`). Returns the messages per
     code (code ``2j`` is instance ``j``'s -1, ``2j + 1`` its +1), with a
     leading trials axis when ``trials`` is given, and the messages per user
     of a single run, or ``None`` when ``trials`` is given.
@@ -315,8 +337,14 @@ def shuffle(
 
 
 def view_of(messages: np.ndarray) -> View:
-    """Summarize a +1/-1 message sequence into its view."""
+    """Summarize a +1/-1 message sequence into its view.
+
+    The messages are integers; an empty sequence, of any dtype, is the view
+    of a zero-message dump.
+    """
     messages = np.asarray(messages)
+    if messages.size and messages.dtype.kind not in "iu":
+        raise ParameterError(f"messages must be +1/-1 integers, got dtype {messages.dtype}")
     plus = int(np.count_nonzero(messages == 1))
     minus = int(np.count_nonzero(messages == -1))
     if plus + minus != messages.size:
@@ -387,11 +415,12 @@ def simulate_views(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the shuffler's view for many runs at counts fidelity.
 
-    Every user's randomizer output counts are drawn individually (the same
-    per-user laws as :func:`randomize`, ``4 n`` draws per trial in chunks of
-    ``CHUNK_ELEMENTS // (2 n)`` trials) and summed over users as they are
-    drawn (:func:`_draw_totals`); the multiset itself is never materialized
-    because the view is already a function of the counts.
+    Every user's keep flag and noise shares are drawn individually (the same
+    per-user laws as :func:`randomize`) and summed over users as they are
+    drawn, and each trial's flooding is one Poisson total with the law of the
+    per-user sum (:func:`_draw_totals`): ``3 n + 1`` draws per trial, in
+    chunks of ``CHUNK_ELEMENTS // (2 n)`` trials. The multiset itself is
+    never materialized because the view is already a function of the counts.
 
     Returns
     -------
@@ -415,12 +444,13 @@ def estimate_trials(
 ) -> np.ndarray:
     """Repeated protocol estimates for Monte Carlo measurement.
 
-    ``message`` fidelity draws every user's message counts for batches of
-    trials, as :func:`run_counting` does for one run (a single trial equals
-    :func:`run_counting` on the same stream). ``counts`` draws per-user
-    noise shares without building the multiset; ``law`` samples the
-    closed-form estimate law. All three produce the same estimate
-    distribution.
+    ``message`` fidelity draws every user's keep flag and noise shares for
+    batches of trials, as :func:`run_counting` does for one run, and each
+    trial's flooding as one Poisson total; flooding is drawn last and
+    cancels, so a single trial's estimate equals :func:`run_counting`'s on
+    the same stream. ``counts`` draws per-user noise shares without building
+    the multiset; ``law`` samples the closed-form estimate law. All three
+    produce the same estimate distribution.
     """
     bits = _count_bits(zeros, ones, params.n_users)
     return run_trials(bits[:, None], [params], trials, rng, fidelity)[0][:, 0]

@@ -6,12 +6,13 @@ row gives a valid call and the kind of each parameter the entry point
 checks. Every bad value of a kind must raise ``ParameterError`` (so the CLI
 exits 2): NaN, the infinities, negatives, zero where it is excluded,
 non-integral and out-of-range values, bools and strings, and for arrays
-also empty and 2-d ones. Result types and exceptions have rows with no
+also empty and 2-d ones; sampler shapes and the evaluation points of the
+log-PMFs take only integers. Result types and exceptions have rows with no
 checked parameters, so a public name added without a row fails
 ``test_every_public_name_has_a_row``.
 
-Objects (parameter sets, datasets, random sources, views), sampler shapes and the
-evaluation points of the log-PMFs are not checked kinds.
+Objects (parameter sets, datasets, random sources, views) are not checked
+kinds.
 """
 
 import math
@@ -78,6 +79,22 @@ class Array:
         entries = [math.nan, math.inf, -math.inf, self.low - 1, self.high + 1, str(valid[0])]
         entries += [] if self.real else [self.low + 0.5]
         return [*([e, *valid[1:]] for e in entries), np.array(valid, dtype=bool), [], [valid]]
+
+
+@dataclass(frozen=True)
+class Shape:
+    """A sampler's ``size``: a count or a sequence of counts (``None`` draws one value)."""
+
+    def bad(self, valid):
+        return [-1, 2.5, math.nan, math.inf, True, np.True_, "3", (2, -1), (2, 2.5), [True]]
+
+
+@dataclass(frozen=True)
+class Points:
+    """Evaluation points of a log-PMF: integers of any shape, negative ones included."""
+
+    def bad(self, valid):
+        return [2.0, 1.5, math.nan, math.inf, True, np.True_, "a", [0, 1.5], np.array([True])]
 
 
 @dataclass(frozen=True)
@@ -181,7 +198,7 @@ ROWS = {
         dict(ds=DS, params=P3, i=40, j=36),
         dict(i=Count(-math.inf), j=Count(-math.inf)),
     ),
-    "geo_logpmf": Row(sc.geo_logpmf, dict(p=0.4, k=3), dict(p=PROB)),
+    "geo_logpmf": Row(sc.geo_logpmf, dict(p=0.4, k=3), dict(p=PROB, k=Points())),
     "measure_comm": Row(
         sc.measure_comm,
         dict(params=P3, x=1, trials=1000, rng=rng()),
@@ -201,8 +218,10 @@ ROWS = {
         ),
     ),
     "mse_bound": Row(sc.mse_bound, dict(params=P3)),
-    "nb_logpmf": Row(sc.nb_logpmf, dict(r=0.5, p=0.4, k=3), dict(r=Real(), p=PROB)),
-    "poi_logpmf": Row(sc.poi_logpmf, dict(mean=2.5, k=3), dict(mean=Real())),
+    "nb_logpmf": Row(
+        sc.nb_logpmf, dict(r=0.5, p=0.4, k=3), dict(r=Real(), p=PROB, k=Points())
+    ),
+    "poi_logpmf": Row(sc.poi_logpmf, dict(mean=2.5, k=3), dict(mean=Real(), k=Points())),
     "randomize": Row(sc.randomize, dict(x=1, params=P3, rng=rng()), dict(x=Count(0, 1))),
     "run_counting": Row(
         sc.run_counting, dict(xs=[1, 0, 1], params=P3, rng=rng()), dict(xs=Array(0, 1))
@@ -223,19 +242,25 @@ ROWS = {
             fidelity=FIDELITY,
         ),
     ),
-    "sample_dlap": Row(sc.sample_dlap, dict(a=0.5, rng=rng(), size=3), dict(a=Real())),
+    "sample_dlap": Row(
+        sc.sample_dlap, dict(a=0.5, rng=rng(), size=3), dict(a=Real(), size=Shape())
+    ),
     "sample_estimate": Row(
         sc.sample_estimate,
         dict(ones=2, params=P3, rng=rng(), size=None),
         dict(ones=Count(0, 3), size=Count(1)),
     ),
-    "sample_geo": Row(sc.sample_geo, dict(p=0.4, rng=rng(), size=3), dict(p=PROB)),
+    "sample_geo": Row(
+        sc.sample_geo, dict(p=0.4, rng=rng(), size=3), dict(p=PROB, size=Shape())
+    ),
     "sample_nb": Row(
         sc.sample_nb,
         dict(r=0.5, p=0.4, rng=rng(), size=4, group=2),
-        dict(r=Real(), p=PROB, group=Count(1)),
+        dict(r=Real(), p=PROB, size=Shape(), group=Count(1)),
     ),
-    "sample_poi": Row(sc.sample_poi, dict(mean=2.5, rng=rng(), size=3), dict(mean=Real())),
+    "sample_poi": Row(
+        sc.sample_poi, dict(mean=2.5, rng=rng(), size=3), dict(mean=Real(), size=Shape())
+    ),
     "shuffle": Row(sc.shuffle, dict(contributions=[sc.Contribution(18, 17, 0, 1, 2)], rng=rng())),
     "split_budget": Row(
         sc.split_budget, dict(epsilon=1.0, k=3), dict(epsilon=Real(), k=Count(1))
@@ -287,6 +312,16 @@ ROWS = {
             trials=Count(1), fidelity=FIDELITY,
         ),
     ),
+    "real_sum_params": Row(
+        composition.real_sum_params,
+        dict(epsilon=1.0, slack=0.5, n_bits=2, n_users=100),
+        dict(epsilon=Real(), slack=SLACK, n_bits=Count(1), n_users=Count(1)),
+    ),
+    "histogram_params": Row(
+        composition.histogram_params,
+        dict(epsilon=1.0, slack=0.5, n_users=100),
+        dict(epsilon=HISTOGRAM_EPSILON, slack=SLACK, n_users=Count(1)),
+    ),
     "decode_bits": Row(composition.decode_bits, dict(bits=[1, 0, 1]), dict(bits=Array(0, 1))),
     "tag_bits": Row(
         composition.tag_bits, dict(num_instances=5), dict(num_instances=Count(1))
@@ -301,6 +336,7 @@ ROWS = {
 EXTRAS = {
     "signed_sums", "run_trials", "estimate_trials", "real_sum_trials", "histogram_trials",
     "message_count_trials", "split_budget", "decode_bits", "tag_bits", "gof_integer_samples",
+    "real_sum_params", "histogram_params",
 }
 
 
@@ -335,7 +371,7 @@ def test_bad_value_raises_parameter_error(name, param, value):
         pytest.param(name, param, id=f"{name}-{param}")
         for name, row in ROWS.items()
         for param, kind in row.kinds.items()
-        if isinstance(kind, (Count, Real, Array))
+        if isinstance(kind, (Count, Real, Array, Shape, Points))
         and isinstance(row.valid[param], (int, float, list))
     ],
 )
@@ -354,3 +390,8 @@ def test_legal_edge_cases_still_run():
     # off-support points of the exact oracle
     assert sc.exact_view_logpmf(DS, P3, -1, 3) == -math.inf
     assert sc.exact_view_logpmf(DS, P3, 3, -2) == -math.inf
+    # off-support and grid-shaped log-PMF points, sampler shapes of any rank
+    assert sc.geo_logpmf(0.5, -1) == sc.poi_logpmf(2.5, -3) == -math.inf
+    assert sc.nb_logpmf(0.5, 0.4, np.arange(6).reshape(2, 3)).shape == (2, 3)
+    assert sc.sample_nb(0.5, 0.4, rng(), size=[2, 0]).shape == (2, 0)
+    assert sc.sample_poi(2.5, rng(), size=(2, 3)).shape == (2, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -28,7 +29,7 @@ from shufflecount.audit import (
     exact_mean_messages,
     gof_integer_samples,
 )
-from shufflecount.dist import poi_logpmf
+from shufflecount.dist import geo_success_prob, poi_logpmf, sample_nb
 from shufflecount.protocol import (
     CHUNK_ELEMENTS,
     FIDELITIES,
@@ -44,6 +45,9 @@ from shufflecount.protocol import (
 )
 
 REFERENCE = minimal_params(1.0, 0.5, 0.01, 100)
+#: SHA-256 of the seeded draws of test_stream_layout_pins_the_seeded_draws at
+#: protocol.STREAM_LAYOUT 1
+STREAM_DIGEST = "5364af2f38dcaa81cac64e041e82d1b89bffd803d6ccd7aa98d8edd3360fd334"
 
 
 def _loose_params(q=0.2, n=4):
@@ -152,6 +156,20 @@ class TestWireFormat:
     def test_view_rejects_other_symbols(self):
         with pytest.raises(ParameterError):
             view_of(np.array([1, 0, -1]))
+
+    @pytest.mark.parametrize(
+        "msgs",
+        [np.array([True, True]), np.array([1.0, -1.0]), ["1", "-1"]],
+        ids=["bool", "float", "str"],
+    )
+    def test_view_rejects_non_integer_messages(self, msgs):
+        with pytest.raises(ParameterError):
+            view_of(msgs)
+
+    def test_view_of_no_messages_is_empty(self):
+        # the view of a zero-message dump, whatever dtype the empty array has
+        for msgs in ([], np.array([], dtype=np.int8), shuffle([], RandomSource(0))[0]):
+            assert view_of(msgs) == View(0, 0)
 
     @pytest.mark.parametrize("msgs", [[1, 0, -1], [3, 1], [-2]])
     def test_encode_rejects_other_symbols(self, msgs):
@@ -400,7 +418,9 @@ class TestDealtShuffle:
     @pytest.mark.parametrize("k", [1, 64])
     def test_batched_runs_sum_the_per_user_draws(self, monkeypatch, k, rounded):
         # chunks of three trials (6 users): seven trials end in a partial
-        # chunk; inputs are a fixed int64 matrix or uint8 bits drawn per chunk
+        # chunk; inputs are a fixed int64 matrix or uint8 bits drawn per chunk.
+        # The twin draws each instance's keep flags and noise shares per user,
+        # then its flooding as one Poisson(flood_mean * m / n) per trial
         monkeypatch.setattr(protocol, "CHUNK_ELEMENTS", 72)
         instances = [_loose_params(q=0.1 + 0.2 * (j % 3), n=6) for j in range(k)]
         fixed = np.random.default_rng(77).integers(0, 2, (6, k))
@@ -414,17 +434,53 @@ class TestDealtShuffle:
         ref_sums, ref_totals = [], []
         for _, size in protocol._batches(7, 4 * 6):
             bits = inputs(twin, size) if rounded else fixed
-            draws = [
-                draw_counts(bits[..., j], inst, twin, size)
-                for j, inst in enumerate(instances)
-            ]
-            plus = np.stack([c.plus_count.sum(axis=1) for c in draws], axis=1)
-            minus = np.stack([c.minus_count.sum(axis=1) for c in draws], axis=1)
+            plus, minus = np.empty((2, size, k), dtype=np.int64)
+            m = bits.shape[-2]
+            for j, inst in enumerate(instances):
+                keep = twin.generator.random((size, m)) >= inst.drop_prob
+                p = geo_success_prob(inst.noise_epsilon)
+                noise = sample_nb(1.0 / inst.n_users, p, twin, size=(size, 2 * m))
+                flood = twin.generator.poisson(inst.flood_mean * m / inst.n_users, size)
+                blocks = np.where(keep, inst.pad_count, 0)
+                ones = np.where(keep, bits[..., j], 0)
+                plus[:, j] = (blocks + ones + noise[:, :m]).sum(axis=1) + flood
+                minus[:, j] = (blocks + noise[:, m:]).sum(axis=1) + flood
             ref_sums.append(plus - minus)
             ref_totals.append((plus + minus).sum(axis=1))
         assert rng.generator.bit_generator.state == twin.generator.bit_generator.state
         assert np.array_equal(sums, np.concatenate(ref_sums))
         assert np.array_equal(totals, np.concatenate(ref_totals))
+
+    def test_batched_totals_match_the_per_user_moments(self):
+        # the per-trial flooding total has the law of the per-user sum: the
+        # message totals of a batch match those of per-user draw_counts
+        params = _loose_params(q=0.2, n=6)
+        bits = np.array([1, 0, 1, 1, 0, 0])
+        trials = 20_000
+        _, batched = run_trials(bits[:, None], [params], trials, RandomSource(79), "message")
+        per_user = draw_counts(bits, params, RandomSource(80), trials).message_count
+        a, b = batched.astype(np.float64), per_user.sum(axis=1).astype(np.float64)
+        se = math.sqrt(a.var(ddof=1) / trials + b.var(ddof=1) / trials)
+        assert abs(a.mean() - b.mean()) <= 3.0 * se
+        da, db = (a - a.mean()) ** 2, (b - b.mean()) ** 2
+        se = math.sqrt(da.var(ddof=1) / trials + db.var(ddof=1) / trials)
+        assert abs(da.mean() - db.mean()) <= 3.0 * se
+
+    def test_stream_layout_pins_the_seeded_draws(self):
+        # a message batch of two instances over two chunks, a counts batch and
+        # a single run; a change that moves any seeded draw changes the digest,
+        # and must bump protocol.STREAM_LAYOUT with it
+        n = 512
+        params = minimal_params(1.0, 0.5, 0.01, n)
+        bits = (np.arange(n)[:, None] % [2, 3] == 0).astype(np.int64)
+        rows = CHUNK_ELEMENTS // (4 * n)
+        sums, totals = run_trials(bits, [params] * 2, rows + 3, RandomSource(90), "message")
+        counts, _ = run_trials(bits, [params] * 2, 5, RandomSource(91), "counts")
+        run = run_counting(bits[:, 0], params, RandomSource(92))
+        digest = hashlib.sha256()
+        for values in (sums, totals, counts, [run.estimate, *run.messages_per_user]):
+            digest.update(np.asarray(values, dtype=np.int64).tobytes())
+        assert (protocol.STREAM_LAYOUT, digest.hexdigest()) == (1, STREAM_DIGEST)
 
     def test_position_and_run_statistics_match_a_full_shuffle(self):
         plus, minus, draws, bins = 15_000, 5_000, 400, 10
