@@ -230,10 +230,12 @@ def _cmd_run_count(args) -> int:
             "total": int(per_user.sum()),
         },
     }
-    rows = [
-        {"user": i, "input": x, "messages": m}
-        for i, (x, m) in enumerate(zip(xs, run.messages_per_user))
-    ]
+    rows = None
+    if args.format == "csv":  # one row per user, read by the CSV report only
+        rows = [
+            {"user": i, "input": x, "messages": m}
+            for i, (x, m) in enumerate(zip(xs, run.messages_per_user))
+        ]
     _emit(args, report, rows)
     return EXIT_PASS
 
@@ -357,7 +359,7 @@ def _cmd_audit_mse(args) -> int:
     seed = _seed(args)
     params = _explicit_params(args, args.n)
     require_feasible(params)
-    ones = args.ones if args.ones is not None else args.n
+    ones = check_count("--ones", args.ones if args.ones is not None else args.n, 0, args.n)
     ds = DatasetSummary(zeros=args.n - ones, ones=ones)
     result = measure_mse(params, ds, args.trials, RandomSource(seed), fidelity=args.fidelity)
     report = {

@@ -133,7 +133,7 @@ def real_sum_params(
     error, while per-bit drop probabilities blow past 1 for the low-order
     bits at realistic user counts.
     """
-    budgets = split_budget(epsilon, n_bits)
+    budgets = split_budget(epsilon, check_count("n_bits", n_bits, 1))
     check_real("slack", slack, *SLACK)
     n_users = check_count("n_users", n_users, 1)
     drop_prob = target_drop_prob(epsilon, slack, n_users)

@@ -12,13 +12,15 @@ randomizer, :func:`pooled_run` pools the messages of any number of instances
 (counting is the one-instance case), :func:`signed_sums` draws an
 instance's output without per-user counts, and :func:`run_trials` drives
 every batch of runs (a single run is a one-trial batch on the same stream)
-in chunks of whole trials under :data:`CHUNK_ELEMENTS`. A batch sums each
-draw over users as it is made (:func:`_draw_totals`), so no per-user array
-outlives its draw, and draws each trial's flooding as one Poisson total
-over users. The analyzer reads only per-code totals of the pool, which no
-permutation changes, so a run draws no shuffle; :func:`shuffle` materializes
-a uniformly shuffled sequence where the order itself is wanted (wire dumps,
-tests). Three simulation fidelities exist:
+in chunks of whole trials under :data:`CHUNK_ELEMENTS`. The dropped inputs
+are drawn as one Binomial total over a chunk's users and trials, placed
+uniformly, so their cost follows the drops, not the users. A batch sums
+each draw over users as it is made (:func:`_draw_totals`), so no per-user
+array outlives its draw, and draws each trial's flooding as one Poisson
+total over users. The analyzer reads only per-code totals of the pool,
+which no permutation changes, so a run draws no shuffle; :func:`shuffle`
+materializes a uniformly shuffled sequence where the order itself is
+wanted (wire dumps, tests). Three simulation fidelities exist:
 
 ``message``
     The default pipeline: every user's message counts in every instance,
@@ -37,6 +39,7 @@ tests). Three simulation fidelities exist:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,19 +55,20 @@ FIDELITIES = ("message", "counts", "law")
 #: every batch into chunks of whole trials, drawn in turn on one stream, and
 #: each chunk's Poisson total of noise summands is a boundary of that stream.
 #: :func:`run_trials` sizes chunks for ``4 n`` draws per trial: ``2 n`` noise
-#: shares, ``n`` keep flags and ``n`` for the real sum's rounding; a batch's
-#: flooding is one draw per trial. :func:`_noise_difference` sizes them for
-#: the ``2 n`` noise shares it draws. :func:`simulate_views` sizes them for
-#: ``2 n`` but draws ``3 n + 1`` (keep flags, shares and one flooding total),
-#: so its chunks hold up to 1.5 times this many draws; resizing them would
-#: change every seeded view simulation. A batch sums each draw over users as
-#: it is made, so no per-user array outlives its draw.
+#: shares, ``n`` users who may drop their input and ``n`` for the real sum's
+#: rounding; the drops are one Binomial total per chunk plus a position per
+#: drop, and a batch's flooding is one draw per trial.
+#: :func:`_noise_difference` and :func:`simulate_views` size them for the
+#: ``2 n`` noise shares they draw; the views add the drops and one flooding
+#: total per trial. Resizing any of them would change every seeded batch. A
+#: batch sums each draw over users as it is made, so no per-user array
+#: outlives its draw.
 CHUNK_ELEMENTS = 1 << 22
 
 #: The layout of every seeded stream: which draws a run or batch makes, in
 #: which order and shape. A change that moves any seeded draw bumps it, and
 #: ``tests/test_protocol.py`` pins it with the digest of seeded runs.
-STREAM_LAYOUT = 1
+STREAM_LAYOUT = 2
 
 
 @dataclass(frozen=True)
@@ -153,10 +157,17 @@ def randomize(x: int, params: ProtocolParams, rng: RandomSource) -> Contribution
 def _draws(m: int, params: ProtocolParams, rng: RandomSource, lead: tuple, group: int = 1):
     """The randomizer's draws for ``m`` users, yielded one at a time in stream order.
 
-    Keep flags ``lead + (m,)``, noise shares of shape ``1/params.n_users``
-    (``2m``, plus shares first) and flooding counts ``lead + (m,)``. Each is
-    drawn on ``rng`` only when asked for, so a caller can reduce one draw
-    before the next is made.
+    The dropped inputs come first, as the flat positions, in ``lead + (m,)``,
+    of the users who drop theirs: one Binomial(``cells``, ``drop_prob``)
+    total over the ``cells`` users and trials, then that many distinct cells
+    chosen uniformly (none drawn when the total is 0). A Binomial total
+    placed uniformly is exactly an independent Bernoulli(``drop_prob``) drop
+    per cell, and it costs one int64 per drop, except that above 5 % of
+    ``cells`` ``Generator.choice`` holds an int64 per cell while it picks
+    them. Then noise shares of shape ``1/params.n_users`` (``2m``, plus
+    shares first) and flooding counts ``lead + (m,)``. Each is drawn on
+    ``rng`` only when asked for, so a caller can reduce one draw before the
+    next is made.
 
     With ``group > 1`` the users are cut into runs of ``group`` and the noise
     and flooding come as one value per run, ``lead + (2m // group,)`` and
@@ -166,7 +177,14 @@ def _draws(m: int, params: ProtocolParams, rng: RandomSource, lead: tuple, group
     run: the same law as the per-user sum, by Poisson additivity, but not
     the same draws.
     """
-    yield rng.generator.random(lead + (m,)) >= params.drop_prob
+    gen = rng.generator
+    cells = math.prod(lead) * m
+    dropped = gen.binomial(cells, params.drop_prob)
+    yield (
+        gen.choice(cells, dropped, replace=False, shuffle=False)
+        if dropped
+        else np.empty(0, dtype=np.int64)
+    )
     p = geo_success_prob(params.noise_epsilon)
     yield sample_nb(1.0 / params.n_users, p, rng, size=lead + (2 * m,), group=group)
     flood_mean = params.flood_mean * group / params.n_users
@@ -180,10 +198,14 @@ def draw_counts(
 
     Same per-user laws as :func:`randomize`, with shares ``1/params.n_users``
     for ``bits`` of shape ``(m,)`` or ``(trials, m)``. Fields have shape
-    ``(m,)``, or ``(trials, m)`` when ``trials`` is given.
+    ``(m,)``, or ``(trials, m)`` when ``trials`` is given; the dropped
+    positions of :func:`_draws` clear their users' flags in a keep mask.
     """
     m = bits.shape[-1]
-    keep, noise, flood = _draws(m, params, rng, () if trials is None else (trials,))
+    lead = () if trials is None else (trials,)
+    dropped, noise, flood = _draws(m, params, rng, lead)
+    keep = np.ones(lead + (m,), dtype=bool)
+    keep.reshape(-1)[dropped] = False
     return Contribution(
         input_plus=np.where(keep, params.pad_count + bits.astype(np.int64, copy=False), 0),
         input_minus=np.where(keep, params.pad_count, 0),
@@ -196,22 +218,29 @@ def draw_counts(
 def _draw_totals(bits: np.ndarray, params: ProtocolParams, rng: RandomSource, trials: int):
     """Per-trial plus and minus message totals of the users holding ``bits``.
 
-    The keep flags and noise shares of :func:`draw_counts` with ``trials``,
-    the same draws in the same order on the same stream, each summed over
-    users as it is drawn, so no ``(trials, m)`` array outlives its draw.
-    Flooding comes last, as each trial's Poisson total over all ``m`` users
-    (:func:`_draws` with ``group = m``): the same law as the per-user sum,
-    not the same draws, and no ``(trials, m)`` flooding array. The kept
-    input blocks add ``pad * kept + count(keep & bits)`` plus-messages and
+    The dropped inputs and noise shares of :func:`draw_counts` with
+    ``trials``, the same draws in the same order on the same stream, each
+    summed over users as it is drawn, so no ``(trials, m)`` array is built.
+    Per-trial counts of the dropped positions, all of them and those of
+    users holding a one, are taken off ``m`` and off the count of ones
+    (nothing is taken off when no input is dropped). Flooding comes last,
+    as each trial's Poisson total over all ``m`` users (:func:`_draws` with
+    ``group = m``): the same law as the per-user sum, not the same draws.
+    The kept input blocks add ``pad * kept + kept_ones`` plus-messages and
     ``pad * kept`` minus-messages. ``bits`` has shape ``(m,)`` or
     ``(trials, m)``.
     """
     m = bits.shape[-1]
     draws = _draws(m, params, rng, (trials,), group=m)
-    keep = next(draws)
-    padded = params.pad_count * np.count_nonzero(keep, axis=-1)
-    kept_ones = np.count_nonzero(np.logical_and(keep, bits, out=keep), axis=-1)
-    del keep
+    dropped = next(draws)
+    padded, kept_ones = params.pad_count * m, np.count_nonzero(bits, axis=-1)
+    if dropped.size:
+        trial, user = np.divmod(dropped, m)
+        ones = np.broadcast_to(bits, (trials, m))[trial, user] != 0
+        padded = params.pad_count * (m - np.bincount(trial, minlength=trials))
+        kept_ones = kept_ones - np.bincount(trial[ones], minlength=trials)
+        del trial, user, ones
+    del dropped  # hold no per-drop array while the noise is drawn
     noise = next(draws)
     flood = next(draws)[:, 0]
     return padded + kept_ones + noise[:, 0] + flood, padded + noise[:, 1] + flood
@@ -226,9 +255,9 @@ def pooled_run(
     instance's counts are drawn in turn on ``rng``, and nothing after: the
     analyzer reads only the pool's per-code totals, which no permutation
     changes. A single run draws per-user counts (:func:`draw_counts`); with
-    ``trials``, the same keep flags and noise shares for all trials at once
-    are summed over users as they are drawn, and each trial's flooding is
-    one Poisson total (:func:`_draw_totals`). Returns the messages per
+    ``trials``, the same drops and noise shares for all trials at once are
+    summed over users as they are drawn, and each trial's flooding is one
+    Poisson total (:func:`_draw_totals`). Returns the messages per
     code (code ``2j`` is instance ``j``'s -1, ``2j + 1`` its +1), with a
     leading trials axis when ``trials`` is given, and the messages per user
     of a single run, or ``None`` when ``trials`` is given.
@@ -388,7 +417,7 @@ def run_counting(
     view = View(int(counts[1]), int(counts[0]))
     return CountingRun(
         estimate=analyze(view),
-        messages_per_user=tuple(int(m) for m in per_user),
+        messages_per_user=tuple(per_user.tolist()),
         view=view,
     )
 
@@ -415,10 +444,11 @@ def simulate_views(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the shuffler's view for many runs at counts fidelity.
 
-    Every user's keep flag and noise shares are drawn individually (the same
+    Every user's drop and noise shares are drawn individually (the same
     per-user laws as :func:`randomize`) and summed over users as they are
     drawn, and each trial's flooding is one Poisson total with the law of the
-    per-user sum (:func:`_draw_totals`): ``3 n + 1`` draws per trial, in
+    per-user sum (:func:`_draw_totals`): ``2 n`` shares, about
+    ``drop_prob * n`` drop positions and one flooding total per trial, in
     chunks of ``CHUNK_ELEMENTS // (2 n)`` trials. The multiset itself is
     never materialized because the view is already a function of the counts.
 
@@ -444,7 +474,7 @@ def estimate_trials(
 ) -> np.ndarray:
     """Repeated protocol estimates for Monte Carlo measurement.
 
-    ``message`` fidelity draws every user's keep flag and noise shares for
+    ``message`` fidelity draws every user's drop and noise shares for
     batches of trials, as :func:`run_counting` does for one run, and each
     trial's flooding as one Poisson total; flooding is drawn last and
     cancels, so a single trial's estimate equals :func:`run_counting`'s on

@@ -158,6 +158,12 @@ class TestRunCount:
         lines = out.strip().splitlines()
         assert lines[0] == "user,input,messages"
         assert len(lines) == 6
+        # the rows are the per-user counts of the JSON report's run
+        _, out, _ = run_cli(
+            capsys, "run", "count", "--ones", "3", "--zeros", "2", "--eps", "2", "--seed", "5",
+        )
+        messages = [int(line.split(",")[2]) for line in lines[1:]]
+        assert sum(messages) == json.loads(out)["messages_per_user"]["total"]
 
 
 class TestRunRealsum:
@@ -342,6 +348,20 @@ def test_out_of_range_option_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "invalid parameters" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["run", "realsum", "--uniform", "10", "--bits", "0"], "n_bits must be"),
+        (["audit", "mse", "--n", "10", "--ones", "11"], "--ones must be"),
+        (["audit", "mse", "--n", "10", "--ones", "-1"], "--ones must be"),
+    ],
+)
+def test_errors_name_the_option_passed(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 class TestBench:

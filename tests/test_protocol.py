@@ -25,6 +25,7 @@ from shufflecount import (
 )
 from shufflecount.audit import (
     DatasetSummary,
+    _binom_logpmf,
     crossvalidate_views,
     exact_mean_messages,
     gof_integer_samples,
@@ -46,8 +47,8 @@ from shufflecount.protocol import (
 
 REFERENCE = minimal_params(1.0, 0.5, 0.01, 100)
 #: SHA-256 of the seeded draws of test_stream_layout_pins_the_seeded_draws at
-#: protocol.STREAM_LAYOUT 1
-STREAM_DIGEST = "5364af2f38dcaa81cac64e041e82d1b89bffd803d6ccd7aa98d8edd3360fd334"
+#: protocol.STREAM_LAYOUT 2
+STREAM_DIGEST = "111c8f26f148dbe2688a657f7af44274e70ef7b84b61bc7fc4b49c3c9d247b09"
 
 
 def _loose_params(q=0.2, n=4):
@@ -270,8 +271,9 @@ class TestSimulateViews:
 
     def test_memory_is_that_of_the_noise_draw(self):
         # the noise shares take 16 bytes per user and trial, the scattered
-        # summands about 10 here, flooding 8 and keep flags 1; holding
-        # per-user input or total arrays as well would add 16 or more
+        # summands about 10 here and the drops' placement 9 (at q = 0.1,
+        # Generator.choice holds an int64 per cell); holding per-user input
+        # or total arrays as well would add 16 or more
         params = minimal_params(1.0, 0.5, 0.1, 3)
         trials = 100_000
         tracemalloc.start()
@@ -321,6 +323,38 @@ class TestEngine:
                 se = math.sqrt(da.var(ddof=1) / trials + db.var(ddof=1) / trials)
                 assert abs(da.mean() - db.mean()) <= 3.0 * se, (x, field)
 
+    @pytest.mark.parametrize("q", [0.01, 0.5])
+    def test_drops_are_independent_per_user_and_trial(self, q):
+        # 200 000 cells: Generator.choice places 1 % of them through a hash
+        # set and half of them through a partial shuffle of every cell
+        m, trials = 400, 500
+        c = draw_counts(np.zeros(m), _loose_params(q=q, n=m), RandomSource(68), trials)
+        dropped = c.input_minus == 0
+        kept = m - np.count_nonzero(dropped, axis=1)
+        result = gof_integer_samples(kept, lambda k: _binom_logpmf(m, 1.0 - q, k))
+        assert result.pvalue >= 1e-3
+        per_user = np.count_nonzero(dropped, axis=0)
+        result = gof_integer_samples(per_user, lambda k: _binom_logpmf(trials, q, k))
+        assert result.pvalue >= 1e-3
+
+    def test_no_drop_draws_only_the_binomial(self):
+        class Recorder:
+            def __init__(self, gen):
+                self.gen, self.calls = gen, []
+
+            def __getattr__(self, name):
+                self.calls.append(name)
+                return getattr(self.gen, name)
+
+        params = _loose_params(q=0.0, n=6)
+        rng, twin = RandomSource(69), RandomSource(69)
+        rng._generator = Recorder(rng.generator)
+        dropped = next(protocol._draws(6, params, rng, (3,)))
+        twin.generator.binomial(18, 0.0)
+        assert dropped.size == 0
+        assert rng.generator.calls == ["binomial"]
+        assert rng.generator.gen.bit_generator.state == twin.generator.bit_generator.state
+
     def test_run_counting_is_the_one_instance_pooled_run(self):
         xs = [1] * 30 + [0] * 70
         run = run_counting(xs, REFERENCE, RandomSource(62))
@@ -363,9 +397,9 @@ class TestEngine:
         assert peak <= 32 * CHUNK_ELEMENTS
 
     def test_message_fidelity_memory_is_bounded(self):
-        # three chunks of message trials; one draw holds 10 bytes per
-        # element (shares, keep flags, flooding and input blocks), so one
-        # unchunked draw would hold 30 * CHUNK_ELEMENTS bytes
+        # three chunks of message trials; one per-user draw holds 10 bytes
+        # per element (shares, flooding and input blocks), so one unchunked
+        # draw would hold 30 * CHUNK_ELEMENTS bytes
         n = 1024
         trials = 3 * CHUNK_ELEMENTS // (4 * n)
         params = minimal_params(1.0, 0.5, 0.01, n)
@@ -382,10 +416,10 @@ class TestEngine:
         ("fidelity", "per_trial", "bound"), [("message", 4, 12), ("counts", 2, 1)]
     )
     def test_one_chunk_sums_its_draws_over_users(self, fidelity, per_trial, bound):
-        # one chunk at n = 1024, in bytes per user and trial: the keep flags'
-        # uniforms (8) are the largest draw once every draw is summed over
-        # users as it is made, and the noise shares go straight into
-        # per-trial totals; per-user arrays held 56 (message) and 16 (counts)
+        # one chunk at n = 1024, in bytes per user and trial, once every draw
+        # is summed over users as it is made and the noise shares go straight
+        # into per-trial totals; per-user arrays held 56 (message) and 16
+        # (counts)
         n = 1024
         trials = CHUNK_ELEMENTS // (per_trial * n)
         params = minimal_params(1.0, 0.5, 0.01, n)
@@ -397,6 +431,22 @@ class TestEngine:
         finally:
             tracemalloc.stop()
         assert peak <= bound * n * trials
+
+    def test_message_chunk_holds_no_per_user_draw(self):
+        # one message chunk at n = 1024 and q = 0.01, in bytes per user and
+        # trial: the drops are about 1 % of the cells, one int64 each, and
+        # every other draw is summed over users as it is made
+        n = 1024
+        trials = CHUNK_ELEMENTS // (4 * n)
+        params = minimal_params(1.0, 0.5, 0.01, n)
+        estimate_trials(0, n, params, 4, RandomSource(70), "message")  # warm up
+        tracemalloc.start()
+        try:
+            estimate_trials(0, n, params, trials, RandomSource(70), "message")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * trials
 
 
 class TestDealtShuffle:
@@ -419,8 +469,9 @@ class TestDealtShuffle:
     def test_batched_runs_sum_the_per_user_draws(self, monkeypatch, k, rounded):
         # chunks of three trials (6 users): seven trials end in a partial
         # chunk; inputs are a fixed int64 matrix or uint8 bits drawn per chunk.
-        # The twin draws each instance's keep flags and noise shares per user,
-        # then its flooding as one Poisson(flood_mean * m / n) per trial
+        # The twin draws each instance's drops as one Binomial total over the
+        # chunk's users and trials placed uniformly, its noise shares per
+        # user, then its flooding as one Poisson(flood_mean * m / n) per trial
         monkeypatch.setattr(protocol, "CHUNK_ELEMENTS", 72)
         instances = [_loose_params(q=0.1 + 0.2 * (j % 3), n=6) for j in range(k)]
         fixed = np.random.default_rng(77).integers(0, 2, (6, k))
@@ -437,7 +488,12 @@ class TestDealtShuffle:
             plus, minus = np.empty((2, size, k), dtype=np.int64)
             m = bits.shape[-2]
             for j, inst in enumerate(instances):
-                keep = twin.generator.random((size, m)) >= inst.drop_prob
+                keep = np.ones(size * m, dtype=bool)
+                dropped = twin.generator.binomial(size * m, inst.drop_prob)
+                if dropped:
+                    cells = twin.generator.choice(size * m, dropped, replace=False, shuffle=False)
+                    keep[cells] = False
+                keep = keep.reshape(size, m)
                 p = geo_success_prob(inst.noise_epsilon)
                 noise = sample_nb(1.0 / inst.n_users, p, twin, size=(size, 2 * m))
                 flood = twin.generator.poisson(inst.flood_mean * m / inst.n_users, size)
@@ -480,7 +536,7 @@ class TestDealtShuffle:
         digest = hashlib.sha256()
         for values in (sums, totals, counts, [run.estimate, *run.messages_per_user]):
             digest.update(np.asarray(values, dtype=np.int64).tobytes())
-        assert (protocol.STREAM_LAYOUT, digest.hexdigest()) == (1, STREAM_DIGEST)
+        assert (protocol.STREAM_LAYOUT, digest.hexdigest()) == (2, STREAM_DIGEST)
 
     def test_position_and_run_statistics_match_a_full_shuffle(self):
         plus, minus, draws, bins = 15_000, 5_000, 400, 10

@@ -7,14 +7,14 @@ output on the parent commit and on the change::
     PYTHONPATH=src python tools/report_digest.py > digests.txt
 
 The package is imported from ``PYTHONPATH``; every report comes from
-``shufflecount.cli.main`` in this process. The list covers ``run count``,
-``run realsum`` and ``run histogram`` (each at every fidelity it takes),
-``audit mse`` at every fidelity across several trial chunks, ``audit comm``
-and ``bench``, each at seeds 1, 7 and 9001; ``params`` in derive and check
-mode, ``audit lemmas`` and ``audit divergence`` on the reference set
-(``--n 3`` and ``--n 20``, and the failing ``--q 0`` control); and both
-audits of every vetted mc-trials case of the benchmark
-(``perfbench/workloads.py``).
+``shufflecount.cli.main`` in this process. The list covers ``run count``
+(as JSON and as the per-user CSV), ``run realsum`` and ``run histogram``
+(each at every fidelity it takes), ``audit mse`` at every fidelity across
+several trial chunks, ``audit comm`` and ``bench``, each at seeds 1, 7 and
+9001; ``params`` in derive and check mode, ``audit lemmas`` and
+``audit divergence`` on the reference set (``--n 3`` and ``--n 20``, and
+the failing ``--q 0`` control); and both audits of every vetted mc-trials
+case of the benchmark (``perfbench/workloads.py``).
 Each line is ``<sha256>  <exit code>  <argv>``.
 """
 
@@ -37,7 +37,8 @@ REFERENCE = ["--eps", "1", "--eps-prime", "0.5", "--q", "0.01", "--s", "17", "--
 
 def seeded_calls(seed: int) -> list[list[str]]:
     s = ["--seed", str(seed)]
-    calls = [["run", "count", "--ones", "400", "--zeros", "600", *s]]
+    count = ["run", "count", "--ones", "400", "--zeros", "600", *s]
+    calls = [count, [*count, "--format", "csv"]]
     for fidelity in FIDELITIES:
         f = ["--fidelity", fidelity, *s]
         calls += [
