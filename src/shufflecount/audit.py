@@ -33,9 +33,12 @@ user for ``x``), both views are ``2 log p - eta (i + j)`` plus a profile:
 the log ratio is one constant per class (side, ``t = min(i, j)``), and a
 class's mass is its cell nearest the diagonal times a geometric partial sum
 over its row or column. Sup, masses, support and mass floor all come from
-1-D arrays of length ``min(i_max, j_max) + 1``. The audit is an empirical
-certification for regression detection, not a proof: the guarantee over the
-infinite support is the protocol's own.
+1-D arrays of length ``min(i_max, j_max) + 1``. Only ``h_{n-1}`` is summed
+over ``a0``: ``x'`` reuses ``x``'s mixture, as ``h_n`` is one Pascal step
+from it (``Bin(n, a) = q Bin(n - 1, a) + (1 - q) Bin(n - 1, a - 1)``, one
+``logaddexp`` of the ``a1 = 0`` and ``a1 = 1`` terms). The audit is an
+empirical certification for regression detection, not a proof: the
+guarantee over the infinite support is the protocol's own.
 """
 
 from __future__ import annotations
@@ -114,6 +117,32 @@ def _zero_mixture(zeros: int, params: ProtocolParams, t_max: int) -> np.ndarray:
             continue
         np.logaddexp(h[s:], lw + 2.0 * eta * s + flood[: t_max + 1 - s], out=h[s:])
     return h
+
+
+def _one_user_terms(
+    h: np.ndarray, params: ProtocolParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One user's terms beside the mixture ``h = h_{n-1}`` of the others.
+
+    Returns ``g0``, ``g1`` and ``h_n``. ``g0[t] = log q + h[t]`` is the user
+    dropped, and ``g1[u + 1] = log(1 - q) + eta (2 pad + 1) + h[u - pad]``
+    (``-inf`` for ``u < pad``) the user participating with input 1; the
+    divergence audit reads them at ``u = min(i, j)`` and ``u = min(i - 1, j)``.
+    With input 0 a participating user sends one plus-message fewer, so
+    ``h_n = logaddexp(g0, g1[1:] - eta)``: Pascal's rule ``Bin(n, a) =
+    q Bin(n - 1, a) + (1 - q) Bin(n - 1, a - 1)`` on the mixture. ``log q``
+    comes from the same ``xlogy`` as in :func:`_zero_mixture`, so ``q = 0``
+    gives ``-inf`` without a warning.
+    """
+    eta = params.noise_epsilon
+    pad = params.pad_count
+    t_max = h.size - 1
+    lw0, lw1 = _binom_logpmf(1, 1.0 - params.drop_prob, np.arange(2))
+    g0 = lw0 + h
+    g1 = np.full(t_max + 2, NEG_INF)
+    if pad <= t_max:
+        g1[pad + 1 :] = lw1 + eta * (2 * pad + 1) + h[: t_max + 1 - pad]
+    return g0, g1, np.logaddexp(g0, g1[1:] - eta)
 
 
 def view_logpmf_grid(
@@ -278,7 +307,9 @@ def divergence_audit(
     its mass is ``p^2 e^profile`` times ``sum_{i=t+1}^{i_max} e^{-eta (i + t)}``
     below or ``sum_{j=t}^{j_max} e^{-eta (t + j)}`` above, its cell nearest
     the diagonal, ``(t + 1, t)`` or ``(t, t)``, decides the mass floor, and
-    it is off the support iff its profile is.
+    it is off the support iff its profile is. One mixture over the zero-input
+    users is built, ``h_{n-1}`` for ``x``; ``x'`` reuses it, as its profile
+    ``h_n`` is the Pascal step of :func:`_one_user_terms` from ``h_{n-1}``.
 
     Raises
     ------
@@ -307,19 +338,10 @@ def divergence_audit(
             f"coverage {coverage} not reachable within grid cap {grid_cap}"
         )
     eta = params.noise_epsilon
-    pad = params.pad_count
     t_max = min(i_max, j_max)
-    # the one-input user's terms a1 = 0 and 1 over the other n - 1 users'
-    # mixture, read at min(i, j) and min(i - 1, j)
-    h = _zero_mixture(n_users - 1, params, t_max)
-    lw0, lw1 = _binom_logpmf(1, 1.0 - params.drop_prob, np.arange(2))
-    g0 = lw0 + h
-    # g1[u + 1] is the a1 = 1 term at u = min(i - 1, j): t below the
-    # diagonal, t - 1 on or above it
-    g1 = np.full(t_max + 2, NEG_INF)
-    if pad <= t_max:
-        g1[pad + 1 :] = lw1 + eta * (2 * pad + 1) + h[: t_max + 1 - pad]
-    h_xp = _zero_mixture(n_users, params, t_max)
+    # x's one-input user beside the other n - 1 users' mixture; g1[u + 1] is
+    # read at u = min(i - 1, j): t below the diagonal, t - 1 on or above it
+    g0, g1, h_xp = _one_user_terms(_zero_mixture(n_users - 1, params, t_max), params)
     # classes (side, t): t = j below the diagonal (j < i), t = i on or above
     # it; every cell of a class is its profile minus eta (i + j)
     n_below = min(j_max + 1, i_max)

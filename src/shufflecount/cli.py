@@ -4,6 +4,12 @@ Reports are self-describing (they embed the resolved parameters and the seed)
 and byte-identical across reruns with the same configuration and seed; flags
 take precedence over the ``SHUFFLECOUNT_SEED`` environment variable. Exit
 codes: 0 pass, 1 fail, 2 usage or invalid input, 3 audit inconclusive.
+
+Each call is parsed once, by the leaf parser its leading command words name
+(``params``, ``bench``, ``run count``, ``audit divergence``, ...), not by the
+three nested parsers in turn. Any other call, one that names no leaf or whose
+leaf leaves arguments over, goes to the full parser, so usage errors, help
+and ``--version`` print what the full parser prints.
 """
 
 from __future__ import annotations
@@ -455,8 +461,22 @@ def _add_explicit_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lam", type=float, default=None, help="flood mean (default: cheapest feasible)")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The full command-line parser, built once per process."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[
+    argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]
+]:
+    """The full parser and each leaf parser, keyed by the command words that name it."""
+    leaves: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+    def leaf(subparsers, *words: str, **kwargs) -> argparse.ArgumentParser:
+        leaves[words] = subparsers.add_parser(words[-1], **kwargs)
+        return leaves[words]
+
     parser = argparse.ArgumentParser(
         prog="shufflecount",
         description="Private counting in the shuffle model: runs, audits, benchmarks.",
@@ -464,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("params", help="derive or check protocol parameters")
+    p = leaf(sub, "params", help="derive or check protocol parameters")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--rho", type=float, default=0.5, help="accuracy slack in (0, 0.5]")
     p.add_argument("--n", type=int, required=True)
@@ -478,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a protocol")
     run_sub = run.add_subparsers(dest="mode", required=True)
 
-    rc = run_sub.add_parser("count", help="binary counting")
+    rc = leaf(run_sub, "run", "count", help="binary counting")
     rc.add_argument("--eps", type=float, default=1.0)
     rc.add_argument("--rho", type=float, default=0.5)
     rc.add_argument("--ones", type=int, default=None)
@@ -487,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(rc)
     rc.set_defaults(handler=_cmd_run_count)
 
-    rr = run_sub.add_parser("realsum", help="summation of reals in [0, 1]")
+    rr = leaf(run_sub, "run", "realsum", help="summation of reals in [0, 1]")
     rr.add_argument("--eps", type=float, default=1.0)
     rr.add_argument("--rho", type=float, default=0.5)
     rr.add_argument("--bits", type=int, default=None)
@@ -497,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(rr)
     rr.set_defaults(handler=_cmd_run_realsum)
 
-    rh = run_sub.add_parser("histogram", help="per-bucket counting")
+    rh = leaf(run_sub, "run", "histogram", help="per-bucket counting")
     rh.add_argument("--eps", type=float, default=1.0)
     rh.add_argument("--rho", type=float, default=0.5)
     rh.add_argument("--buckets", type=int, required=True)
@@ -510,14 +530,14 @@ def build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser("audit", help="numerical verification")
     audit_sub = audit.add_subparsers(dest="mode", required=True)
 
-    al = audit_sub.add_parser("lemmas", help="noise-ratio inequality checks")
+    al = leaf(audit_sub, "audit", "lemmas", help="noise-ratio inequality checks")
     _add_explicit_params(al)
     al.add_argument("--n", type=int, default=3)
     al.add_argument("--i-max", dest="i_max", type=int, default=10_000)
     _add_common(al)
     al.set_defaults(handler=_cmd_audit_lemmas)
 
-    ad = audit_sub.add_parser("divergence", help="exact view max-divergence audit")
+    ad = leaf(audit_sub, "audit", "divergence", help="exact view max-divergence audit")
     _add_explicit_params(ad)
     ad.add_argument("--n", type=int, default=3)
     ad.add_argument("--coverage", type=float, default=DEFAULT_COVERAGE)
@@ -527,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ad)
     ad.set_defaults(handler=_cmd_audit_divergence)
 
-    am = audit_sub.add_parser("mse", help="Monte Carlo MSE vs closed form")
+    am = leaf(audit_sub, "audit", "mse", help="Monte Carlo MSE vs closed form")
     _add_explicit_params(am)
     am.add_argument("--n", type=int, required=True)
     am.add_argument("--ones", type=int, default=None, help="ones count (default: all ones)")
@@ -542,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(am)
     am.set_defaults(handler=_cmd_audit_mse)
 
-    ac = audit_sub.add_parser("comm", help="Monte Carlo per-user messages vs closed form")
+    ac = leaf(audit_sub, "audit", "comm", help="Monte Carlo per-user messages vs closed form")
     _add_explicit_params(ac)
     ac.add_argument("--n", type=int, required=True)
     ac.add_argument("--x", type=int, choices=(0, 1), default=1)
@@ -550,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ac)
     ac.set_defaults(handler=_cmd_audit_comm)
 
-    b = sub.add_parser("bench", help="parameter/error/communication sweep over user counts")
+    b = leaf(sub, "bench", help="parameter/error/communication sweep over user counts")
     b.add_argument("--eps", type=float, default=1.0)
     b.add_argument("--rho", type=float, default=0.5)
     b.add_argument("--n-list", dest="n_list", type=_int_list, default=[100, 1000, 10_000])
@@ -563,13 +583,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(b)
     b.set_defaults(handler=_cmd_bench)
 
-    return parser
+    return parser, leaves
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv`` in one argparse pass where its command words name a leaf.
+
+    The leaf parser takes the arguments after those words; the full parser
+    would hand them to the same leaf after two passes of its own. Anything
+    else (no leaf named, or arguments the leaf leaves over) goes through the
+    full parser, so every usage error and help text reads as it always has.
+    """
+    parser, leaves = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for depth in (1, 2):
+        leaf = leaves.get(tuple(argv[:depth]))
+        if leaf is not None:
+            args, extra = leaf.parse_known_args(argv[depth:])
+            if not extra:
+                return args
+            break
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
     try:

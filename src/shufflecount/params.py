@@ -77,14 +77,19 @@ class ProtocolParams:
     slack: float | None = None
 
     def __post_init__(self):
-        check_count("n_users", self.n_users, 1)
-        check_real("epsilon", self.epsilon, *EPSILON)
-        check_real("noise_epsilon", self.noise_epsilon)
-        check_real("drop_prob", self.drop_prob, *DROP_PROB)
-        check_count("pad_count", self.pad_count, 1)
-        check_real("flood_mean", self.flood_mean)
+        # store what the checks return: built-in ints and floats, never numpy scalars
+        checked = {
+            "n_users": check_count("n_users", self.n_users, 1),
+            "epsilon": check_real("epsilon", self.epsilon, *EPSILON),
+            "noise_epsilon": check_real("noise_epsilon", self.noise_epsilon),
+            "drop_prob": check_real("drop_prob", self.drop_prob, *DROP_PROB),
+            "pad_count": check_count("pad_count", self.pad_count, 1),
+            "flood_mean": check_real("flood_mean", self.flood_mean),
+        }
         if self.slack is not None:
-            check_real("slack", self.slack, *SLACK)
+            checked["slack"] = check_real("slack", self.slack, *SLACK)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {

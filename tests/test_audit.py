@@ -35,6 +35,8 @@ from shufflecount.audit import (
     _binom_logpmf,
     _grid_bounds,
     _lumped_chisquare,
+    _one_user_terms,
+    _zero_mixture,
     gof_integer_samples,
     max_log_ratio,
     messages_bound,
@@ -239,6 +241,28 @@ class TestOneDimensionalAudit:
                 assert abs(report.sup_abs_log_ratio - ref["sup"]) <= 1e-12, case
             assert abs(report.mass_covered_x - ref["mass_x"]) <= 1e-12, case
             assert abs(report.mass_covered_xprime - ref["mass_xp"]) <= 1e-12, case
+
+    @pytest.mark.parametrize("q", [0.0, 0.01, 0.3])
+    @pytest.mark.parametrize("pad", [1, 3, 17])
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 127.0])
+    def test_pascal_step_matches_direct_mixture(self, q, pad, lam):
+        # x' reuses x's mixture: h_n from h_{n-1} equals the sum over a0 of n
+        # users (a RuntimeWarning fails the test, as pyproject.toml sets)
+        for (eta, eps), n in itertools.product(
+            [(0.5, 1.0), (0.9, 1.0), (1.0, 2.0)], [1, 2, 3, 5, 20]
+        ):
+            params = ProtocolParams(
+                n_users=n, epsilon=eps, noise_epsilon=eta,
+                drop_prob=q, pad_count=pad, flood_mean=lam,
+            )
+            t_max = min(_grid_bounds(params, n, 1e-9 / 8.0))
+            _, _, h_n = _one_user_terms(_zero_mixture(n - 1, params, t_max), params)
+            direct = _zero_mixture(n, params, t_max)
+            case = (eta, eps, n)
+            assert np.array_equal(np.isneginf(h_n), np.isneginf(direct)), case
+            finite = ~np.isneginf(direct)
+            err = np.abs(h_n[finite] - direct[finite]) / np.maximum(1.0, np.abs(direct[finite]))
+            assert err.max(initial=0.0) <= 1e-13, case
 
     def test_memory_is_one_dimensional(self):
         # two 615 x 595 float grids would take 5.9 MB; the profiles hold

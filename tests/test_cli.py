@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from shufflecount.cli import SEED_ENV_VAR, main
+from shufflecount.cli import SEED_ENV_VAR, build_parser, main
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -414,3 +414,57 @@ def test_benchmark_mc_cases_pass_both_audits(capsys):
             if code != 0 or json.loads(out)["pass"] is not True:
                 failing.append((index, argv[argv.index("--fidelity") + 1]))
     assert failing == []
+
+
+LEAF_CALLS = [
+    ["params", "--eps", "1", "--n", "100"],
+    ["run", "count", "--ones", "3", "--zeros", "2", "--seed", "1"],
+    ["run", "realsum", "--uniform", "10", "--bits", "1", "--eps", "2",
+     "--fidelity", "law", "--seed", "1"],
+    ["run", "histogram", "--buckets", "2", "--uniform", "10", "--eps", "2",
+     "--fidelity", "law", "--seed", "1"],
+    ["audit", "lemmas", "--n", "3"],
+    ["audit", "divergence", "--n", "3"],
+    ["audit", "mse", "--n", "10", "--trials", "1000", "--fidelity", "law", "--seed", "1"],
+    ["audit", "comm", "--n", "10", "--trials", "1000", "--seed", "1"],
+    ["bench", "--n-list", "100", "--trials", "100", "--seed", "1"],
+]
+
+
+def test_valid_leaf_calls_skip_the_full_parser(capsys, monkeypatch):
+    def full_parse(*args, **kwargs):
+        raise AssertionError("the full parser was reached")
+
+    monkeypatch.setattr(build_parser(), "parse_known_args", full_parse)
+    for argv in LEAF_CALLS:
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1) and out and not err, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "--eps", "1", "--frobnicate"],  # unknown flag
+        ["run", "count", "--ones", "x", "--seed", "1"],  # bad int
+        ["audit", "divergence", "--grid-cap", "1.5"],  # bad int
+        ["run", "realsum", "--fidelity", "exact"],  # bad choice
+        ["params", "--n", "3"],  # missing required flag
+        [],  # missing subcommand
+        ["run"],  # missing mode
+        ["runn", "count"],  # typo
+        ["run", "count", "--ones", "3", "extra"],  # leftover positional
+        ["run", "count", "--version"],  # top-level flag after the words
+        ["-h"],
+        ["run", "-h"],
+        ["audit", "-h"],
+        ["params", "-h"],
+        ["run", "count", "-h"],
+        ["audit", "divergence", "-h"],
+        ["--version"],
+    ],
+)
+def test_usage_errors_and_help_match_the_full_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    expected = (2 if exc.value.code else 0, *capsys.readouterr())
+    assert run_cli(capsys, *argv) == expected

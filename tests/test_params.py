@@ -12,6 +12,7 @@ from shufflecount import (
     dlap_variance,
     minimal_params,
 )
+from shufflecount.composition import histogram_params, real_sum_params
 from shufflecount.params import (
     CLAUSE_BUDGET_GAP,
     CLAUSE_FLOOD_MEAN,
@@ -222,3 +223,16 @@ class TestProtocolParamsValidation:
         p = _params(1.0, 0.5, 0.01, 17, 127.0)
         d = p.to_dict()
         assert ProtocolParams(**d) == p
+
+    def test_derived_fields_are_builtin_numbers(self):
+        # real_sum_params splits its budget in a numpy array; no numpy scalar
+        # may reach a field (its repr reads np.float64(...))
+        sets = [
+            derive_params(1.0, 0.5, 1000),
+            *real_sum_params(1.0, 0.5, 3, 1000),
+            histogram_params(1.0, 0.5, 1000),
+        ]
+        for params in sets:
+            for name, value in params.to_dict().items():
+                assert type(value) in (int, float, type(None)), (name, value)
+            assert "np." not in repr(params)

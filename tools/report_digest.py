@@ -9,13 +9,17 @@ output on the parent commit and on the change::
 The package is imported from ``PYTHONPATH``; every report comes from
 ``shufflecount.cli.main`` in this process. The list covers ``run count``
 (as JSON and as the per-user CSV), ``run realsum`` and ``run histogram``
-(each at every fidelity it takes), ``audit mse`` at every fidelity across
+(each at every fidelity it takes, and each reading an ``--input-file`` the
+way the benchmark passes its inputs), ``audit mse`` at every fidelity across
 several trial chunks, ``audit comm`` and ``bench``, each at seeds 1, 7 and
 9001; ``params`` in derive and check mode, ``audit lemmas`` and
 ``audit divergence`` on the reference set (``--n 3`` and ``--n 20``, and
-the failing ``--q 0`` control); and both audits of every vetted mc-trials
-case of the benchmark (``perfbench/workloads.py``).
-Each line is ``<sha256>  <exit code>  <argv>``.
+the failing ``--q 0`` control); both audits of every vetted mc-trials
+case of the benchmark (``perfbench/workloads.py``); and usage errors, help
+and ``--version``.
+Each line is ``<sha256>  <exit code>  <argv>``; the hash covers the exit
+code, stdout and stderr. Input files are written with fixed contents to a
+temporary directory, which the argv column shows as ``<tmp>``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import hashlib
 import importlib.util
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 from shufflecount.cli import main
@@ -71,6 +76,37 @@ def unseeded_calls() -> list[list[str]]:
     return calls + [["audit", "divergence", *no_drops, "--n", "3"]]
 
 
+def input_file_calls(tmp: Path) -> list[list[str]]:
+    bits, reals, buckets = tmp / "count_bits.txt", tmp / "reals.txt", tmp / "buckets.txt"
+    bits.write_text("".join(f"{i * 7 % 10 // 5}\n" for i in range(500)))
+    reals.write_text("".join(f"{i * 37 % 101 / 100!r}\n" for i in range(20)))
+    buckets.write_text("".join(f"{i * 7 % 3 % 2}\n" for i in range(20)))
+    calls = []
+    for seed in SEEDS:
+        s = ["--rho", "0.5", "--seed", str(seed)]
+        calls += [
+            ["run", "count", "--eps", "1.0", "--input-file", str(bits), *s],
+            ["run", "realsum", "--bits", "2", "--eps", "2.0", "--input-file", str(reals), *s],
+            ["run", "histogram", "--buckets", "2", "--eps", "2.0",
+             "--input-file", str(buckets), *s],
+        ]
+    return calls
+
+
+def usage_calls() -> list[list[str]]:
+    return [
+        [],
+        ["--version"],
+        ["run", "count", "-h"],
+        ["params", "--eps", "1", "--frobnicate"],
+        ["run", "count", "--ones", "x", "--seed", "1"],
+        ["run", "realsum", "--fidelity", "exact", "--seed", "1"],
+        ["run", "count", "--ones", "3", "extra"],
+        ["params", "--eps", "1", "--rho", "0.6", "--n", "100"],
+        ["audit", "divergence", *REFERENCE, "--grid-cap", "10"],
+    ]
+
+
 def mc_case_calls() -> list[list[str]]:
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
@@ -82,18 +118,21 @@ def mc_case_calls() -> list[list[str]]:
 
 
 def digest(argv: list[str]) -> tuple[str, int]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+    text = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+    return hashlib.sha256(text.encode()).hexdigest(), code
 
 
 def run() -> None:
-    calls = [argv for seed in SEEDS for argv in seeded_calls(seed)]
-    calls += unseeded_calls() + mc_case_calls()
-    for argv in calls:
-        sha, code = digest(argv)
-        print(f"{sha}  {code}  {' '.join(argv)}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = [argv for seed in SEEDS for argv in seeded_calls(seed)]
+        calls += input_file_calls(Path(tmp))
+        calls += unseeded_calls() + mc_case_calls() + usage_calls()
+        for argv in calls:
+            sha, code = digest(argv)
+            print(f"{sha}  {code}  {' '.join(argv).replace(tmp, '<tmp>')}", flush=True)
 
 
 if __name__ == "__main__":
