@@ -568,8 +568,8 @@ def measure_mse(
 ) -> MseMeasurement:
     """Monte Carlo MSE against the closed-form law and its bound.
 
-    At ``message`` fidelity every trial is a full pooled run: the randomizer's
-    draws, then the analyzer on their per-code totals. Requires at least 1000
+    At ``message`` fidelity every trial draws every message total, then the
+    analyzer reads their signed sum. Requires at least 1000
     trials for the standard error to mean anything.
     """
     check_count("trials", trials, 1000)
@@ -655,10 +655,11 @@ def crossvalidate_views(
     trials: int,
     rng: RandomSource,
 ) -> GofResult:
-    """Chi-square simulated views (per-user sampling) against the exact oracle.
+    """Chi-square simulated views against the exact oracle.
 
-    The two routes are independent: simulation composes per-user randomizer
-    draws, the oracle evaluates the pooled convolution in closed form.
+    The two routes are independent: simulation draws the randomizer's totals
+    (drop counts, every user's noise shares, a flooding total), the oracle
+    evaluates the pooled convolution in closed form.
     """
     v_plus, v_minus = simulate_views(ds.zeros, ds.ones, params, trials, rng)
     bound_i, bound_j = _grid_bounds(params, ds.n, 1e-12)

@@ -7,10 +7,13 @@ sum of squared place values over squared budgets subject to the total).
 Histograms run one counting instance per bucket at budget ``epsilon / 2``
 each: changing one user's value touches at most two buckets.
 
-Messages from all instances are pooled, tagged with their instance index
-(:func:`protocol.pooled_run`); per-instance views are the per-tag counts of
-the pool, which no shuffle of it changes, so pooling costs nothing and a run
-draws no permutation.
+Messages from all instances are pooled, tagged with their instance index;
+per-instance views are the per-tag counts of the pool, which no shuffle of it
+changes, so pooling costs nothing and a run draws no permutation. An
+instance's counts depend on its inputs only through how many users hold a
+one, so instances enter :func:`protocol.run_trials` as those counts: a
+histogram's bucket counts, and a real sum's per-bit sums of each trial's
+rounding.
 """
 
 from __future__ import annotations
@@ -177,13 +180,14 @@ class HistogramRun:
     total_messages: int | None = None
 
 
-def _real_bits(xs: np.ndarray, n_bits: int):
-    """Input bits of a real-sum run, stochastically rounded on every draw.
+def _bit_sums(xs: np.ndarray, n_bits: int):
+    """Per-bit sums of a real-sum run's inputs, stochastically rounded on every draw.
 
-    Returns ``draw(rng, rows)``: the bits of :func:`encode_real` for ``rows``
-    trials, ``uint8`` of shape ``(rows, n, n_bits)``. Each position is
-    extracted in turn from the rounded values in their narrowest dtype, so no
-    wider array of all the bits is built.
+    Returns ``draw(rng, rows)``: for each of ``rows`` trials, how many users'
+    :func:`encode_real` bits are one at each position, shape
+    ``(rows, n_bits)``. The rounded values are held in their narrowest dtype
+    and each position is counted in turn, so no array of all the bits is
+    built.
     """
     scale = 1 << n_bits
     dtype = np.min_scalar_type(scale - 1)
@@ -191,10 +195,8 @@ def _real_bits(xs: np.ndarray, n_bits: int):
     def draw(rng: RandomSource, rows: int) -> np.ndarray:
         v = np.floor(xs * scale + rng.generator.random((rows, len(xs))))
         v = np.minimum(v, scale - 1).astype(dtype)
-        out = np.empty(v.shape + (n_bits,), dtype=np.uint8)
-        for k in range(n_bits):
-            np.bitwise_and(v >> (n_bits - 1 - k), 1, out=out[..., k], casting="unsafe")
-        return out
+        bits = [np.count_nonzero(v & (1 << (n_bits - 1 - k)), axis=1) for k in range(n_bits)]
+        return np.stack(bits, axis=-1)
 
     return draw
 
@@ -203,7 +205,7 @@ def _real_sum_trials(xs, epsilon, slack, n_bits, trials, rng, fidelity):
     """Instances, per-bit signed sums and message totals of real-sum trials."""
     xs = check_array("xs", xs, 0.0, 1.0, "iuf")
     instances = real_sum_params(epsilon, slack, n_bits, xs.size)
-    return (instances, *run_trials(_real_bits(xs, n_bits), instances, trials, rng, fidelity))
+    return (instances, *run_trials(_bit_sums(xs, n_bits), instances, trials, rng, fidelity))
 
 
 def run_real_sum(
@@ -257,18 +259,16 @@ def histogram_params(
     return derive_params(check_real("epsilon", epsilon) / 2.0, slack, n_users)
 
 
-def _bucket_bits(xs: Sequence[int], n_buckets: int) -> np.ndarray:
-    """Indicator bits ``x_i == b`` of validated bucket values, shape (n, n_buckets)."""
+def _histogram_trials(xs, n_buckets, epsilon, slack, trials, rng, fidelity):
+    """Shared instance, per-bucket signed sums and message totals of histogram trials.
+
+    Bucket ``b``'s instance runs on the count of users whose value is ``b``.
+    """
     n_buckets = check_count("n_buckets", n_buckets, 1)
     xs = check_array("xs", xs, 0, n_buckets - 1)
-    return (xs[:, None] == np.arange(n_buckets)).astype(np.int64)
-
-
-def _histogram_trials(xs, n_buckets, epsilon, slack, trials, rng, fidelity):
-    """Shared instance, per-bucket signed sums and message totals of histogram trials."""
-    bits = _bucket_bits(xs, n_buckets)
-    inst = histogram_params(epsilon, slack, len(bits))
-    return (inst, *run_trials(bits, [inst] * n_buckets, trials, rng, fidelity))
+    inst = histogram_params(epsilon, slack, xs.size)
+    ones = np.bincount(xs, minlength=n_buckets)
+    return (inst, *run_trials(ones, [inst] * n_buckets, trials, rng, fidelity))
 
 
 def run_histogram(

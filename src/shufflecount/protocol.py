@@ -7,31 +7,31 @@ of plus and of minus noise messages, plus a Poisson number of flooding pairs
 (one +1 and one -1 each, cancelling in the sum). The analyzer sees only the
 shuffled multiset of single-bit messages and outputs its signed sum.
 
-Every run goes through one engine: :func:`draw_counts` is the vectorized
-randomizer, :func:`pooled_run` pools the messages of any number of instances
-(counting is the one-instance case), :func:`signed_sums` draws an
-instance's output without per-user counts, and :func:`run_trials` drives
-every batch of runs (a single run is a one-trial batch on the same stream)
-in chunks of whole trials under :data:`CHUNK_ELEMENTS`. The dropped inputs
-are drawn as one Binomial total over a chunk's users and trials, placed
-uniformly, so their cost follows the drops, not the users. A batch sums
-each draw over users as it is made (:func:`_draw_totals`), so no per-user
-array outlives its draw, and draws each trial's flooding as one Poisson
-total over users. The analyzer reads only per-code totals of the pool,
-which no permutation changes, so a run draws no shuffle; :func:`shuffle`
-materializes a uniformly shuffled sequence where the order itself is
-wanted (wire dumps, tests). Three simulation fidelities exist:
+The shuffled view depends on the inputs only through how many users hold a
+one, so every batch of runs takes its inputs as counts. :func:`run_trials`
+drives every batch (a single run is a one-trial batch on the same stream),
+and :func:`_stages` draws one instance's totals for all trials of a batch
+in stages, each fidelity stopping at the last stage it needs: the dropped
+ones, then the dropped zeros and each trial's flooding total, then the noise
+shares, summed over users as they are drawn in chunks of whole trials under
+:data:`CHUNK_ELEMENTS`. A Binomial count of drops has the law of an
+independent drop per user, so a batch holds no per-user array.
+:func:`draw_counts` is the one per-user path: the vectorized randomizer
+behind :func:`run_counting`, which reports every user's message count. The
+analyzer reads only per-code totals of the pool, which no permutation
+changes, so a run draws no shuffle; :func:`shuffle` materializes a uniformly
+shuffled sequence where the order itself is wanted (tests). Three simulation
+fidelities exist:
 
 ``message``
-    The default pipeline: every user's message counts in every instance,
-    flooding included, are drawn, and the analyzer reads the pool's per-code
-    totals. Per-user and total message counts are reported. A single run
-    draws flooding per user; a batch of trials draws it as each trial's
-    Poisson total, the same law as the per-user sum.
+    The default pipeline: every message total is drawn, flooding included,
+    and the analyzer reads the pool's per-code totals. Total message counts
+    are reported. A batch draws each trial's flooding as one Poisson total,
+    the same law as the per-user sum.
 ``counts``
-    Only what the signed sum needs is drawn: the dropped inputs and every
-    user's noise shares, not flooding or per-user message counts. The
-    estimate law is exactly the same because flooding cancels in the sum.
+    Only what the signed sum needs is drawn: the dropped ones and every
+    user's noise shares, not the dropped zeros or flooding, which cancel in
+    the sum. The estimate law is exactly the same.
 ``law``
     Derivation-level simulation of the closed-form estimate law
     ``ones - Binomial(ones, q) + DLap(noise_epsilon)``. No per-user structure.
@@ -52,23 +52,20 @@ from .params import ProtocolParams, require_feasible
 FIDELITIES = ("message", "counts", "law")
 
 #: Per-user draws in one chunk of a batch of trials; :func:`_batches` cuts
-#: every batch into chunks of whole trials, drawn in turn on one stream, and
-#: each chunk's Poisson total of noise summands is a boundary of that stream.
-#: :func:`run_trials` sizes chunks for ``4 n`` draws per trial: ``2 n`` noise
-#: shares, ``n`` users who may drop their input and ``n`` for the real sum's
-#: rounding; the drops are one Binomial total per chunk plus a position per
-#: drop, and a batch's flooding is one draw per trial.
-#: :func:`_noise_difference` and :func:`simulate_views` size them for the
-#: ``2 n`` noise shares they draw; the views add the drops and one flooding
-#: total per trial. Resizing any of them would change every seeded batch. A
-#: batch sums each draw over users as it is made, so no per-user array
-#: outlives its draw.
+#: every batch into chunks of whole trials, drawn in turn on one stream.
+#: :func:`_stages` sizes an instance's chunks for its ``2 m`` noise shares
+#: per trial, and each chunk's Poisson total of noise summands is a boundary
+#: of the stream, so resizing them would change every seeded batch; its drops
+#: and flooding are one draw per trial. :func:`run_trials` draws the real
+#: sum's rounding in chunks sized for ``4 n`` per trial, which keeps the
+#: rounding's float64 arrays at a quarter of a chunk each. A chunk sums each
+#: draw over users as it is made, so no per-user array outlives its chunk.
 CHUNK_ELEMENTS = 1 << 22
 
 #: The layout of every seeded stream: which draws a run or batch makes, in
 #: which order and shape. A change that moves any seeded draw bumps it, and
 #: ``tests/test_protocol.py`` pins it with the digest of seeded runs.
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 
 
 @dataclass(frozen=True)
@@ -125,11 +122,11 @@ def _batches(trials: int, per_trial: int):
     return ((slice(s, s + rows), min(rows, trials - s)) for s in range(0, trials, rows))
 
 
-def _count_bits(zeros: int, ones: int, n: int) -> np.ndarray:
-    """Input bits of a counting dataset of ``n = zeros + ones`` users, ones first."""
+def _ones(zeros: int, ones: int, n: int) -> int:
+    """``ones``, checked as the ones of a counting dataset of ``n = zeros + ones`` users."""
     ones = check_count("ones", ones, 0, n)
-    zeros = check_count("zeros", zeros, n - ones, n - ones)
-    return np.repeat(np.array([1, 0], dtype=np.int64), [ones, zeros])
+    check_count("zeros", zeros, n - ones, n - ones)
+    return ones
 
 
 def randomize(x: int, params: ProtocolParams, rng: RandomSource) -> Contribution:
@@ -154,43 +151,6 @@ def randomize(x: int, params: ProtocolParams, rng: RandomSource) -> Contribution
     return Contribution(input_plus, input_minus, noise_plus, noise_minus, flood)
 
 
-def _draws(m: int, params: ProtocolParams, rng: RandomSource, lead: tuple, group: int = 1):
-    """The randomizer's draws for ``m`` users, yielded one at a time in stream order.
-
-    The dropped inputs come first, as the flat positions, in ``lead + (m,)``,
-    of the users who drop theirs: one Binomial(``cells``, ``drop_prob``)
-    total over the ``cells`` users and trials, then that many distinct cells
-    chosen uniformly (none drawn when the total is 0). A Binomial total
-    placed uniformly is exactly an independent Bernoulli(``drop_prob``) drop
-    per cell, and it costs one int64 per drop, except that above 5 % of
-    ``cells`` ``Generator.choice`` holds an int64 per cell while it picks
-    them. Then noise shares of shape ``1/params.n_users`` (``2m``, plus
-    shares first) and flooding counts ``lead + (m,)``. Each is drawn on
-    ``rng`` only when asked for, so a caller can reduce one draw before the
-    next is made.
-
-    With ``group > 1`` the users are cut into runs of ``group`` and the noise
-    and flooding come as one value per run, ``lead + (2m // group,)`` and
-    ``lead + (m // group,)``. The two are summed differently. Grouped noise
-    is the same draws summed (:func:`sample_nb`), so it is exact in the
-    stream. Grouped flooding is one Poisson(``flood_mean * group / n``) per
-    run: the same law as the per-user sum, by Poisson additivity, but not
-    the same draws.
-    """
-    gen = rng.generator
-    cells = math.prod(lead) * m
-    dropped = gen.binomial(cells, params.drop_prob)
-    yield (
-        gen.choice(cells, dropped, replace=False, shuffle=False)
-        if dropped
-        else np.empty(0, dtype=np.int64)
-    )
-    p = geo_success_prob(params.noise_epsilon)
-    yield sample_nb(1.0 / params.n_users, p, rng, size=lead + (2 * m,), group=group)
-    flood_mean = params.flood_mean * group / params.n_users
-    yield sample_poi(flood_mean, rng, size=lead + (m // group,))
-
-
 def draw_counts(
     bits: np.ndarray, params: ProtocolParams, rng: RandomSource, trials=None
 ) -> Contribution:
@@ -198,152 +158,120 @@ def draw_counts(
 
     Same per-user laws as :func:`randomize`, with shares ``1/params.n_users``
     for ``bits`` of shape ``(m,)`` or ``(trials, m)``. Fields have shape
-    ``(m,)``, or ``(trials, m)`` when ``trials`` is given; the dropped
-    positions of :func:`_draws` clear their users' flags in a keep mask.
+    ``(m,)``, or ``(trials, m)`` when ``trials`` is given. The dropped inputs
+    come first: one Binomial(``cells``, ``drop_prob``) total over the
+    ``cells`` users and trials, then that many distinct cells chosen
+    uniformly (none drawn when the total is 0), which is exactly an
+    independent drop per cell. Then the noise shares (``2m``, plus shares
+    first) and the flooding counts.
     """
     m = bits.shape[-1]
-    lead = () if trials is None else (trials,)
-    dropped, noise, flood = _draws(m, params, rng, lead)
-    keep = np.ones(lead + (m,), dtype=bool)
-    keep.reshape(-1)[dropped] = False
+    shape = (m,) if trials is None else (trials, m)
+    gen = rng.generator
+    cells = math.prod(shape)
+    keep = np.ones(cells, dtype=bool)
+    dropped = gen.binomial(cells, params.drop_prob)
+    if dropped:
+        keep[gen.choice(cells, dropped, replace=False, shuffle=False)] = False
+    keep = keep.reshape(shape)
+    p = geo_success_prob(params.noise_epsilon)
+    noise = sample_nb(1.0 / params.n_users, p, rng, size=shape[:-1] + (2 * m,))
     return Contribution(
         input_plus=np.where(keep, params.pad_count + bits.astype(np.int64, copy=False), 0),
         input_minus=np.where(keep, params.pad_count, 0),
         noise_plus=noise[..., :m],
         noise_minus=noise[..., m:],
-        flood=flood,
+        flood=sample_poi(params.flood_mean / params.n_users, rng, size=shape),
     )
 
 
-def _draw_totals(bits: np.ndarray, params: ProtocolParams, rng: RandomSource, trials: int):
-    """Per-trial plus and minus message totals of the users holding ``bits``.
+def _stages(ones, m: int, params: ProtocolParams, rng: RandomSource, fidelity: str, trials=None):
+    """One instance's totals over ``m`` users, ``ones`` of whom hold a one, for all trials.
 
-    The dropped inputs and noise shares of :func:`draw_counts` with
-    ``trials``, the same draws in the same order on the same stream, each
-    summed over users as it is drawn, so no ``(trials, m)`` array is built.
-    Per-trial counts of the dropped positions, all of them and those of
-    users holding a one, are taken off ``m`` and off the count of ones
-    (nothing is taken off when no input is dropped). Flooding comes last,
-    as each trial's Poisson total over all ``m`` users (:func:`_draws` with
-    ``group = m``): the same law as the per-user sum, not the same draws.
-    The kept input blocks add ``pad * kept + kept_ones`` plus-messages and
-    ``pad * kept`` minus-messages. ``bits`` has shape ``(m,)`` or
-    ``(trials, m)``.
+    The draws come in stages, in stream order, and each fidelity stops at the
+    last one it needs:
+
+    1. the dropped ones, ``Binomial(ones, drop_prob)``;
+    2. at ``law`` fidelity, one discrete Laplace draw, and nothing more;
+    3. at ``message`` fidelity, the dropped zeros, ``Binomial(m - ones,
+       drop_prob)``, then the flooding total, ``Poisson(flood_mean * m / n)``;
+    4. the noise shares of shape ``1/n``, ``2m`` per trial (plus shares
+       first), summed over users as they are drawn (:func:`sample_nb` with
+       ``group = m``) in chunks of ``CHUNK_ELEMENTS // (2 m)`` trials.
+
+    A drop count has the law of an independent drop per user, and a flooding
+    total that of the per-user counts, by Poisson additivity. ``ones`` is a
+    count or an array of ``trials`` counts; only ``law`` may leave
+    ``trials`` out, for a single draw. ``law`` and ``counts`` return the
+    signed sum, ``kept + DLap(noise_epsilon)`` and ``kept + noise_plus -
+    noise_minus``; ``message`` returns the plus and minus message totals,
+    ``pad * K + kept + noise_plus + flood`` and ``pad * K + noise_minus +
+    flood``, where ``K`` counts every kept user.
     """
-    m = bits.shape[-1]
-    draws = _draws(m, params, rng, (trials,), group=m)
-    dropped = next(draws)
-    padded, kept_ones = params.pad_count * m, np.count_nonzero(bits, axis=-1)
-    if dropped.size:
-        trial, user = np.divmod(dropped, m)
-        ones = np.broadcast_to(bits, (trials, m))[trial, user] != 0
-        padded = params.pad_count * (m - np.bincount(trial, minlength=trials))
-        kept_ones = kept_ones - np.bincount(trial[ones], minlength=trials)
-        del trial, user, ones
-    del dropped  # hold no per-drop array while the noise is drawn
-    noise = next(draws)
-    flood = next(draws)[:, 0]
-    return padded + kept_ones + noise[:, 0] + flood, padded + noise[:, 1] + flood
-
-
-def pooled_run(
-    bits: np.ndarray, instances: Sequence[ProtocolParams], rng: RandomSource, trials=None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Message-level run of ``k`` instances pooled together.
-
-    ``bits[..., i, j]`` is user ``i``'s input to instance ``j``. Each
-    instance's counts are drawn in turn on ``rng``, and nothing after: the
-    analyzer reads only the pool's per-code totals, which no permutation
-    changes. A single run draws per-user counts (:func:`draw_counts`); with
-    ``trials``, the same drops and noise shares for all trials at once are
-    summed over users as they are drawn, and each trial's flooding is one
-    Poisson total (:func:`_draw_totals`). Returns the messages per
-    code (code ``2j`` is instance ``j``'s -1, ``2j + 1`` its +1), with a
-    leading trials axis when ``trials`` is given, and the messages per user
-    of a single run, or ``None`` when ``trials`` is given.
-    """
-    totals = []
-    per_user = None
-    for j, inst in enumerate(instances):
-        if trials is not None:
-            plus, minus = _draw_totals(bits[..., j], inst, rng, trials)
-            totals += [minus, plus]
-            continue
-        c = draw_counts(bits[..., j], inst, rng)
-        plus, minus = c.plus_count, c.minus_count
-        totals += [minus.sum(), plus.sum()]
-        plus += minus
-        per_user = plus if j == 0 else np.add(per_user, plus, out=per_user)
-        del c, plus, minus  # hold one instance's draws at a time
-    return np.stack(totals, axis=-1), per_user
-
-
-def _noise_difference(params: ProtocolParams, rng: RandomSource, trials: int) -> np.ndarray:
-    """Plus minus minus noise shares of all users, per trial, summed as they are drawn."""
-    n = params.n_users
+    gen, q = rng.generator, params.drop_prob
+    if fidelity == "law":
+        kept = ones - gen.binomial(ones, q, size=trials)
+        return kept + sample_dlap(params.noise_epsilon, rng, size=trials)
+    chunks = _batches(trials, 2 * m)  # checks trials before anything is drawn
+    kept = ones - gen.binomial(ones, q, size=trials)
+    if fidelity == "message":
+        users = kept + (m - ones) - gen.binomial(m - ones, q, size=trials)
+        flood = sample_poi(params.flood_mean * m / params.n_users, rng, size=trials)
     p = geo_success_prob(params.noise_epsilon)
-    out = np.empty(trials, dtype=np.int64)
-    for chunk, size in _batches(trials, 2 * n):
-        noise = sample_nb(1.0 / n, p, rng, size=(size, 2 * n), group=n)
-        out[chunk] = noise[:, 0] - noise[:, 1]
-    return out
+    noise = np.empty((trials, 2), dtype=np.int64)
+    for chunk, size in chunks:
+        noise[chunk] = sample_nb(1.0 / params.n_users, p, rng, size=(size, 2 * m), group=m)
+    plus, minus = kept + noise[:, 0], noise[:, 1]
+    if fidelity == "counts":
+        return plus - minus
+    padded = params.pad_count * users + flood
+    return padded + plus, padded + minus
 
 
 def signed_sums(ones, params: ProtocolParams, rng: RandomSource, fidelity: str, size=None):
-    """An instance's signed sum drawn without building messages.
+    """An instance's signed sum over all users, drawn without building messages.
 
-    ``ones - Binomial(ones, drop_prob)`` plus the noise difference: the
-    summed per-user shares at ``counts`` fidelity, one discrete Laplace draw
-    at ``law`` fidelity. Flooding cancels in the sum and is not drawn.
-    ``ones`` is a count or an array of counts of shape ``size``: a number of
-    trials, which only ``law`` fidelity may leave out for a single draw.
+    The :func:`_stages` of ``counts`` or ``law`` fidelity. ``ones`` is a
+    count or an array of counts of shape ``size``: a number of trials, which
+    only ``law`` fidelity may leave out for a single draw.
     """
     check_choice("fidelity", fidelity, ("counts", "law"))
     if size is not None or fidelity == "counts":
         check_count("size", size, 1)
     check_array("ones", np.atleast_1d(ones), 0, params.n_users)
-    kept = ones - rng.generator.binomial(ones, params.drop_prob, size=size)
-    if fidelity == "law":
-        return kept + sample_dlap(params.noise_epsilon, rng, size=size)
-    return kept + _noise_difference(params, rng, size)
+    return _stages(ones, params.n_users, params, rng, fidelity, size)
 
 
 def run_trials(inputs, instances, trials: int, rng: RandomSource, fidelity: str):
     """The trials engine: per-instance signed sums ``(trials, k)`` and message totals.
 
-    ``inputs`` is the fixed ``(n, k)`` matrix or the real sum's rounding
-    ``draw(rng, rows)``, which returns ``(rows, n, k)``. Trials come on
-    ``rng`` in chunks of ``CHUNK_ELEMENTS // (4 n)``; a single run is a
-    one-trial batch on the same stream. A ``message`` chunk draws its
-    inputs, then one :func:`pooled_run` of its trials; ``counts`` and
-    ``law`` sum the inputs (drawn ones chunk by chunk, a fixed matrix once),
-    then draw each instance's :func:`signed_sums`. The totals, ``(trials,)``,
-    are ``None`` below ``message`` fidelity.
+    ``inputs`` counts the users holding a one in each of the ``k`` instances:
+    a fixed ``(k,)`` vector of counts in ``[0, n]``, or the real sum's
+    rounding ``draw(rng, rows)``, which returns the ``(rows, k)`` per-bit sums
+    of ``rows`` trials. The rounding is drawn first, on ``rng`` in chunks of
+    ``CHUNK_ELEMENTS // (4 n)`` trials; then each instance's :func:`_stages`
+    run over all trials, in turn. A single run is a one-trial batch on the
+    same stream. The totals, ``(trials,)``, are ``None`` below ``message``
+    fidelity.
     """
     check_choice("fidelity", fidelity, FIDELITIES)
-    k = len(instances)
-    chunks = _batches(trials, 4 * instances[0].n_users)
-    fixed = not callable(inputs)
-    if fidelity == "message":
-        sums = np.empty((trials, k), dtype=np.int64)
-        totals = np.empty(trials, dtype=np.int64)
-        for chunk, size in chunks:
-            bits = inputs if fixed else inputs(rng, size)
-            counts = pooled_run(bits, instances, rng, size)[0]
-            sums[chunk] = counts[:, 1::2] - counts[:, 0::2]
-            totals[chunk] = counts.sum(axis=1)
-        return sums, totals
-    if fixed:
-        ones = inputs.sum(axis=0, dtype=np.int64)
-    else:
+    n, k = instances[0].n_users, len(instances)
+    chunks = _batches(trials, 4 * n)
+    if callable(inputs):
         ones = np.empty((trials, k), dtype=np.int64)
         for chunk, size in chunks:
-            ones[chunk] = inputs(rng, size).sum(axis=1, dtype=np.int64)
-    sums = [
-        signed_sums(ones[..., j], inst, rng, fidelity, size=trials)
-        for j, inst in enumerate(instances)
-    ]
-    return np.stack(sums, axis=-1), None
+            ones[chunk] = inputs(rng, size)
+    else:
+        ones = check_array("inputs", inputs, 0, n)
+        if ones.size != k:
+            raise ParameterError(f"got {ones.size} counts of ones for {k} instances")
+    out = np.array(
+        [_stages(ones[..., j], n, inst, rng, fidelity, trials) for j, inst in enumerate(instances)]
+    )  # (k, trials), or (k, 2, trials) of plus and minus totals at message fidelity
+    if fidelity != "message":
+        return out.T, None
+    plus, minus = out.transpose(1, 2, 0)
+    return plus - minus, (plus + minus).sum(axis=1)
 
 
 def shuffle(
@@ -406,18 +334,18 @@ def run_counting(
 ) -> CountingRun:
     """Run the full pipeline: randomize every user, pool, analyze.
 
-    This is the one-instance :func:`pooled_run`, drawn on ``rng``'s own
-    stream.
+    Every user's message counts are drawn by :func:`draw_counts` on ``rng``'s
+    own stream, and the view is their totals.
     """
     bits = check_array("xs", xs, 0, 1)
     if bits.size != params.n_users:
         raise ParameterError(f"got {bits.size} inputs for n_users={params.n_users}")
     require_feasible(params)
-    counts, per_user = pooled_run(bits[:, None], [params], rng)
-    view = View(int(counts[1]), int(counts[0]))
+    c = draw_counts(bits, params, rng)
+    view = View(int(c.plus_count.sum()), int(c.minus_count.sum()))
     return CountingRun(
         estimate=analyze(view),
-        messages_per_user=tuple(per_user.tolist()),
+        messages_per_user=tuple(c.message_count.tolist()),
         view=view,
     )
 
@@ -442,26 +370,20 @@ def simulate_views(
     trials: int,
     rng: RandomSource,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate the shuffler's view for many runs at counts fidelity.
+    """Simulate the shuffler's view for many runs.
 
-    Every user's drop and noise shares are drawn individually (the same
-    per-user laws as :func:`randomize`) and summed over users as they are
-    drawn, and each trial's flooding is one Poisson total with the law of the
-    per-user sum (:func:`_draw_totals`): ``2 n`` shares, about
-    ``drop_prob * n`` drop positions and one flooding total per trial, in
-    chunks of ``CHUNK_ELEMENTS // (2 n)`` trials. The multiset itself is
-    never materialized because the view is already a function of the counts.
+    The plus and minus message totals of the :func:`_stages` of ``message``
+    fidelity over all ``n`` users: the dropped ones and zeros, each trial's
+    flooding total, and ``2 n`` noise shares per trial summed as they are
+    drawn. The multiset itself is never materialized because the view is
+    already a function of the counts.
 
     Returns
     -------
     (v_plus, v_minus) : pair of int64 arrays of length ``trials``.
     """
-    bits = _count_bits(zeros, ones, params.n_users)
-    chunks = _batches(trials, 2 * bits.size)
-    v_plus, v_minus = np.empty((2, trials), dtype=np.int64)
-    for chunk, size in chunks:
-        v_plus[chunk], v_minus[chunk] = _draw_totals(bits, params, rng, size)
-    return v_plus, v_minus
+    n = params.n_users
+    return _stages(_ones(zeros, ones, n), n, params, rng, "message", trials)
 
 
 def estimate_trials(
@@ -474,25 +396,19 @@ def estimate_trials(
 ) -> np.ndarray:
     """Repeated protocol estimates for Monte Carlo measurement.
 
-    ``message`` fidelity draws every user's drop and noise shares for
-    batches of trials, as :func:`run_counting` does for one run, and each
-    trial's flooding as one Poisson total; flooding is drawn last and
-    cancels, so a single trial's estimate equals :func:`run_counting`'s on
-    the same stream. ``counts`` draws per-user noise shares without building
-    the multiset; ``law`` samples the closed-form estimate law. All three
-    produce the same estimate distribution.
+    The one-instance :func:`run_trials` of the dataset's count of ones.
+    ``message`` fidelity draws every message total, ``counts`` only the
+    dropped ones and noise shares that the signed sum needs, and ``law``
+    samples the closed-form estimate law. All three produce the same
+    estimate distribution.
     """
-    bits = _count_bits(zeros, ones, params.n_users)
-    return run_trials(bits[:, None], [params], trials, rng, fidelity)[0][:, 0]
+    ones = _ones(zeros, ones, params.n_users)
+    return run_trials([ones], [params], trials, rng, fidelity)[0][:, 0]
 
 
 def message_count_trials(
     x: int, params: ProtocolParams, trials: int, rng: RandomSource
 ) -> np.ndarray:
     """Total messages sent by a single user with input ``x``, over many runs."""
-    bits = np.array([check_count("x", x, 0, 1)], dtype=np.int64)
-    chunks = _batches(trials, 4)
-    out = np.empty(trials, dtype=np.int64)
-    for chunk, size in chunks:
-        out[chunk] = draw_counts(bits, params, rng, size).message_count[:, 0]
-    return out
+    plus, minus = _stages(check_count("x", x, 0, 1), 1, params, rng, "message", trials)
+    return plus + minus

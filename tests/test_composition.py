@@ -21,7 +21,7 @@ from shufflecount import (
 from shufflecount import protocol
 from shufflecount.composition import (
     BETA,
-    _real_bits,
+    _bit_sums,
     bit_weights,
     decode_bits,
     dump_tagged,
@@ -31,25 +31,20 @@ from shufflecount.composition import (
     real_sum_trials,
     tag_bits,
 )
-from shufflecount.protocol import Contribution, estimate_trials
+from shufflecount.protocol import estimate_trials
 
 
-def _padded_only(bits, params, rng, trials=None):
-    """``draw_counts`` with every input kept and no noise or flooding."""
-    shape = bits.shape if trials is None else (trials, bits.shape[-1])
-    pad = np.full(shape, params.pad_count)
-    return Contribution(pad + bits, pad, 0, 0, 0)
-
-
-def _padded_totals(bits, params, rng, trials):
-    """``_draw_totals`` with every input kept and no noise or flooding."""
-    minus = np.full(trials, params.pad_count * bits.shape[-1])
-    return minus + bits.sum(axis=-1, dtype=np.int64), minus
+def _padded_stages(ones, m, params, rng, fidelity, trials=None):
+    """``protocol._stages`` with every input kept and no noise or flooding."""
+    ones = np.broadcast_to(ones, (trials,))
+    if fidelity != "message":
+        return ones
+    padded = np.full(trials, params.pad_count * m)
+    return padded + ones, padded
 
 
 def _zero_noise(monkeypatch):
-    monkeypatch.setattr(protocol, "draw_counts", _padded_only)
-    monkeypatch.setattr(protocol, "_draw_totals", _padded_totals)
+    monkeypatch.setattr(protocol, "_stages", _padded_stages)
 
 
 class TestSplitBudget:
@@ -288,9 +283,8 @@ def test_bit_weights_are_place_values():
 
 
 def test_real_sum_chunk_holds_one_byte_per_bit():
-    # one chunk of message trials holds its rounding bits, one byte each,
-    # beside one instance's draws: six more bits may add at most two bytes
-    # per user-trial each
+    # one chunk of message trials counts its rounding bits one position at a
+    # time: six more bits may add at most two bytes per user-trial each
     n, trials = 256, 1024
     xs = np.random.default_rng(3).random(n)
     peaks = {}
@@ -329,7 +323,7 @@ def test_single_runs_are_trial_zero_on_the_same_stream(fidelity):
     (estimate,) = real_sum_trials(xs, 2.0, 0.5, 3, 1, RandomSource(5), fidelity)
     instances = real_sum_params(2.0, 0.5, 3, xs.size)
     sums, totals = protocol.run_trials(
-        _real_bits(xs, 3), instances, 1, RandomSource(5), fidelity
+        _bit_sums(xs, 3), instances, 1, RandomSource(5), fidelity
     )
     assert run.estimate == estimate
     assert run.bit_counts == tuple(sums[0])
@@ -339,13 +333,28 @@ def test_single_runs_are_trial_zero_on_the_same_stream(fidelity):
     buckets = np.random.default_rng(6).integers(0, 4, 40)
     hist = run_histogram(buckets, 4, 2.0, 0.5, RandomSource(7), fidelity)
     (counts,) = histogram_trials(buckets, 4, 2.0, 0.5, 1, RandomSource(7), fidelity)
-    bits = (buckets[:, None] == np.arange(4)).astype(np.int64)
     sums, totals = protocol.run_trials(
-        bits, [hist.instance] * 4, 1, RandomSource(7), fidelity
+        np.bincount(buckets, minlength=4), [hist.instance] * 4, 1, RandomSource(7), fidelity
     )
     assert hist.estimates == tuple(counts) == tuple(sums[0])
     assert hist.total_messages == (None if totals is None else totals[0])
     assert (hist.total_messages is None) == (fidelity != "message")
+
+
+@pytest.mark.parametrize("fidelity", ["message", "counts", "law"])
+def test_histogram_holds_no_per_user_indicator(fidelity):
+    # the buckets enter the engine as their counts: an (n, B) int64 indicator
+    # matrix would hold 41 MB at n = 20 000 and B = 256
+    xs = np.arange(20_000) % 256
+    histogram_trials(xs, 256, 1.0, 0.5, 4, RandomSource(1), fidelity)  # warm up
+    tracemalloc.start()
+    try:
+        ests = histogram_trials(xs, 256, 1.0, 0.5, 4, RandomSource(1), fidelity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ests.shape == (4, 256)
+    assert peak <= 2**20
 
 
 @pytest.mark.parametrize("fidelity", ["counts", "law"])

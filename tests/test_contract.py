@@ -279,9 +279,9 @@ ROWS = {
     ),
     "run_trials": Row(
         protocol.run_trials,
-        dict(inputs=np.array([[1], [0], [1]]), instances=[P3], trials=2, rng=rng(),
-             fidelity="message"),
-        dict(trials=Count(1), fidelity=FIDELITY),
+        dict(inputs=[2, 0], instances=[P3, P3], trials=2, rng=rng(), fidelity="message"),
+        # one count of ones per instance, each at most P3.n_users
+        dict(inputs=Array(0, 3), trials=Count(1), fidelity=FIDELITY),
     ),
     "estimate_trials": Row(
         protocol.estimate_trials,

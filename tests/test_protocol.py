@@ -39,7 +39,6 @@ from shufflecount.protocol import (
     encode_wire,
     estimate_trials,
     message_count_trials,
-    pooled_run,
     run_trials,
     signed_sums,
     simulate_views,
@@ -47,8 +46,8 @@ from shufflecount.protocol import (
 
 REFERENCE = minimal_params(1.0, 0.5, 0.01, 100)
 #: SHA-256 of the seeded draws of test_stream_layout_pins_the_seeded_draws at
-#: protocol.STREAM_LAYOUT 2
-STREAM_DIGEST = "111c8f26f148dbe2688a657f7af44274e70ef7b84b61bc7fc4b49c3c9d247b09"
+#: protocol.STREAM_LAYOUT 3
+STREAM_DIGEST = "34b15d4c10493f3073d23d0cdee0ef22bfdcbcafaddfadd3bd2f783d39a5d0eb"
 
 
 def _loose_params(q=0.2, n=4):
@@ -270,10 +269,9 @@ class TestSimulateViews:
         assert abs(diff.mean() - keep) <= 3.0 * se_d
 
     def test_memory_is_that_of_the_noise_draw(self):
-        # the noise shares take 16 bytes per user and trial, the scattered
-        # summands about 10 here and the drops' placement 9 (at q = 0.1,
-        # Generator.choice holds an int64 per cell); holding per-user input
-        # or total arrays as well would add 16 or more
+        # the noise shares take 16 bytes per user and trial and the scattered
+        # summands about 10 here, and the drops are one count per trial;
+        # holding per-user input or total arrays as well would add 16 or more
         params = minimal_params(1.0, 0.5, 0.1, 3)
         trials = 100_000
         tracemalloc.start()
@@ -346,27 +344,28 @@ class TestEngine:
                 self.calls.append(name)
                 return getattr(self.gen, name)
 
+        # at q = 0 draw_counts places no drop: the binomial is its only
+        # draw before the noise shares and the flooding
         params = _loose_params(q=0.0, n=6)
         rng, twin = RandomSource(69), RandomSource(69)
         rng._generator = Recorder(rng.generator)
-        dropped = next(protocol._draws(6, params, rng, (3,)))
+        c = draw_counts(np.zeros(6, dtype=np.int64), params, rng, 3)
         twin.generator.binomial(18, 0.0)
-        assert dropped.size == 0
-        assert rng.generator.calls == ["binomial"]
+        sample_nb(1.0 / 6, geo_success_prob(params.noise_epsilon), twin, size=(3, 12))
+        twin.generator.poisson(params.flood_mean / 6, (3, 6))
+        assert np.all(c.input_minus == params.pad_count)
+        assert rng.generator.calls[0] == "binomial"
+        assert "choice" not in rng.generator.calls
         assert rng.generator.gen.bit_generator.state == twin.generator.bit_generator.state
 
     def test_run_counting_is_the_one_instance_pooled_run(self):
+        # the view of a counting run is the pool of draw_counts on its stream
         xs = [1] * 30 + [0] * 70
         run = run_counting(xs, REFERENCE, RandomSource(62))
-        counts, per_user = pooled_run(
-            np.array(xs)[:, None], [REFERENCE], RandomSource(62)
-        )
-        assert run.estimate == counts[1] - counts[0]
-        assert run.view == View(counts[1], counts[0])
-        assert run.messages_per_user == tuple(per_user)
-        # a single message trial is the same run on the same stream
-        trial = estimate_trials(70, 30, REFERENCE, 1, RandomSource(63), "message")
-        assert trial[0] == run_counting(xs, REFERENCE, RandomSource(63)).estimate
+        c = draw_counts(np.array(xs), REFERENCE, RandomSource(62))
+        assert run.view == View(c.plus_count.sum(), c.minus_count.sum())
+        assert run.estimate == analyze(run.view)
+        assert run.messages_per_user == tuple(c.message_count)
 
     def test_pooled_shuffle_holds_one_byte_per_message(self):
         params = derive_params(1.0, 0.5, 100)
@@ -434,8 +433,8 @@ class TestEngine:
 
     def test_message_chunk_holds_no_per_user_draw(self):
         # one message chunk at n = 1024 and q = 0.01, in bytes per user and
-        # trial: the drops are about 1 % of the cells, one int64 each, and
-        # every other draw is summed over users as it is made
+        # trial: the drops and the flooding are one count per trial, and the
+        # noise shares are summed over users as they are drawn
         n = 1024
         trials = CHUNK_ELEMENTS // (4 * n)
         params = minimal_params(1.0, 0.5, 0.01, n)
@@ -450,62 +449,61 @@ class TestEngine:
 
 
 class TestDealtShuffle:
-    """A pooled run draws nothing after the randomizer; :func:`shuffle` is uniform."""
+    """A batch draws nothing after the instances' stages; :func:`shuffle` is uniform."""
 
     @pytest.mark.parametrize("k", [1, 64])
     def test_pooled_run_draws_only_the_randomizer(self, k):
+        # a one-trial message batch is each instance's stages in turn, and
+        # nothing after: no shuffle of the pool
         params = _loose_params(q=0.2, n=6)
-        bits = np.random.default_rng(75).integers(0, 2, (params.n_users, k))
+        ones = np.random.default_rng(75).integers(0, 7, k)
         rng, twin = RandomSource(76), RandomSource(76)
-        counts, per_user = pooled_run(bits, [params] * k, rng)
-        draws = [draw_counts(bits[:, j], params, twin) for j in range(k)]
+        sums, totals = run_trials(ones, [params] * k, 1, rng, "message")
+        plus, minus = np.array(
+            [protocol._stages(ones[j], 6, params, twin, "message", 1) for j in range(k)]
+        ).transpose(1, 2, 0)
         assert rng.generator.bit_generator.state == twin.generator.bit_generator.state
-        sums = [[c.minus_count.sum(), c.plus_count.sum()] for c in draws]
-        assert np.array_equal(counts, np.ravel(sums))
-        assert np.array_equal(per_user, sum(c.message_count for c in draws))
+        assert np.array_equal(sums, plus - minus)
+        assert np.array_equal(totals, (plus + minus).sum(axis=1))
 
     @pytest.mark.parametrize("rounded", [False, True], ids=["fixed", "rounded"])
     @pytest.mark.parametrize("k", [1, 64])
     def test_batched_runs_sum_the_per_user_draws(self, monkeypatch, k, rounded):
-        # chunks of three trials (6 users): seven trials end in a partial
-        # chunk; inputs are a fixed int64 matrix or uint8 bits drawn per chunk.
-        # The twin draws each instance's drops as one Binomial total over the
-        # chunk's users and trials placed uniformly, its noise shares per
-        # user, then its flooding as one Poisson(flood_mean * m / n) per trial
+        # 6 users: the rounding comes in chunks of three trials and the noise
+        # shares in chunks of six, so seven trials end in partial chunks of
+        # both; inputs are a fixed vector of ones or per-bit sums drawn per
+        # chunk. The twin draws the rounding, then per instance the dropped
+        # ones and zeros and the flooding total of all seven trials, then the
+        # noise shares per user, and sums them
         monkeypatch.setattr(protocol, "CHUNK_ELEMENTS", 72)
         instances = [_loose_params(q=0.1 + 0.2 * (j % 3), n=6) for j in range(k)]
-        fixed = np.random.default_rng(77).integers(0, 2, (6, k))
+        fixed = np.random.default_rng(77).integers(0, 7, k)
 
         def rounding(rng, rows):
-            return (rng.generator.random((rows, 6, k)) < 0.3).astype(np.uint8)
+            return (rng.generator.random((rows, 6, k)) < 0.3).sum(axis=1)
 
         inputs = rounding if rounded else fixed
         rng, twin = RandomSource(78), RandomSource(78)
         sums, totals = run_trials(inputs, instances, 7, rng, "message")
-        ref_sums, ref_totals = [], []
-        for _, size in protocol._batches(7, 4 * 6):
-            bits = inputs(twin, size) if rounded else fixed
-            plus, minus = np.empty((2, size, k), dtype=np.int64)
-            m = bits.shape[-2]
-            for j, inst in enumerate(instances):
-                keep = np.ones(size * m, dtype=bool)
-                dropped = twin.generator.binomial(size * m, inst.drop_prob)
-                if dropped:
-                    cells = twin.generator.choice(size * m, dropped, replace=False, shuffle=False)
-                    keep[cells] = False
-                keep = keep.reshape(size, m)
-                p = geo_success_prob(inst.noise_epsilon)
-                noise = sample_nb(1.0 / inst.n_users, p, twin, size=(size, 2 * m))
-                flood = twin.generator.poisson(inst.flood_mean * m / inst.n_users, size)
-                blocks = np.where(keep, inst.pad_count, 0)
-                ones = np.where(keep, bits[..., j], 0)
-                plus[:, j] = (blocks + ones + noise[:, :m]).sum(axis=1) + flood
-                minus[:, j] = (blocks + noise[:, m:]).sum(axis=1) + flood
-            ref_sums.append(plus - minus)
-            ref_totals.append((plus + minus).sum(axis=1))
-        assert rng.generator.bit_generator.state == twin.generator.bit_generator.state
-        assert np.array_equal(sums, np.concatenate(ref_sums))
-        assert np.array_equal(totals, np.concatenate(ref_totals))
+        gen = twin.generator
+        if rounded:
+            ones = np.concatenate([rounding(twin, rows) for rows in (3, 3, 1)])
+        else:
+            ones = np.broadcast_to(fixed, (7, k))
+        plus, minus = np.empty((2, 7, k), dtype=np.int64)
+        for j, inst in enumerate(instances):
+            kept = ones[:, j] - gen.binomial(ones[:, j], inst.drop_prob)
+            users = kept + 6 - ones[:, j] - gen.binomial(6 - ones[:, j], inst.drop_prob)
+            flood = gen.poisson(inst.flood_mean, 7)
+            p = geo_success_prob(inst.noise_epsilon)
+            noise = np.concatenate(
+                [sample_nb(1.0 / 6, p, twin, size=(rows, 12)) for rows in (6, 1)]
+            )
+            plus[:, j] = inst.pad_count * users + kept + noise[:, :6].sum(axis=1) + flood
+            minus[:, j] = inst.pad_count * users + noise[:, 6:].sum(axis=1) + flood
+        assert rng.generator.bit_generator.state == gen.bit_generator.state
+        assert np.array_equal(sums, plus - minus)
+        assert np.array_equal(totals, (plus + minus).sum(axis=1))
 
     def test_batched_totals_match_the_per_user_moments(self):
         # the per-trial flooding total has the law of the per-user sum: the
@@ -513,7 +511,7 @@ class TestDealtShuffle:
         params = _loose_params(q=0.2, n=6)
         bits = np.array([1, 0, 1, 1, 0, 0])
         trials = 20_000
-        _, batched = run_trials(bits[:, None], [params], trials, RandomSource(79), "message")
+        _, batched = run_trials([3], [params], trials, RandomSource(79), "message")
         per_user = draw_counts(bits, params, RandomSource(80), trials).message_count
         a, b = batched.astype(np.float64), per_user.sum(axis=1).astype(np.float64)
         se = math.sqrt(a.var(ddof=1) / trials + b.var(ddof=1) / trials)
@@ -523,20 +521,25 @@ class TestDealtShuffle:
         assert abs(da.mean() - db.mean()) <= 3.0 * se
 
     def test_stream_layout_pins_the_seeded_draws(self):
-        # a message batch of two instances over two chunks, a counts batch and
-        # a single run; a change that moves any seeded draw changes the digest,
-        # and must bump protocol.STREAM_LAYOUT with it
+        # a message batch of two instances over two chunks of noise shares, a
+        # counts batch, a single run, a view simulation and a batch of one
+        # user's message counts; a change that moves any seeded draw changes
+        # the digest, and must bump protocol.STREAM_LAYOUT with it
         n = 512
         params = minimal_params(1.0, 0.5, 0.01, n)
-        bits = (np.arange(n)[:, None] % [2, 3] == 0).astype(np.int64)
-        rows = CHUNK_ELEMENTS // (4 * n)
-        sums, totals = run_trials(bits, [params] * 2, rows + 3, RandomSource(90), "message")
-        counts, _ = run_trials(bits, [params] * 2, 5, RandomSource(91), "counts")
-        run = run_counting(bits[:, 0], params, RandomSource(92))
+        ones = [256, 171]  # users i with i % 2 == 0 and with i % 3 == 0
+        rows = CHUNK_ELEMENTS // (2 * n)
+        sums, totals = run_trials(ones, [params] * 2, rows + 3, RandomSource(90), "message")
+        counts, _ = run_trials(ones, [params] * 2, 5, RandomSource(91), "counts")
+        run = run_counting(np.arange(n) % 2 ^ 1, params, RandomSource(92))
+        views = simulate_views(n - 171, 171, params, 7, RandomSource(93))
+        messages = message_count_trials(1, params, 9, RandomSource(94))
         digest = hashlib.sha256()
-        for values in (sums, totals, counts, [run.estimate, *run.messages_per_user]):
+        for values in (
+            sums, totals, counts, [run.estimate, *run.messages_per_user], *views, messages
+        ):
             digest.update(np.asarray(values, dtype=np.int64).tobytes())
-        assert (protocol.STREAM_LAYOUT, digest.hexdigest()) == (2, STREAM_DIGEST)
+        assert (protocol.STREAM_LAYOUT, digest.hexdigest()) == (3, STREAM_DIGEST)
 
     def test_position_and_run_statistics_match_a_full_shuffle(self):
         plus, minus, draws, bins = 15_000, 5_000, 400, 10
@@ -567,15 +570,15 @@ class TestDealtShuffle:
         pools = []
         for n in (100, 1500):
             params = derive_params(1.0, 0.5, n)
-            bits = (np.arange(n) < n // 2).astype(np.int64)[:, None]
+            bits = (np.arange(n) < n // 2).astype(np.int64)
             tracemalloc.start()
             try:
-                counts, _ = pooled_run(bits, [params], RandomSource(74))
+                run = run_counting(bits, params, RandomSource(74))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= 2**21, n
-            pools.append(int(counts.sum()))
+            pools.append(run.view.plus_count + run.view.minus_count)
         assert pools[0] > 2_000_000
         assert pools[1] >= 4 * pools[0]
 
@@ -595,6 +598,12 @@ class TestValidation:
                 estimate_trials(-5, 35, params, 10, RandomSource(0), fidelity)
             with pytest.raises(ParameterError):
                 simulate_views(-5, 35, params, 10, RandomSource(0))
+
+    def test_run_trials_takes_one_count_of_ones_per_instance(self):
+        params = minimal_params(1.0, 0.5, 0.1, 3)
+        for ones, k in (([1, 2], 1), ([1], 2)):
+            with pytest.raises(ParameterError):
+                run_trials(ones, [params] * k, 2, RandomSource(0), "counts")
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_batches_reject_fewer_than_one_trial(self, trials):

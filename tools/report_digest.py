@@ -14,9 +14,10 @@ way the benchmark passes its inputs), ``audit mse`` at every fidelity across
 several trial chunks, ``audit comm`` and ``bench``, each at seeds 1, 7 and
 9001; ``params`` in derive and check mode, ``audit lemmas`` and
 ``audit divergence`` on the reference set (``--n 3`` and ``--n 20``, and
-the failing ``--q 0`` control); both audits of every vetted mc-trials
-case of the benchmark (``perfbench/workloads.py``); and usage errors, help
-and ``--version``.
+the failing ``--q 0`` control); ``run histogram --buckets 256 --uniform
+100000`` at every fidelity and seed 1, a run at scale; both audits of every
+vetted mc-trials case of the benchmark (``perfbench/workloads.py``); and
+usage errors, help and ``--version``.
 Each line is ``<sha256>  <exit code>  <argv>``; the hash covers the exit
 code, stdout and stderr. Input files are written with fixed contents to a
 temporary directory, which the argv column shows as ``<tmp>``.
@@ -57,6 +58,11 @@ def seeded_calls(seed: int) -> list[list[str]]:
         ["bench", "--n-list", "100,1000,10000", "--trials", "2000", *s],
     ]
     return calls
+
+
+def scale_calls() -> list[list[str]]:
+    hist = ["run", "histogram", "--buckets", "256", "--uniform", "100000", "--seed", "1"]
+    return [[*hist, "--fidelity", fidelity] for fidelity in FIDELITIES]
 
 
 def unseeded_calls() -> list[list[str]]:
@@ -129,7 +135,7 @@ def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         calls = [argv for seed in SEEDS for argv in seeded_calls(seed)]
         calls += input_file_calls(Path(tmp))
-        calls += unseeded_calls() + mc_case_calls() + usage_calls()
+        calls += scale_calls() + unseeded_calls() + mc_case_calls() + usage_calls()
         for argv in calls:
             sha, code = digest(argv)
             print(f"{sha}  {code}  {' '.join(argv).replace(tmp, '<tmp>')}", flush=True)
