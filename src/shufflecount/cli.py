@@ -202,15 +202,16 @@ def _cmd_params(args) -> int:
     return EXIT_PASS
 
 
-def _count_inputs(args) -> list[int]:
+def _count_inputs(args) -> np.ndarray:
+    """The bits of a counting run: ``--ones`` ones, then ``--zeros`` zeros, or a file's."""
     if args.input_file:
-        return _read_values(args.input_file, int)  # run_counting checks the bits
+        return np.asarray(_read_values(args.input_file, int))  # run_counting checks the bits
     if args.ones is None:
         raise ParameterError("pass --ones/--zeros or --input-file")
     zeros = args.zeros if args.zeros is not None else 0
     if args.ones < 0 or zeros < 0:
         raise ParameterError("--ones and --zeros must be non-negative")
-    return [1] * args.ones + [0] * zeros
+    return np.repeat(np.array([1, 0], dtype=np.uint8), [args.ones, zeros])
 
 
 def _cmd_run_count(args) -> int:
@@ -218,8 +219,8 @@ def _cmd_run_count(args) -> int:
     xs = _count_inputs(args)
     params = derive_params(args.eps, args.rho, len(xs))
     run = run_counting(xs, params, RandomSource(seed))
-    per_user = np.asarray(run.messages_per_user)
-    true_value = int(sum(xs))
+    per_user = run.messages_per_user
+    true_value = int(np.sum(xs))
     report = {
         "subcommand": "run count",
         "seed": seed,
@@ -240,7 +241,7 @@ def _cmd_run_count(args) -> int:
     if args.format == "csv":  # one row per user, read by the CSV report only
         rows = [
             {"user": i, "input": x, "messages": m}
-            for i, (x, m) in enumerate(zip(xs, run.messages_per_user))
+            for i, (x, m) in enumerate(zip(xs.tolist(), per_user.tolist()))
         ]
     _emit(args, report, rows)
     return EXIT_PASS

@@ -27,9 +27,7 @@ import numpy as np
 from .dist import RandomSource
 from .errors import (
     DegenerateInputError,
-    ParameterError,
     check_array,
-    check_choice,
     check_count,
     check_real,
 )
@@ -47,18 +45,6 @@ from .protocol import run_trials
 BETA = 2.0 ** (-2.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class TaggedMessage:
-    """A single pooled message: instance index plus sign bit."""
-
-    tag: int
-    sign: int
-
-    def __post_init__(self):
-        check_count("tag", self.tag)
-        check_choice("sign", self.sign, (1, -1))
-
-
 def tag_bits(num_instances: int) -> int:
     """Fixed-width binary tag size for ``num_instances`` pooled instances."""
     return (check_count("num_instances", num_instances, 1) - 1).bit_length()
@@ -67,18 +53,6 @@ def tag_bits(num_instances: int) -> int:
 def message_bits(num_instances: int) -> int:
     """Wire size of one pooled message: tag bits plus the sign bit."""
     return tag_bits(num_instances) + 1
-
-
-def dump_tagged(tags: np.ndarray, signs: np.ndarray) -> str:
-    """Textual harness dump: one ``tag,sign`` line per message."""
-    tags, signs = np.asarray(tags), np.asarray(signs)
-    if tags.shape != signs.shape:
-        raise ParameterError(
-            f"tags {tags.shape} and signs {signs.shape} must have one entry per message"
-        )
-    messages = [TaggedMessage(t, s) for t, s in zip(tags.tolist(), signs.tolist())]
-    lines = [f"{m.tag},{m.sign:+d}" for m in messages]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def split_budget(epsilon: float, k: int) -> np.ndarray:

@@ -104,10 +104,15 @@ class View:
 
 @dataclass(frozen=True)
 class CountingRun:
-    """Result of one end-to-end protocol execution."""
+    """Result of one end-to-end protocol execution.
+
+    ``messages_per_user`` is the int64 array, shape ``(n,)``, of every user's
+    message count in input order, as :func:`draw_counts` draws it. Compare
+    runs field by field: ``==`` on two runs raises on the array.
+    """
 
     estimate: int
-    messages_per_user: tuple[int, ...]
+    messages_per_user: np.ndarray
     view: View
 
 
@@ -314,40 +319,24 @@ def analyze(view: View) -> int:
     return view.plus_count - view.minus_count
 
 
-def encode_wire(messages: np.ndarray) -> np.ndarray:
-    """Wire format: one bit per message, 1 for +1 and 0 for -1."""
-    messages = np.asarray(messages)
-    view_of(messages)  # rejects anything but +1/-1
-    return (messages > 0).astype(np.uint8)
-
-
-def decode_wire(bits: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`encode_wire`."""
-    bits = np.asarray(bits)
-    if not ((bits == 0) | (bits == 1)).all():
-        raise ParameterError("wire bits must be 0 or 1")
-    return (2 * bits.astype(np.int8)) - 1
-
-
 def run_counting(
     xs: Sequence[int], params: ProtocolParams, rng: RandomSource
 ) -> CountingRun:
     """Run the full pipeline: randomize every user, pool, analyze.
 
     Every user's message counts are drawn by :func:`draw_counts` on ``rng``'s
-    own stream, and the view is their totals.
+    own stream. The view is their totals, and ``messages_per_user`` each
+    user's plus and minus counts added in place.
     """
     bits = check_array("xs", xs, 0, 1)
     if bits.size != params.n_users:
         raise ParameterError(f"got {bits.size} inputs for n_users={params.n_users}")
     require_feasible(params)
     c = draw_counts(bits, params, rng)
-    view = View(int(c.plus_count.sum()), int(c.minus_count.sum()))
-    return CountingRun(
-        estimate=analyze(view),
-        messages_per_user=tuple(c.message_count.tolist()),
-        view=view,
-    )
+    plus, minus = c.plus_count, c.minus_count
+    view = View(int(plus.sum()), int(minus.sum()))
+    plus += minus  # each user's message count, with no third (n,) array
+    return CountingRun(estimate=analyze(view), messages_per_user=plus, view=view)
 
 
 def sample_estimate(

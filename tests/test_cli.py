@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,22 @@ class TestRunCount:
         )
         messages = [int(line.split(",")[2]) for line in lines[1:]]
         assert sum(messages) == json.loads(out)["messages_per_user"]["total"]
+
+    def test_per_user_path_stays_in_arrays(self, capsys):
+        # a uint8 array of inputs and an int64 array of per-user counts: a
+        # list of Python ints for the inputs and a tuple of them for the
+        # counts would trace about 105 bytes per user
+        users = 1_000_000
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(
+                capsys, "run", "count", "--ones", "500000", "--zeros", "500000", "--seed", "1",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 72 * users
 
 
 class TestRunRealsum:

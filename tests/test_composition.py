@@ -10,7 +10,6 @@ from shufflecount import (
     DegenerateInputError,
     ParameterError,
     RandomSource,
-    TaggedMessage,
     derive_params,
     dlap_variance,
     encode_real,
@@ -24,7 +23,6 @@ from shufflecount.composition import (
     _bit_sums,
     bit_weights,
     decode_bits,
-    dump_tagged,
     histogram_trials,
     message_bits,
     real_sum_params,
@@ -118,29 +116,6 @@ class TestTagging:
         assert tag_bits(8) == 3
         assert message_bits(10) == 5
         assert tag_bits(2**53 + 1) == 54  # log2 rounds 2**53 + 1 down to 2**53
-
-    def test_tagged_message_validation(self):
-        TaggedMessage(3, 1)
-        with pytest.raises(ParameterError):
-            TaggedMessage(0, 0)
-        with pytest.raises(ParameterError):
-            TaggedMessage(-1, 1)
-
-    def test_dump_format(self):
-        text = dump_tagged(np.array([0, 2, 1]), np.array([1, -1, 1]))
-        assert text == "0,+1\n2,-1\n1,+1\n"
-        assert dump_tagged(np.array([]), np.array([])) == ""
-
-    @pytest.mark.parametrize(
-        "tags,signs",
-        [
-            ([0, 1], [1]), ([0], [1, -1]), ([0], [5]), ([0], [0]), ([-1], [1]),
-            ([1.7, 2.2], [1.0, -1.0]), ([0], [0.5]),
-        ],
-    )
-    def test_dump_rejects_malformed_messages(self, tags, signs):
-        with pytest.raises(ParameterError):
-            dump_tagged(np.array(tags), np.array(signs))
 
     def test_per_tag_counts_are_permutation_invariant(self):
         gen = np.random.default_rng(9)

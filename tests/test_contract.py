@@ -147,9 +147,6 @@ ROWS = {
     "RandomSource": Row(
         sc.RandomSource, dict(seed=0, stream=(1, 2)), dict(seed=Count(), stream=Count())
     ),
-    "TaggedMessage": Row(
-        sc.TaggedMessage, dict(tag=3, sign=-1), dict(tag=Count(), sign=Choice((1, -1)))
-    ),
     "analyze": Row(sc.analyze, dict(view=sc.View(5, 3))),
     "check_condition": Row(sc.check_condition, dict(params=P3)),
     "check_geo_ratio": Row(

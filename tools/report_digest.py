@@ -15,9 +15,10 @@ several trial chunks, ``audit comm`` and ``bench``, each at seeds 1, 7 and
 9001; ``params`` in derive and check mode, ``audit lemmas`` and
 ``audit divergence`` on the reference set (``--n 3`` and ``--n 20``, and
 the failing ``--q 0`` control); ``run histogram --buckets 256 --uniform
-100000`` at every fidelity and seed 1, a run at scale; both audits of every
-vetted mc-trials case of the benchmark (``perfbench/workloads.py``); and
-usage errors, help and ``--version``.
+100000`` at every fidelity and ``run count`` over 10**6 users, at seed 1,
+runs at scale; both audits of every vetted mc-trials case of the benchmark
+(``perfbench/workloads.py``); and usage errors (an empty input file and
+negative counts among them), help and ``--version``.
 Each line is ``<sha256>  <exit code>  <argv>``; the hash covers the exit
 code, stdout and stderr. Input files are written with fixed contents to a
 temporary directory, which the argv column shows as ``<tmp>``.
@@ -62,7 +63,8 @@ def seeded_calls(seed: int) -> list[list[str]]:
 
 def scale_calls() -> list[list[str]]:
     hist = ["run", "histogram", "--buckets", "256", "--uniform", "100000", "--seed", "1"]
-    return [[*hist, "--fidelity", fidelity] for fidelity in FIDELITIES]
+    count = ["run", "count", "--ones", "500000", "--zeros", "500000", "--seed", "1"]
+    return [[*hist, "--fidelity", fidelity] for fidelity in FIDELITIES] + [count]
 
 
 def unseeded_calls() -> list[list[str]]:
@@ -84,10 +86,12 @@ def unseeded_calls() -> list[list[str]]:
 
 def input_file_calls(tmp: Path) -> list[list[str]]:
     bits, reals, buckets = tmp / "count_bits.txt", tmp / "reals.txt", tmp / "buckets.txt"
+    empty = tmp / "empty.txt"
     bits.write_text("".join(f"{i * 7 % 10 // 5}\n" for i in range(500)))
     reals.write_text("".join(f"{i * 37 % 101 / 100!r}\n" for i in range(20)))
     buckets.write_text("".join(f"{i * 7 % 3 % 2}\n" for i in range(20)))
-    calls = []
+    empty.write_text("")
+    calls = [["run", "count", "--input-file", str(empty), "--seed", "1"]]
     for seed in SEEDS:
         s = ["--rho", "0.5", "--seed", str(seed)]
         calls += [
@@ -106,6 +110,7 @@ def usage_calls() -> list[list[str]]:
         ["run", "count", "-h"],
         ["params", "--eps", "1", "--frobnicate"],
         ["run", "count", "--ones", "x", "--seed", "1"],
+        ["run", "count", "--ones", "-2", "--zeros", "5", "--seed", "1"],
         ["run", "realsum", "--fidelity", "exact", "--seed", "1"],
         ["run", "count", "--ones", "3", "extra"],
         ["params", "--eps", "1", "--rho", "0.6", "--n", "100"],
