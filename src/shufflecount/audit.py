@@ -85,30 +85,38 @@ class DatasetSummary:
 
 
 def _binom_logpmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln, xlogy
+    """Binomial log-PMF at ``k`` in ``[0, n]``, with ``0 log 0 = 0``.
 
+    So ``p = 0`` gives ``-inf`` at every ``k > 0`` (and ``p = 1`` at every
+    ``k < n``) without a floating-point warning.
+    """
     k = np.asarray(k)
-    return (
-        gammaln(n + 1)
-        - gammaln(k + 1)
-        - gammaln(n - k + 1)
-        + xlogy(k, p)
-        + xlogy(n - k, 1.0 - p)
-    )
+    log_fact = np.array([math.lgamma(c + 1.0) for c in range(n + 1)])
+    out = log_fact[n] - log_fact[k] - log_fact[n - k]
+    for count, prob in ((k, p), (n - k, 1.0 - p)):
+        if prob > 0.0:
+            out = out + count * math.log(prob)
+        else:
+            out = np.where(count > 0, NEG_INF, out)
+    return out
 
 
 def _zero_mixture(zeros: int, params: ProtocolParams, t_max: int) -> np.ndarray:
     """The mixture over ``a0`` of ``zeros`` users, as a 1-D log profile of ``t``.
 
     ``h[t] = log sum_a0 Bin(a0) e^{2 eta a0 pad} C[t - a0 pad]`` on
-    ``[0, t_max]``, with ``C[t] = log sum_{w <= t} e^{2 eta w} Poi(w)`` the
-    running flood sum: the view law at ``a1 = 0`` up to ``2 log p -
-    eta (i + j)``. The terms of ``a1 > 0`` are shifts of it.
+    ``[0, t_max]``, with ``C[t] = log sum_{w <= t} e^{2 eta w} Poi(w; lam)``
+    the running flood sum: the view law at ``a1 = 0`` up to ``2 log p -
+    eta (i + j)``. The terms of ``a1 > 0`` are shifts of it. The tilt
+    ``e^{2 eta w}`` turns ``Poi(lam)`` into ``Poi(mu)`` with ``mu = lam
+    e^{2 eta}``, so ``C[t] = lam (e^{2 eta} - 1) + log P(Poi(mu) <= t)``.
     """
     eta = params.noise_epsilon
     pad = params.pad_count
-    w = np.arange(t_max + 1)
-    flood = np.logaddexp.accumulate(poi_logpmf(params.flood_mean, w) + 2.0 * eta * w)
+    lam = params.flood_mean
+    flood = np.logaddexp.accumulate(
+        poi_logpmf(lam * math.exp(2.0 * eta), range(t_max + 1))
+    ) + lam * math.expm1(2.0 * eta)
     h = np.full(t_max + 1, NEG_INF)
     keep = 1.0 - params.drop_prob
     for a0, lw in enumerate(_binom_logpmf(zeros, keep, np.arange(zeros + 1))):
@@ -131,7 +139,7 @@ def _one_user_terms(
     With input 0 a participating user sends one plus-message fewer, so
     ``h_n = logaddexp(g0, g1[1:] - eta)``: Pascal's rule ``Bin(n, a) =
     q Bin(n - 1, a) + (1 - q) Bin(n - 1, a - 1)`` on the mixture. ``log q``
-    comes from the same ``xlogy`` as in :func:`_zero_mixture`, so ``q = 0``
+    comes from :func:`_binom_logpmf`, as in :func:`_zero_mixture`, so ``q = 0``
     gives ``-inf`` without a warning.
     """
     eta = params.noise_epsilon
@@ -268,18 +276,37 @@ TOLERANCE = (0.0, math.inf, "[)")
 def _grid_bounds(
     params: ProtocolParams, n_users: int, tail: float
 ) -> tuple[int, int]:
-    from scipy.special import pdtr, pdtrik
-
     p = geo_success_prob(params.noise_epsilon)
-    # the Poisson (1 - tail)-quantile by scipy.stats.poisson.ppf's own recipe
-    flood_q = math.ceil(pdtrik(1.0 - tail, params.flood_mean))
-    if flood_q >= 1 and pdtr(flood_q - 1, params.flood_mean) >= 1.0 - tail:
-        flood_q -= 1
-    flood_q += 2
+    # the smallest k with P(Poi(lam) > k) <= 1 - (1 - tail), the tail that a
+    # CDF test against 1 - tail applies; scipy.stats.poisson.ppf makes that
+    # test but lands one short where the CDF rounds near 1 (large means,
+    # tiny tails)
+    flood_q = _poi_upper_quantile(params.flood_mean, 1.0 - (1.0 - tail)) + 2
     noise_q = int(math.log(tail) / math.log1p(-p)) + 2
     i_max = n_users * (params.pad_count + 1) + flood_q + noise_q
     j_max = n_users * params.pad_count + flood_q + noise_q
     return i_max, j_max
+
+
+def _poi_upper_quantile(mean: float, tail: float) -> int:
+    """The smallest ``k`` with ``P(Poi(mean) > k) <= tail``, for ``0 < tail < 1``.
+
+    The upper tails are summed from the top of a window whose last log-PMF
+    is below ``-L``, ``L = 40 + log(1 + mean) - log(tail)``: with ``r =
+    L/3 + sqrt(L^2/9 + 2 L mean)`` past the mean, Bennett's bound
+    ``bd0(mean + r, mean) >= r^2 / (2 (mean + r/3))`` puts the mass beyond
+    the window below ``e^-40 tail``. Below ``tail = 1/2`` the quantile is
+    at least the median, so at least ``mean - log 2`` (K. P. Choi, 1994),
+    and the window starts just under the mean.
+    """
+    big = 40.0 + math.log1p(mean) - math.log(tail)
+    top = math.ceil(mean + big / 3.0 + math.sqrt(big * big / 9.0 + 2.0 * big * mean))
+    low = max(0, math.floor(mean) - 1) if tail < 0.5 else 0
+    # sf[i] = P(Poi(mean) > top - 1 - i) / tail, up to the mass beyond top;
+    # every term is at most 1 / tail, so none overflows
+    log_pmf = poi_logpmf(mean, range(low, top + 1))[::-1]
+    sf = np.cumsum(np.exp(log_pmf - math.log(tail)))
+    return top - int(np.searchsorted(sf, 1.0, side="right"))
 
 
 def divergence_audit(
@@ -332,11 +359,16 @@ def divergence_audit(
     tail = (1.0 - coverage) / 8.0
     if 1.0 - tail == 1.0:
         raise AuditInconclusiveError(f"coverage {coverage} beyond floating point")
-    i_max, j_max = _grid_bounds(params, n_users, tail)
-    if max(i_max, j_max) > grid_cap:
+    # the flood quantile is at least its mean (tail < 1/2), so a mean past the
+    # cap settles the audit before a quantile search of O(sqrt(mean)) entries
+    if (
+        n_users * (params.pad_count + 1) + params.flood_mean > grid_cap
+        or max(grid := _grid_bounds(params, n_users, tail)) > grid_cap
+    ):
         raise AuditInconclusiveError(
             f"coverage {coverage} not reachable within grid cap {grid_cap}"
         )
+    i_max, j_max = grid
     eta = params.noise_epsilon
     t_max = min(i_max, j_max)
     # x's one-input user beside the other n - 1 users' mixture; g1[u + 1] is

@@ -1,8 +1,11 @@
 """Log-space PMFs and seeded samplers for the protocol's noise distributions.
 
-The log-PMFs are computed in log space via ``scipy.special.gammaln`` (imported
-where a log-PMF is evaluated) so that counts in the thousands (flooding means,
-padded message counts) never touch a raw factorial. All samplers draw from an
+The log-PMFs are computed in log space so that counts in the millions
+(flooding means, padded message counts) never touch a raw factorial. The
+Poisson log-PMF needs only ``math`` and numpy: one anchor per run of
+consecutive counts in Loader's saddle-point form, and O(1) increments from it.
+The negative binomial's fractional shapes take ``scipy.special.gammaln``,
+imported inside :func:`nb_logpmf`. All samplers draw from an
 explicit :class:`RandomSource`, so identical seeds reproduce identical runs and
 distinct streams can be handed to concurrent workers.
 """
@@ -16,6 +19,7 @@ import numpy as np
 from .errors import ParameterError, check_count, check_points, check_real, check_shape
 
 NEG_INF = float("-inf")
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class RandomSource:
@@ -98,15 +102,83 @@ def nb_logpmf(r: float, p: float, k) -> float | np.ndarray:
 
 
 def poi_logpmf(mean: float, k) -> float | np.ndarray:
-    """Log-PMF of the Poisson distribution: ``k ln(mean) - mean - ln k!``."""
-    from scipy.special import gammaln
+    """Log-PMF of the Poisson distribution: ``k ln(mean) - mean - ln k!``.
 
+    Each run of consecutive points is evaluated from one anchor, its count
+    nearest the mean, in Loader's saddle-point form (:func:`_poi_anchor`);
+    the rest of the run follows by cumulative sums of the increments
+    ``log(mean / k)`` outward from it. Every term is O(1) near the mass, so
+    nothing of size O(mean) cancels, as it does in ``k ln(mean) - mean -
+    ln k!``. A ``range`` of non-negative counts with step 1 is one run, taken
+    as such without building or checking an index array.
+    """
     check_real("mean", mean)
+    if isinstance(k, range) and k.step == 1 and 0 <= k.start < k.stop:
+        return _poi_run(mean, k.start, len(k))
     k = check_points("k", k)
     scalar = k.ndim == 0
-    kk = np.where(k >= 0, k, 0)
-    out = np.where(k >= 0, kk * math.log(mean) - mean - gammaln(kk + 1), NEG_INF)
+    # each distinct count once, run by run
+    on = k >= 0
+    counts, where = np.unique(k[on], return_inverse=True)
+    values = np.empty(counts.size)
+    starts = (np.flatnonzero(counts[1:] - counts[:-1] != 1) + 1).tolist()
+    for lo, hi in zip([0, *starts], [*starts, counts.size]):
+        if hi > lo:
+            values[lo:hi] = _poi_run(mean, int(counts[lo]), hi - lo)
+    out = np.full(k.shape, NEG_INF)
+    out[on] = values[where]
     return _as_result(out, scalar)
+
+
+def _poi_run(mean: float, start: int, size: int) -> np.ndarray:
+    """Poisson log-PMF at the ``size`` consecutive counts from ``start``."""
+    anchor = min(max(math.floor(mean), start), start + size - 1)
+    a = anchor - start
+    # step[c - start - 1] = log f(c) - log f(c - 1) for the counts c after start
+    step = np.arange(start + 1.0, start + size)
+    np.log(np.divide(mean, step, out=step), out=step)
+    out = np.empty(size)
+    out[a] = _poi_anchor(mean, anchor)
+    up, down = out[a + 1 :], out[:a][::-1]
+    np.cumsum(step[a:], out=up)
+    up += out[a]
+    np.cumsum(step[:a][::-1], out=down)
+    np.subtract(out[a], down, out=down)
+    return out
+
+
+def _poi_anchor(mean: float, k: int) -> float:
+    """Poisson log-PMF at one count in Loader's saddle-point form.
+
+    ``-stirlerr(k) - bd0(k, mean) - ln(2 pi k) / 2`` (C. Loader, *Fast and
+    Accurate Computation of Binomial Probabilities*, 2000): ``stirlerr`` is
+    the error of Stirling's formula for ``ln k!`` and ``bd0(k, m) = k ln(k/m)
+    + m - k``, summed as a series where ``k`` is near ``m``.
+    """
+    if k == 0:
+        return -mean
+    if k <= 15:
+        stirlerr = math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _HALF_LOG_2PI
+    else:
+        kk = 1.0 / (k * k)
+        # Stirling's series 1/(12 k) - 1/(360 k^3) + ... - 1/(1188 k^9)
+        stirlerr = (
+            1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - kk / 1188) * kk) * kk) * kk
+        ) / k
+    d = k - mean
+    if abs(d) < 0.1 * (k + mean):
+        # bd0 = d v + 2 k sum_{j >= 1} v^(2j+1) / (2j+1), with v = d / (k + mean)
+        v = d / (k + mean)
+        bd0, term, j = d * v, 2.0 * k * v, 1
+        while True:
+            term *= v * v
+            nxt = bd0 + term / (2 * j + 1)
+            if nxt == bd0:
+                break
+            bd0, j = nxt, j + 1
+    else:
+        bd0 = k * math.log(k / mean) - d
+    return -stirlerr - bd0 - 0.5 * math.log(k) - _HALF_LOG_2PI
 
 
 def sample_geo(p: float, rng: RandomSource, size=None):

@@ -1,7 +1,9 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from shufflecount.audit import (
     _grid_bounds,
     _lumped_chisquare,
     _one_user_terms,
+    _poi_upper_quantile,
     _zero_mixture,
     gof_integer_samples,
     max_log_ratio,
@@ -88,6 +91,33 @@ class TestExactViewLogpmf:
             grid = view_logpmf_grid(ds, params, 400, 400)
             mass = math.exp(logsumexp(grid))
             assert 1.0 - 1e-9 <= mass <= 1.0 + 1e-12
+
+
+class TestBinomLogpmf:
+    def test_certain_participation_is_minus_inf_without_warning(self):
+        # q = 0 keeps every user: 0 log 0 = 0, and the other counts are -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _binom_logpmf(1, 1.0, np.arange(2)).tolist() == [-math.inf, 0.0]
+            assert _binom_logpmf(3, 1.0, np.arange(4)).tolist() == [-math.inf] * 3 + [0.0]
+            assert _binom_logpmf(3, 0.0, np.arange(4)).tolist() == [0.0] + [-math.inf] * 3
+
+    @pytest.mark.parametrize("n", [1, 5, 20, 1000])
+    @pytest.mark.parametrize("p", [0.01, 0.5, 0.99])
+    def test_against_40_digits(self, n, p):
+        k = np.arange(n + 1)
+        got = _binom_logpmf(n, p, k)
+        with mpmath.workdps(40):
+            expected = [
+                float(
+                    mpmath.log(mpmath.binomial(n, c))
+                    + c * mpmath.log(p) + (n - c) * mpmath.log(1 - mpmath.mpf(p))
+                )
+                for c in range(n + 1)
+            ]
+        # the log-gamma terms are of size ln n!, so the error is in its units
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15 * (1 + math.lgamma(n + 1)))
+        assert _binom_logpmf(n, p, np.asarray(n)) == got[-1]
 
 
 def _per_shift_grid(ds, params, i_max, j_max):
@@ -264,6 +294,22 @@ class TestOneDimensionalAudit:
             err = np.abs(h_n[finite] - direct[finite]) / np.maximum(1.0, np.abs(direct[finite]))
             assert err.max(initial=0.0) <= 1e-13, case
 
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 127.0, 1e3, 1e4])
+    @pytest.mark.parametrize("eta", [0.5, 0.9, 1.0])
+    def test_closed_form_flood_profile_matches_tilted_sum(self, eta, lam):
+        # C[t] = lam (e^{2 eta} - 1) + log P(Poi(mu) <= t), mu = lam e^{2 eta},
+        # against the running sum of the tilted terms e^{2 eta w} Poi(w; lam);
+        # both add terms of size up to mu, so the error is in units of mu
+        params = ProtocolParams(
+            n_users=1, epsilon=2.0, noise_epsilon=eta,
+            drop_prob=0.01, pad_count=17, flood_mean=lam,
+        )
+        t_max = min(_grid_bounds(params, 1, 1e-9 / 8.0))
+        w = np.arange(t_max + 1)
+        tilted = np.logaddexp.accumulate(poi_logpmf(lam, w) + 2.0 * eta * w)
+        closed = _zero_mixture(0, params, t_max)
+        assert np.abs(closed - tilted).max() <= 1e-14 * (1.0 + lam * math.exp(2.0 * eta))
+
     def test_memory_is_one_dimensional(self):
         # two 615 x 595 float grids would take 5.9 MB; the profiles hold
         # a few arrays of t_max + 1 = 595 entries
@@ -326,14 +372,16 @@ class TestDivergenceAudit:
         "kwargs",
         [
             {"grid_cap": 100},
-            {"coverage": 1.0 - 1e-14},
+            {"coverage": 1.0 - 6e-16},
             {"coverage": 0.9999999999999999},
         ],
         ids=["grid_cap", "coverage", "coverage_quantile_at_one"],
     )
     def test_unreachable_coverage_is_inconclusive(self, kwargs):
-        # the coverages lie beyond the mass floating point resolves; at the
-        # last, 1 - (1 - coverage) / 8 rounds to a flood quantile at 1
+        # the coverages lie beyond the mass floating point resolves: the
+        # smaller mass's float sum reads 1 - 8 * 2^-53, below 1 - 5 * 2^-53,
+        # the coverage nearest 1 whose 1 - (1 - coverage) / 8 does not round
+        # to 1; at the last, it rounds to a flood quantile at 1
         with pytest.raises(AuditInconclusiveError):
             divergence_audit(3, _reference(3), **kwargs)
 
@@ -357,6 +405,9 @@ class TestDivergenceAudit:
             divergence_audit(3, _reference(3), **kwargs)
 
     def test_grid_flood_quantile_matches_scipy_stats(self):
+        # scipy's ppf tests its CDF near 1 against 1 - tail, and lands one
+        # short of the stated tail in 116 of these cases (large means, tiny
+        # tails); there a 40-digit tail sum decides
         from scipy import stats
 
         gen = np.random.default_rng(20_000)
@@ -370,8 +421,30 @@ class TestDivergenceAudit:
             )
             noise_q = int(math.log(tail) / math.log1p(-geo_success_prob(0.5))) + 2
             i_max, j_max = _grid_bounds(params, 1, float(tail))
-            assert i_max - 18 - noise_q - 2 == int(quantile)
+            got = i_max - 18 - noise_q - 2
+            expected = int(quantile)
+            if got != expected:
+                expected = _mp_upper_quantile(
+                    mean, 1.0 - (1.0 - tail), min(got, expected), max(got, expected)
+                )
+            assert got == expected
             assert j_max == i_max - 1
+
+    @pytest.mark.parametrize(
+        "mean, tail",
+        [
+            (0.09067095201415573, 1.0544029366218935e-15),
+            (6.460870821439318, 2.2969218646299535e-14),
+            (584.28779982086, 1.8237071903271564e-14),
+            (6968.702182638097, 1.1271122357592456e-15),
+            (8559125.222141188, 1.3894124329697983e-10),
+            (8843898.541547652, 7.591051457580912e-11),
+        ],
+    )
+    def test_flood_quantile_where_scipy_falls_short(self, mean, tail):
+        # cases of the test above where scipy.stats.poisson.ppf reads one less
+        got = _poi_upper_quantile(mean, tail)
+        assert got == _mp_upper_quantile(mean, tail, got - 1, got + 1)
 
     def test_json_schema(self):
         report = divergence_audit(2, _reference(2))
@@ -383,6 +456,28 @@ class TestDivergenceAudit:
         assert set(payload["grid"]) == {"i_max", "j_max"}
         assert payload["pass"] is True
         assert payload["excluded_mass_bound"] <= 1e-9
+
+
+def _mp_upper_quantile(mean, tail, lo, hi):
+    """The smallest ``k`` in ``[lo, hi]`` with ``P(Poi(mean) > k) <= tail``.
+
+    40-digit tail sums: ``P(X > hi) = f(hi + 1) 1F1(1; hi + 2; mean)``, then
+    ``P(X > k - 1) = P(X > k) + f(k)`` downwards. Asserts the quantile lies
+    in ``[lo, hi]``.
+    """
+    with mpmath.workdps(40):
+        m = mpmath.mpf(mean)
+
+        def pmf(k):
+            return mpmath.exp(k * mpmath.log(m) - m - mpmath.loggamma(k + 1))
+
+        sf = pmf(hi + 1) * mpmath.hyp1f1(1, hi + 2, m, maxterms=10**7)
+        assert sf <= tail
+        for k in range(hi, lo - 1, -1):
+            sf += pmf(k)  # P(X > k - 1)
+            if sf > tail:
+                return k
+    raise AssertionError(f"quantile of Poi({mean}) at {tail} below {lo}")
 
 
 class TestRatioChecks:

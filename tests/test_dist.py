@@ -80,6 +80,38 @@ class TestPoiLogpmf:
         with pytest.raises(ParameterError):
             poi_logpmf(0.0, 1)
 
+    @pytest.mark.parametrize(
+        "mean, stride, bound",
+        [(127.0, 1, 3e-13), (1_297_685.0, 37, 1.5e-11), (9.75e6, 97, 2e-11)],
+    )
+    def test_against_40_digits_within_40_sd(self, mean, stride, bound):
+        # every stride-th count of mean +- 40 sqrt(mean); scipy's gammaln form
+        # k ln(mean) - mean - ln k! is off by up to 5e-13, 5e-9 and 2.4e-8 here
+        width = 40.0 * math.sqrt(mean)
+        k = np.arange(max(0, math.floor(mean - width)), math.ceil(mean + width) + 1)
+        got = poi_logpmf(mean, k)
+        with mpmath.workdps(40):
+            m = mpmath.mpf(mean)
+            log_m = mpmath.log(m)
+            err = max(
+                abs(float(c * log_m - m - mpmath.loggamma(c + 1)) - got[i])
+                for i, c in enumerate(k.tolist())
+                if i % stride == 0 or i == k.size - 1
+            )
+        assert err <= bound
+
+    def test_any_points_match_one_run(self):
+        # a range is taken as one run and an index array of the same counts
+        # reads the same values; a shorter run, and unsorted, repeated,
+        # negative and gapped points in any shape, agree within rounding
+        run = poi_logpmf(8995.5, range(9001))
+        np.testing.assert_array_equal(poi_logpmf(8995.5, np.arange(9001)), run)
+        np.testing.assert_allclose(poi_logpmf(8995.5, range(40, 60)), run[40:60], rtol=1e-14)
+        k = np.array([[9000, 3, -2, 8990], [3, 150, 0, 8991]])
+        expected = np.where(k >= 0, run[np.maximum(k, 0)], -math.inf)
+        np.testing.assert_allclose(poi_logpmf(8995.5, k), expected, rtol=1e-14)
+        assert poi_logpmf(8995.5, np.array([], dtype=np.int64)).shape == (0,)
+
 
 class TestDlapVariance:
     def test_log_two_is_four(self):
