@@ -141,9 +141,27 @@ def _explicit_params(args, n_users: int) -> ProtocolParams:
     )
 
 
-def _read_values(path: str, cast):
+def _read_values(path: str, cast) -> np.ndarray:
+    """The values of an ``--input-file``, one per line, as one array.
+
+    The file's bytes are read once, stripped of leading and trailing
+    whitespace, and every non-empty line cast straight into an array of
+    ``cast``'s numpy dtype (int64 for ``int``, float64 for ``float``);
+    ``int`` and ``float`` parse an ASCII line of bytes as they parse the
+    same text. A whitespace-only line between values, one that is not a
+    plain ASCII number, or a value outside that dtype sends the read to a
+    line-by-line loop over the UTF-8 text, which splits at every line
+    boundary ``str.splitlines`` knows, skips blank lines, names the first
+    line ``cast`` cannot read, and leaves an out-of-range value to the
+    caller's range check.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return np.fromiter(map(cast, filter(None, data.strip().splitlines())), cast)
+    except (ValueError, OverflowError):
+        pass
     values = []
-    for line in Path(path).read_text().splitlines():
+    for line in data.decode().splitlines():
         line = line.strip()
         if line:
             try:
@@ -152,10 +170,10 @@ def _read_values(path: str, cast):
                 raise ParameterError(
                     f"{path}: cannot read {line!r} as {cast.__name__}"
                 ) from None
-    return values
+    return np.asarray(values)
 
 
-def _run_inputs(args, rng: RandomSource, cast, draw) -> list:
+def _run_inputs(args, rng: RandomSource, cast, draw) -> np.ndarray:
     """Inputs of a real-sum or histogram run, read or drawn, never empty.
 
     ``--input-file`` is read with ``cast``; ``--uniform N`` takes
@@ -165,10 +183,10 @@ def _run_inputs(args, rng: RandomSource, cast, draw) -> list:
         xs = _read_values(args.input_file, cast)
     elif args.uniform is not None:
         n = check_count("--uniform", args.uniform, 1)
-        xs = draw(rng.substream(9).generator, n).tolist()
+        xs = draw(rng.substream(9).generator, n)
     else:
         raise ParameterError("pass --input-file or --uniform N")
-    if not xs:
+    if not xs.size:
         raise ParameterError(f"{args.input_file} holds no inputs")
     return xs
 
@@ -205,7 +223,7 @@ def _cmd_params(args) -> int:
 def _count_inputs(args) -> np.ndarray:
     """The bits of a counting run: ``--ones`` ones, then ``--zeros`` zeros, or a file's."""
     if args.input_file:
-        return np.asarray(_read_values(args.input_file, int))  # run_counting checks the bits
+        return _read_values(args.input_file, int)  # run_counting checks the bits
     if args.ones is None:
         raise ParameterError("pass --ones/--zeros or --input-file")
     zeros = args.zeros if args.zeros is not None else 0
@@ -220,6 +238,7 @@ def _cmd_run_count(args) -> int:
     params = derive_params(args.eps, args.rho, len(xs))
     run = run_counting(xs, params, RandomSource(seed))
     per_user = run.messages_per_user
+    total = run.view.plus_count + run.view.minus_count  # every user's messages
     true_value = int(np.sum(xs))
     report = {
         "subcommand": "run count",
@@ -231,10 +250,10 @@ def _cmd_run_count(args) -> int:
         "error": run.estimate - true_value,
         "view": {"plus": run.view.plus_count, "minus": run.view.minus_count},
         "messages_per_user": {
-            "mean": float(per_user.mean()),
+            "mean": total / len(xs),
             "min": int(per_user.min()),
             "max": int(per_user.max()),
-            "total": int(per_user.sum()),
+            "total": total,
         },
     }
     rows = None
@@ -253,7 +272,8 @@ def _cmd_run_realsum(args) -> int:
     xs = _run_inputs(args, rng, float, lambda gen, n: gen.random(n))
     n_bits = args.bits if args.bits is not None else max(1, math.ceil(math.log2(len(xs))))
     run = run_real_sum(xs, args.eps, args.rho, n_bits, rng, fidelity=args.fidelity)
-    true_sum = float(sum(xs))
+    true_sum = float(np.add.accumulate(xs)[-1])  # in input order; np.sum adds pairwise
+    budgets = split_budget(args.eps, n_bits)
     report = {
         "subcommand": "run realsum",
         "seed": seed,
@@ -262,8 +282,8 @@ def _cmd_run_realsum(args) -> int:
         "n_bits": n_bits,
         "epsilon": args.eps,
         "slack": args.rho,
-        "bit_budgets": [float(b) for b in split_budget(args.eps, n_bits)],
-        "budget_total": float(math.fsum(split_budget(args.eps, n_bits))),
+        "bit_budgets": [float(b) for b in budgets],
+        "budget_total": float(math.fsum(budgets)),
         "instances": [inst.to_dict() for inst in run.instances],
         "bit_counts": list(run.bit_counts),
         "estimate": run.estimate,
@@ -273,7 +293,7 @@ def _cmd_run_realsum(args) -> int:
     }
     rows = [
         {"bit": j, "budget": float(b), "count": c}
-        for j, (b, c) in enumerate(zip(report["bit_budgets"], run.bit_counts))
+        for j, (b, c) in enumerate(zip(budgets, run.bit_counts))
     ]
     _emit(args, report, rows)
     return EXIT_PASS
@@ -285,7 +305,7 @@ def _cmd_run_histogram(args) -> int:
     check_count("--buckets", args.buckets, 1)  # before --uniform draws from it
     xs = _run_inputs(args, rng, int, lambda gen, n: gen.integers(0, args.buckets, size=n))
     run = run_histogram(xs, args.buckets, args.eps, args.rho, rng, fidelity=args.fidelity)
-    true_counts = np.bincount(np.asarray(xs), minlength=args.buckets)[: args.buckets]
+    true_counts = np.bincount(xs, minlength=args.buckets)[: args.buckets]
     errors = np.asarray(run.estimates) - true_counts
     report = {
         "subcommand": "run histogram",

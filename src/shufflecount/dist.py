@@ -139,12 +139,25 @@ def _poi_run(mean: float, start: int, size: int) -> np.ndarray:
     np.log(np.divide(mean, step, out=step), out=step)
     out = np.empty(size)
     out[a] = _poi_anchor(mean, anchor)
-    up, down = out[a + 1 :], out[:a][::-1]
-    np.cumsum(step[a:], out=up)
-    up += out[a]
-    np.cumsum(step[:a][::-1], out=down)
-    np.subtract(out[a], down, out=down)
+    np.add(out[a], _running_sum(step[a:]), out=out[a + 1 :])
+    np.subtract(out[a], _running_sum(step[:a][::-1]), out=out[:a][::-1])
     return out
+
+
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """Cumulative sums of ``terms``, added in two levels.
+
+    Cumulative sums run inside blocks of 64 terms, and one more over the
+    block totals gives each block its offset. A partial sum then carries the
+    rounding of at most 64 terms of its block plus one per block before it,
+    not one per term: at 40 standard deviations of a mean of 1e7 the
+    Poisson increments sum to about 800 over some 10**5 terms.
+    """
+    blocks = np.zeros((-(-terms.size // 64), 64))
+    blocks.reshape(-1)[: terms.size] = terms
+    np.add.accumulate(blocks, axis=1, out=blocks)
+    blocks[1:] += np.add.accumulate(blocks[:-1, -1])[:, None]
+    return blocks.reshape(-1)[: terms.size]
 
 
 def _poi_anchor(mean: float, k: int) -> float:

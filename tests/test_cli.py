@@ -3,9 +3,12 @@ import json
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from shufflecount.cli import SEED_ENV_VAR, build_parser, main
+from shufflecount.cli import SEED_ENV_VAR, _read_values, build_parser, main
+from shufflecount.dist import RandomSource
+from shufflecount.errors import ParameterError
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -205,6 +208,16 @@ class TestRunRealsum:
         assert report["total_messages"] > 0
         assert report["budget_total"] <= 4.0
 
+    def test_true_sum_adds_in_input_order(self, capsys):
+        # the report's sum is Python's left-to-right one over the drawn inputs
+        code, out, _ = run_cli(
+            capsys, "run", "realsum", "--uniform", "100000", "--bits", "3",
+            "--seed", "9", "--fidelity", "law",
+        )
+        assert code == 0
+        xs = RandomSource(9).substream(9).generator.random(100_000)
+        assert json.loads(out)["true_sum"] == sum(xs.tolist())
+
     @pytest.mark.parametrize("inputs", [["--input-file", "{file}"], ["--uniform", "-1"]])
     def test_no_inputs_exit_2(self, tmp_path, capsys, inputs):
         empty = tmp_path / "empty.txt"
@@ -332,6 +345,112 @@ class TestAudit:
         )
         assert code == 2
         assert "clauses" in err
+
+
+def _read_line_by_line(path, cast):
+    """The reader before the one-pass parse: strip, skip blank lines, cast each."""
+    values = []
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if line:
+            try:
+                values.append(cast(line))
+            except ValueError:
+                raise ParameterError(f"{path}: cannot read {line!r} as {cast.__name__}") from None
+    return np.asarray(values)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1\n0\n1\n",
+        "1\r\n0\r\n1",
+        "\n 1 \r\n\t0\t\n\n   \n1\n",
+        "\n1\n\n0\r\n\r\n1\r\r0\n\n\n",
+        " \t\n\x0b1\n0\n  \n\t\r\n",
+        " \r\n\t\n",
+        "",
+        "0.5\n1e-3\n 1 \n",
+        "1\n12345678901234567890123\n0\n",
+        "-1\n9223372036854775808\n",
+        "1\n0\n 7x \n1\nzz\n",
+        "nan\ninf\n1_0\n",
+        # separators that str.splitlines knows and bytes.splitlines does not
+        "1\x0b0\x0c1\n",
+        "1\x0b\n0\x0c\n",
+        "1\x1c0\x1d1\x1e0\n",
+        "1\x850\u20281\u20290\n",
+        # non-ASCII digits and spaces, a byte-order mark
+        "\u0661\n\u00a00\u3000\n",
+        "\ufeff1\n0\n",
+    ],
+)
+@pytest.mark.parametrize("cast", [int, float])
+def test_reader_matches_line_by_line_loop(tmp_path, text, cast):
+    path = tmp_path / "values.txt"
+    path.write_bytes(text.encode())
+    try:
+        expected = _read_line_by_line(path, cast)
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as got:
+            _read_values(str(path), cast)
+        assert str(got.value) == str(exc)
+        return
+    got = _read_values(str(path), cast)
+    assert got.dtype == expected.dtype or not expected.size  # an empty file is rejected
+    np.testing.assert_array_equal(got, expected)
+
+
+#: each run command reading an --input-file, and the lines of a valid file for it
+FILE_RUNS = {
+    "count": (["run", "count", "--eps", "2"], ["1", "0", "1", "1", "0"] * 8),
+    "realsum": (
+        ["run", "realsum", "--bits", "2", "--eps", "2"],
+        ["0.25", "0.5", "1.0", "0", "0.75"] * 8,
+    ),
+    "histogram": (
+        ["run", "histogram", "--buckets", "3", "--eps", "2"],
+        ["0", "2", "1", "1", "0"] * 8,
+    ),
+}
+
+
+def _run_file(capsys, tmp_path, command, text):
+    path = tmp_path / "inputs.txt"
+    path.write_bytes(text.encode())
+    return run_cli(capsys, *FILE_RUNS[command][0], "--input-file", str(path), "--seed", "3")
+
+
+@pytest.mark.parametrize("command", FILE_RUNS)
+@pytest.mark.parametrize("blank_lines", [False, True])
+def test_file_layout_reads_as_plain_lines(tmp_path, capsys, command, blank_lines):
+    # CRLF endings and padded values (and blank or whitespace-only lines) give
+    # the report of a file of bare values, one per LF-ended line
+    lines = FILE_RUNS[command][1]
+    plain = _run_file(capsys, tmp_path, command, "".join(f"{v}\n" for v in lines))
+    padded = [f" {v}\t" for v in lines]
+    if blank_lines:
+        padded[3:3] = ["", "   ", "\t"]
+    assert plain[0] == 0
+    assert _run_file(capsys, tmp_path, command, "\r\n".join(padded)) == plain
+
+
+@pytest.mark.parametrize("command", FILE_RUNS)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1\n12345678901234567890123\n0\n", "xs must be"),
+        ("1\n0\n 7x \n1\nzz\n", "cannot read '7x' as "),
+        ("", ""),
+        (" \r\n\t\n", ""),
+    ],
+    ids=["23-digit-line", "bad-middle-line", "empty", "blank-lines-only"],
+)
+def test_unusable_file_exits_2(tmp_path, capsys, command, text, message):
+    code, out, err = _run_file(capsys, tmp_path, command, text)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid parameters: ") and message in err
+    assert "zz" not in err
 
 
 @pytest.mark.parametrize(

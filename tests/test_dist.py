@@ -82,11 +82,13 @@ class TestPoiLogpmf:
 
     @pytest.mark.parametrize(
         "mean, stride, bound",
-        [(127.0, 1, 3e-13), (1_297_685.0, 37, 1.5e-11), (9.75e6, 97, 2e-11)],
+        [(127.0, 1, 3e-13), (1_297_685.0, 37, 1.5e-12), (9.75e6, 97, 2e-12)],
     )
     def test_against_40_digits_within_40_sd(self, mean, stride, bound):
         # every stride-th count of mean +- 40 sqrt(mean); scipy's gammaln form
-        # k ln(mean) - mean - ln k! is off by up to 5e-13, 5e-9 and 2.4e-8 here
+        # k ln(mean) - mean - ln k! is off by up to 5e-13, 5e-9 and 2.4e-8 here,
+        # and one plain cumulative sum of the increments by 1.4e-13, 7.5e-12
+        # and 1.0e-11 (the two-level sum: 1.7e-13, 1.0e-12 and 1.4e-12)
         width = 40.0 * math.sqrt(mean)
         k = np.arange(max(0, math.floor(mean - width)), math.ceil(mean + width) + 1)
         got = poi_logpmf(mean, k)

@@ -1,0 +1,124 @@
+"""Compare a parent revision with the working tree in alternating benchmark pairs.
+
+    python tools/bench_pairs.py --parent HEAD --workload count-large \\
+        --seeds 1,2,3,4,5,6,7,8,9,9001 --seconds 20
+
+Each seed is one pair: ``perfbench/run.py --workload W --seed S --seconds T``
+runs once in an export of the parent revision (``git archive`` into a
+temporary directory, the committed files only) and once in the working tree.
+The side that runs first alternates from pair to pair. For every end-to-end
+metric of the working tree's ``BENCHMARK.json`` the script prints each run,
+then each side's median and quartiles, the pairs the change won (ties count
+for neither) and whether the medians differ by more than the parent's
+interquartile range. The last line is the same data as one JSON object.
+Nothing is written under ``perfbench/`` but what ``perfbench/run.py`` writes
+itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def export(revision: str, dest: Path) -> Path:
+    """The committed files of ``revision`` under ``dest``."""
+    tar = subprocess.run(
+        ["git", "archive", "--format=tar", revision], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its metrics and failure count."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=tree, check=True, capture_output=True, text=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+    }
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+    """Per metric: each side's quartiles, pairs won by the change, and resolution."""
+    summary = {}
+    for name, direction in better.items():
+        parent = [r["metrics"][name] for r in runs["parent"]]
+        change = [r["metrics"][name] for r in runs["change"]]
+        sign = 1.0 if direction == "lower" else -1.0
+        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        p_q, c_q = quartiles(parent), quartiles(change)
+        summary[name] = {
+            "better": direction,
+            "parent": p_q,
+            "change": c_q,
+            "wins": wins,
+            "pairs": len(parent),
+            "relative": c_q[1] / p_q[1] - 1.0 if p_q[1] else 0.0,
+            "beyond_parent_iqr": abs(c_q[1] - p_q[1]) > p_q[2] - p_q[0],
+        }
+    return summary
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("--parent", required=True, help="git revision to compare against")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, help="comma-separated seeds, one pair each")
+    ap.add_argument("--seconds", type=float, default=20.0)
+    args = ap.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",") if s]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"parent": export(args.parent, Path(tmp)), "change": ROOT}
+        for i, seed in enumerate(seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = bench(trees[side], args.workload, seed, args.seconds)
+                runs[side].append(run)
+                values = " ".join(f"{k}={v:.6g}" for k, v in run["metrics"].items())
+                print(f"pair {i + 1} seed {seed} {side}: failed {run['failed']}/"
+                      f"{run['attempted']} {values}", flush=True)
+
+    summary = summarize(runs, better)
+    for name, s in summary.items():
+        (p1, p2, p3), (c1, c2, c3) = s["parent"], s["change"]
+        print(f"{args.workload} {name} ({s['better']} is better): "
+              f"parent {p2:.6g} [{p1:.6g}, {p3:.6g}]  change {c2:.6g} [{c1:.6g}, {c3:.6g}]  "
+              f"{s['relative']:+.1%}  change won {s['wins']}/{s['pairs']}  "
+              f"{'beyond' if s['beyond_parent_iqr'] else 'within'} the parent's IQR")
+    print(json.dumps({"workload": args.workload, "parent": args.parent, "seeds": seeds,
+                      "seconds": args.seconds, "runs": runs, "summary": summary}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,12 +16,16 @@ several trial chunks, ``audit comm`` and ``bench``, each at seeds 1, 7 and
 ``audit divergence`` on the reference set (``--n 3`` and ``--n 20``, and
 the failing ``--q 0`` control); ``run histogram --buckets 256 --uniform
 100000`` at every fidelity and ``run count`` over 10**6 users, at seed 1,
-runs at scale; both audits of every vetted mc-trials case of the benchmark
+runs at scale, with ``run realsum --uniform 100000 --bits 3`` at every
+fidelity; each run command on an input file with CRLF endings, padding and
+blank lines, one with a 23-digit line, one with unreadable lines, and an
+empty one; both audits of every vetted mc-trials case of the benchmark
 (``perfbench/workloads.py``); and usage errors (an empty input file and
 negative counts among them), help and ``--version``.
 Each line is ``<sha256>  <exit code>  <argv>``; the hash covers the exit
 code, stdout and stderr. Input files are written with fixed contents to a
-temporary directory, which the argv column shows as ``<tmp>``.
+temporary directory, which the argv column and the hashed text show as
+``<tmp>``.
 """
 
 from __future__ import annotations
@@ -64,7 +68,10 @@ def seeded_calls(seed: int) -> list[list[str]]:
 def scale_calls() -> list[list[str]]:
     hist = ["run", "histogram", "--buckets", "256", "--uniform", "100000", "--seed", "1"]
     count = ["run", "count", "--ones", "500000", "--zeros", "500000", "--seed", "1"]
-    return [[*hist, "--fidelity", fidelity] for fidelity in FIDELITIES] + [count]
+    realsum = ["run", "realsum", "--uniform", "100000", "--bits", "3", "--seed", "1"]
+    return [[*hist, "--fidelity", fidelity] for fidelity in FIDELITIES] + [count] + [
+        [*realsum, "--fidelity", fidelity] for fidelity in FIDELITIES
+    ]
 
 
 def unseeded_calls() -> list[list[str]]:
@@ -100,6 +107,34 @@ def input_file_calls(tmp: Path) -> list[list[str]]:
             ["run", "histogram", "--buckets", "2", "--eps", "2.0",
              "--input-file", str(buckets), *s],
         ]
+    return calls + edge_file_calls(tmp)
+
+
+def edge_file_calls(tmp: Path) -> list[list[str]]:
+    """Each run command on files that a one-pass parse cannot take as they are."""
+    runs = {
+        "count": (["run", "count", "--eps", "2.0"], ["1", "0", "1", "1", "0"] * 8),
+        "realsum": (["run", "realsum", "--bits", "2", "--eps", "2.0"],
+                    ["0.25", "0.5", "1.0", "0", "0.75"] * 8),
+        "histogram": (["run", "histogram", "--buckets", "3", "--eps", "2.0"],
+                      ["0", "2", "1", "1", "0"] * 8),
+    }
+    calls = []
+    for command, (argv, lines) in runs.items():
+        padded = [f" {v}\t" for v in lines]
+        files = {
+            # CRLF endings, padded values, blank and whitespace-only lines
+            "crlf": "\r\n".join(padded[:3] + ["", "   ", "\t"] + padded[3:]),
+            "overflow": "1\n12345678901234567890123\n0\n",
+            "bad_middle": "1\n0\n 7x \n1\nzz\n",
+            "empty": "",
+        }
+        for name, text in files.items():
+            if command == "count" and name == "empty":
+                continue  # input_file_calls has it
+            path = tmp / f"{command}_{name}.txt"
+            path.write_bytes(text.encode())
+            calls.append([*argv, "--input-file", str(path), "--seed", "1"])
     return calls
 
 
@@ -128,11 +163,11 @@ def mc_case_calls() -> list[list[str]]:
     return [argv for index in workloads.MC_CASES for argv in mc.audits(*mc.case(index))]
 
 
-def digest(argv: list[str]) -> tuple[str, int]:
+def digest(argv: list[str], tmp: str) -> tuple[str, int]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    text = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+    text = f"{code}\0{out.getvalue()}\0{err.getvalue()}".replace(tmp, "<tmp>")
     return hashlib.sha256(text.encode()).hexdigest(), code
 
 
@@ -142,7 +177,7 @@ def run() -> None:
         calls += input_file_calls(Path(tmp))
         calls += scale_calls() + unseeded_calls() + mc_case_calls() + usage_calls()
         for argv in calls:
-            sha, code = digest(argv)
+            sha, code = digest(argv, tmp)
             print(f"{sha}  {code}  {' '.join(argv).replace(tmp, '<tmp>')}", flush=True)
 
 
