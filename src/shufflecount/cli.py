@@ -5,11 +5,18 @@ and byte-identical across reruns with the same configuration and seed; flags
 take precedence over the ``SHUFFLECOUNT_SEED`` environment variable. Exit
 codes: 0 pass, 1 fail, 2 usage or invalid input, 3 audit inconclusive.
 
-Each call is parsed once, by the leaf parser its leading command words name
-(``params``, ``bench``, ``run count``, ``audit divergence``, ...), not by the
-three nested parsers in turn. Any other call, one that names no leaf or whose
-leaf leaves arguments over, goes to the full parser, so usage errors, help
-and ``--version`` print what the full parser prints.
+Each call is parsed once, against the leaf parser its leading command words
+name (``params``, ``bench``, ``run count``, ``audit divergence``, ...), not by
+the three nested parsers in turn. A plain call, made only of the leaf's exact
+option strings, each with a value that does not start with ``-`` and that
+converts to the option's type and choices, and naming every required option,
+is walked in one pass over a table read off the leaf's own argparse actions;
+it gets the namespace the leaf parser would build. Any other call after the
+leaf's words (``--opt=value``, an abbreviation, a negative or option-like
+value, ``-h``, a bad value, a missing option) goes to the leaf parser, and
+one that names no leaf or whose leaf leaves arguments over goes to the full
+parser, so argparse writes every usage error, help text and ``--version``
+as it always has.
 """
 
 from __future__ import annotations
@@ -607,11 +614,69 @@ def _parsers() -> tuple[
     return parser, leaves
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """Parse ``argv`` in one argparse pass where its command words name a leaf.
+@functools.cache
+def _plain_table(leaf: argparse.ArgumentParser) -> tuple[dict, dict, frozenset]:
+    """A leaf's one-pass table, read off its own argparse actions.
 
-    The leaf parser takes the arguments after those words; the full parser
-    would hand them to the same leaf after two passes of its own. Anything
+    Its store and store_true actions by exact option string, the namespace
+    its defaults make (as ``parse_known_args`` starts one), and its required
+    actions.
+    """
+    options = {
+        option: action
+        for action in leaf._actions
+        if isinstance(action, (argparse._StoreAction, argparse._StoreTrueAction))
+        for option in action.option_strings
+    }
+    defaults = {
+        action.dest: action.default
+        for action in leaf._actions
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
+    }
+    defaults["handler"] = leaf.get_default("handler")
+    return options, defaults, frozenset(a for a in options.values() if a.required)
+
+
+def _parse_plain(leaf: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``leaf.parse_known_args(argv)`` builds, if ``argv`` is plain.
+
+    Plain is a run of exact option strings, each store option followed by a
+    value that does not start with ``-`` and that converts to its type and
+    choices, with every required option present. Any other ``argv`` gives
+    None and is left to argparse.
+    """
+    options, defaults, required = _plain_table(leaf)
+    values, seen = dict(defaults), set()
+    tokens = iter(argv)
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:  # store_true
+            value = action.const
+        else:
+            text = next(tokens, "-")  # a missing value reads as an option
+            if text.startswith("-"):
+                return None
+            try:
+                value = action.type(text) if action.type else text
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None  # argparse reports these
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+        seen.add(action)
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv`` in one pass where its command words name a leaf.
+
+    A plain call (see ``_parse_plain``) is walked once against the leaf's
+    own actions. Any other call after those words goes to the leaf parser,
+    which the full parser would reach after two passes of its own; anything
     else (no leaf named, or arguments the leaf leaves over) goes through the
     full parser, so every usage error and help text reads as it always has.
     """
@@ -620,7 +685,11 @@ def _parse_args(argv) -> argparse.Namespace:
     for depth in (1, 2):
         leaf = leaves.get(tuple(argv[:depth]))
         if leaf is not None:
-            args, extra = leaf.parse_known_args(argv[depth:])
+            rest = argv[depth:]
+            args = _parse_plain(leaf, rest)
+            if args is not None:
+                return args
+            args, extra = leaf.parse_known_args(rest)
             if not extra:
                 return args
             break

@@ -1,12 +1,25 @@
+import contextlib
 import importlib.util
+import io
 import json
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shufflecount.cli import SEED_ENV_VAR, _read_values, build_parser, main
+from shufflecount.cli import (
+    SEED_ENV_VAR,
+    _int_list,
+    _parse_args,
+    _parse_plain,
+    _parsers,
+    _read_values,
+    build_parser,
+    main,
+)
 from shufflecount.dist import RandomSource
 from shufflecount.errors import ParameterError
 
@@ -535,13 +548,19 @@ def test_usage_error_leaves_the_next_call_intact(capsys):
     assert after == before
 
 
+def load_workloads():
+    """The benchmark's workload module, loaded from its file (read-only)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def test_benchmark_mc_cases_pass_both_audits(capsys):
     # the benchmark's mc-trials ops run these cases' audits and count one
     # that does not pass as a failed op; a change of the Monte Carlo streams
     # must keep every case passing
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads()
     mc = workloads.MonteCarloTrials
     failing = []
     for index in workloads.MC_CASES:
@@ -564,17 +583,122 @@ LEAF_CALLS = [
     ["audit", "mse", "--n", "10", "--trials", "1000", "--fidelity", "law", "--seed", "1"],
     ["audit", "comm", "--n", "10", "--trials", "1000", "--seed", "1"],
     ["bench", "--n-list", "100", "--trials", "100", "--seed", "1"],
+    ["bench", "--n-list", "100", "--trials", "100", "--timing", "--seed", "1"],
 ]
 
 
-def test_valid_leaf_calls_skip_the_full_parser(capsys, monkeypatch):
-    def full_parse(*args, **kwargs):
-        raise AssertionError("the full parser was reached")
+def test_valid_leaf_calls_skip_the_full_parser(capsys, monkeypatch, tmp_path):
+    # plain calls, the benchmark's ops among them, are parsed in one pass
+    # without argparse: neither the full parser nor a leaf parser is reached
+    def argparse_parse(*args, **kwargs):
+        raise AssertionError("argparse was reached")
 
-    monkeypatch.setattr(build_parser(), "parse_known_args", full_parse)
-    for argv in LEAF_CALLS:
+    parser, leaves = _parsers()
+    for p in (parser, *leaves.values()):
+        monkeypatch.setattr(p, "parse_known_args", argparse_parse)
+    workloads = load_workloads()
+    ops = [
+        argv
+        for workload in workloads.WORKLOADS.values()
+        for argv in workload(1, tmp_path).calls(0)
+    ]
+    for argv in LEAF_CALLS + ops:
         code, out, err = run_cli(capsys, *argv)
         assert code in (0, 1) and out and not err, argv
+
+
+def typed(args):
+    """A namespace's values with their types, so that ``True`` differs from ``1``."""
+    return {k: (type(v), v) for k, v in vars(args).items()}
+
+
+def parse_outcome(parse, argv):
+    """``parse(argv)``'s namespace (without the command words), exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = parse(argv), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    if args is not None:
+        args = {k: v for k, v in typed(args).items() if k not in ("command", "mode")}
+    return args, code, out.getvalue(), err.getvalue()
+
+
+LEAF_WORDS = sorted(_parsers()[1])
+# values by option type: ones that convert, ones that do not
+GOOD_VALUES = {
+    int: st.integers(0, 10**6).map(str),
+    float: st.floats(0, 1e6).map(repr) | st.sampled_from(["1", "0.5", "inf", "1e3"]),
+    None: st.sampled_from(["out.json", "a b", "x=1", "@f", ""]),
+    _int_list: st.lists(st.integers(0, 10**5), min_size=1, max_size=3).map(
+        lambda ns: ",".join(map(str, ns))
+    ),
+}
+BAD_VALUES = st.sampled_from(["x", "1.5x", "", " ", "1,,x", "0x10", "nan?"])
+SHADY_VALUES = st.sampled_from(["-1", "-0.5", "--", "-h", "--seed", "--eps", "-x"])
+
+
+@st.composite
+def leaf_argv(draw, words):
+    """Arguments after ``words`` built from that leaf's own actions."""
+    leaf = _parsers()[1][words]
+    actions = [a for a in leaf._actions if a.dest != "help"]
+
+    def good(action):
+        if action.choices is not None:
+            return st.sampled_from([str(c) for c in action.choices])
+        return GOOD_VALUES[action.type]
+
+    def piece(action):
+        option = action.option_strings[0]
+        if action.nargs == 0:  # store_true
+            kinds = ["flag", "flag", "joined", "abbrev"]
+        else:
+            kinds = ["plain"] * 6 + ["bad", "joined", "abbrev", "shady", "missing"]
+        kind = draw(st.sampled_from(kinds))
+        value = draw(good(action)) if action.nargs != 0 else "1"
+        if kind == "flag":
+            return [option]
+        if kind == "plain":
+            return [option, value]
+        if kind == "bad":
+            return [option, draw(BAD_VALUES)]
+        if kind == "joined":
+            return [f"{option}={value}"]
+        if kind == "abbrev":
+            return [option[: draw(st.integers(3, len(option)))], value]
+        if kind == "shady":
+            return [option, draw(SHADY_VALUES)]
+        return [option]  # missing value
+
+    pieces = []
+    if draw(st.booleans()):  # every required option, plainly
+        pieces += [[a.option_strings[0], draw(good(a))] for a in actions if a.required]
+    for action in draw(st.lists(st.sampled_from(actions), max_size=8)):
+        pieces.append(piece(action))
+    if draw(st.integers(0, 9)) == 0:
+        pieces.append(draw(st.sampled_from([["extra"], ["-h"], ["--version"], ["--"]])))
+    pieces = draw(st.permutations(pieces))
+    return [token for p in pieces for token in p]
+
+
+@pytest.mark.parametrize("words", LEAF_WORDS, ids="-".join)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_pass_parse_matches_argparse(words, data):
+    # a call the one-pass parse takes gets the leaf parser's namespace; any
+    # other gets the full parser's namespace, or its exit code and output
+    argv = data.draw(leaf_argv(words))
+    leaf = _parsers()[1][words]
+    taken = _parse_plain(leaf, argv)
+    if taken is not None:
+        args, extra = leaf.parse_known_args(argv)
+        assert (typed(args), extra) == (typed(taken), [])
+        assert typed(_parse_args([*words, *argv])) == typed(taken)
+    else:
+        full = parse_outcome(build_parser().parse_args, [*words, *argv])
+        assert parse_outcome(_parse_args, [*words, *argv]) == full
 
 
 @pytest.mark.parametrize(

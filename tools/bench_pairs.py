@@ -1,18 +1,27 @@
 """Compare a parent revision with the working tree in alternating benchmark pairs.
 
-    python tools/bench_pairs.py --parent HEAD --workload count-large \\
+    python tools/bench_pairs.py --parent HEAD \\
+        --workload count-large,pooled-large,mc-trials,audit-oracle \\
         --seeds 1,2,3,4,5,6,7,8,9,9001 --seconds 20
 
 Each seed is one pair: ``perfbench/run.py --workload W --seed S --seconds T``
 runs once in an export of the parent revision (``git archive`` into a
 temporary directory, the committed files only) and once in the working tree.
-The side that runs first alternates from pair to pair. For every end-to-end
+The side that runs first alternates from pair to pair. ``--workload`` takes a
+comma list; the workloads run one after the other. For every end-to-end
 metric of the working tree's ``BENCHMARK.json`` the script prints each run,
 then each side's median and quartiles, the pairs the change won (ties count
-for neither) and whether the medians differ by more than the parent's
-interquartile range. The last line is the same data as one JSON object.
-Nothing is written under ``perfbench/`` but what ``perfbench/run.py`` writes
-itself.
+for neither) and two verdicts:
+
+- ``WORSE`` when the change's median is worse than the parent's by more than
+  the metric's ``bound`` (a fraction of the parent's median), else ``ok``;
+- ``claim holds`` when the change won at least nine pairs in ten and its
+  median is better than the parent's by more than the parent's
+  interquartile range, else ``no claim``.
+
+Each workload also prints both sides' share of failed ops, and ends with the
+same data as one JSON object. Nothing is written under ``perfbench/`` but
+what ``perfbench/run.py`` writes itself.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -62,25 +72,63 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
-    """Per metric: each side's quartiles, pairs won by the change, and resolution."""
+def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
+    """Per metric: quartiles, pairs won by the change, bound and claim verdicts."""
     summary = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, direction = metric["name"], metric["better"]
         parent = [r["metrics"][name] for r in runs["parent"]]
         change = [r["metrics"][name] for r in runs["change"]]
         sign = 1.0 if direction == "lower" else -1.0
         wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
         p_q, c_q = quartiles(parent), quartiles(change)
+        gain = sign * (p_q[1] - c_q[1])  # > 0 when the change's median is better
         summary[name] = {
             "better": direction,
+            "bound": metric["bound"],
             "parent": p_q,
             "change": c_q,
             "wins": wins,
             "pairs": len(parent),
             "relative": c_q[1] / p_q[1] - 1.0 if p_q[1] else 0.0,
             "beyond_parent_iqr": abs(c_q[1] - p_q[1]) > p_q[2] - p_q[0],
+            "worse_than_bound": -gain > metric["bound"] * abs(p_q[1]),
+            "claim_holds": wins >= math.ceil(0.9 * len(parent)) and gain > p_q[2] - p_q[0],
         }
     return summary
+
+
+def failed_share(side: list[dict]) -> float:
+    return sum(r["failed"] for r in side) / max(1, sum(r["attempted"] for r in side))
+
+
+def compare(trees: dict[str, Path], workload: str, seeds: list[int], seconds: float,
+            metrics: list[dict]) -> dict:
+    """Run the pairs of one workload, print them and their verdicts, return both."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            run = bench(trees[side], workload, seed, seconds)
+            runs[side].append(run)
+            values = " ".join(f"{k}={v:.6g}" for k, v in run["metrics"].items())
+            print(f"{workload} pair {i + 1} seed {seed} {side}: failed {run['failed']}/"
+                  f"{run['attempted']} {values}", flush=True)
+
+    summary = summarize(runs, metrics)
+    for name, s in summary.items():
+        (p1, p2, p3), (c1, c2, c3) = s["parent"], s["change"]
+        print(f"{workload} {name} ({s['better']} is better): "
+              f"parent {p2:.6g} [{p1:.6g}, {p3:.6g}]  change {c2:.6g} [{c1:.6g}, {c3:.6g}]  "
+              f"{s['relative']:+.1%}  change won {s['wins']}/{s['pairs']}  "
+              f"{'beyond' if s['beyond_parent_iqr'] else 'within'} the parent's IQR  "
+              f"{'WORSE' if s['worse_than_bound'] else 'ok'} (bound {s['bound']:.0%})  "
+              f"{'claim holds' if s['claim_holds'] else 'no claim'}")
+    failed = {side: failed_share(runs[side]) for side in runs}
+    print(f"{workload} failed ops: parent {failed['parent']:.2%}  change {failed['change']:.2%}"
+          f"  {'WORSE' if failed['change'] > failed['parent'] else 'ok'}")
+    return {"workload": workload, "seeds": seeds, "seconds": seconds,
+            "runs": runs, "summary": summary, "failed_share": failed}
 
 
 def main(argv=None) -> int:
@@ -88,35 +136,17 @@ def main(argv=None) -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     ap.add_argument("--parent", required=True, help="git revision to compare against")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="comma-separated workloads")
     ap.add_argument("--seeds", required=True, help="comma-separated seeds, one pair each")
     ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s]
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": export(args.parent, Path(tmp)), "change": ROOT}
-        for i, seed in enumerate(seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                run = bench(trees[side], args.workload, seed, args.seconds)
-                runs[side].append(run)
-                values = " ".join(f"{k}={v:.6g}" for k, v in run["metrics"].items())
-                print(f"pair {i + 1} seed {seed} {side}: failed {run['failed']}/"
-                      f"{run['attempted']} {values}", flush=True)
-
-    summary = summarize(runs, better)
-    for name, s in summary.items():
-        (p1, p2, p3), (c1, c2, c3) = s["parent"], s["change"]
-        print(f"{args.workload} {name} ({s['better']} is better): "
-              f"parent {p2:.6g} [{p1:.6g}, {p3:.6g}]  change {c2:.6g} [{c1:.6g}, {c3:.6g}]  "
-              f"{s['relative']:+.1%}  change won {s['wins']}/{s['pairs']}  "
-              f"{'beyond' if s['beyond_parent_iqr'] else 'within'} the parent's IQR")
-    print(json.dumps({"workload": args.workload, "parent": args.parent, "seeds": seeds,
-                      "seconds": args.seconds, "runs": runs, "summary": summary}))
+        for workload in (w for w in args.workload.split(",") if w):
+            result = compare(trees, workload, seeds, args.seconds, metrics)
+            print(json.dumps({"parent": args.parent, **result}), flush=True)
     return 0
 
 

@@ -20,8 +20,10 @@ runs at scale, with ``run realsum --uniform 100000 --bits 3`` at every
 fidelity; each run command on an input file with CRLF endings, padding and
 blank lines, one with a 23-digit line, one with unreadable lines, and an
 empty one; both audits of every vetted mc-trials case of the benchmark
-(``perfbench/workloads.py``); and usage errors (an empty input file and
-negative counts among them), help and ``--version``.
+(``perfbench/workloads.py``); calls at the edges of the one-pass parse
+(an ``=``-joined value, an abbreviated option, a negative count, a repeated
+``--seed`` and an option-like value); and usage errors (an empty input file
+and negative counts among them), help and ``--version``.
 Each line is ``<sha256>  <exit code>  <argv>``; the hash covers the exit
 code, stdout and stderr. Input files are written with fixed contents to a
 temporary directory, which the argv column and the hashed text show as
@@ -153,6 +155,19 @@ def usage_calls() -> list[list[str]]:
     ]
 
 
+def parse_edge_calls() -> list[list[str]]:
+    """Calls at the edges of the one-pass parse, each left to argparse."""
+    count = ["run", "count", "--ones", "40", "--zeros", "60"]
+    return [
+        [*count, "--eps=2", "--seed", "1"],
+        [*count, "--se", "1"],
+        ["run", "count", "--ones", "-1", "--zeros", "5", "--seed", "1"],
+        [*count, "--seed", "1", "--seed", "2"],
+        [*count, "--out", "--seed", "1"],
+        ["audit", "mse", *REFERENCE, "--n=20", "--trials", "1000", "--seed", "1"],
+    ]
+
+
 def mc_case_calls() -> list[list[str]]:
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
@@ -175,7 +190,8 @@ def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         calls = [argv for seed in SEEDS for argv in seeded_calls(seed)]
         calls += input_file_calls(Path(tmp))
-        calls += scale_calls() + unseeded_calls() + mc_case_calls() + usage_calls()
+        calls += scale_calls() + unseeded_calls() + mc_case_calls()
+        calls += parse_edge_calls() + usage_calls()
         for argv in calls:
             sha, code = digest(argv, tmp)
             print(f"{sha}  {code}  {' '.join(argv).replace(tmp, '<tmp>')}", flush=True)
