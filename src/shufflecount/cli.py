@@ -155,28 +155,31 @@ def _read_values(path: str, cast) -> np.ndarray:
     whitespace, and every non-empty line cast straight into an array of
     ``cast``'s numpy dtype (int64 for ``int``, float64 for ``float``);
     ``int`` and ``float`` parse an ASCII line of bytes as they parse the
-    same text. A whitespace-only line between values, one that is not a
-    plain ASCII number, or a value outside that dtype sends the read to a
-    line-by-line loop over the UTF-8 text, which splits at every line
-    boundary ``str.splitlines`` knows, skips blank lines, names the first
-    line ``cast`` cannot read, and leaves an out-of-range value to the
-    caller's range check.
+    same text. If that fails, the pass runs once more without whitespace-only
+    lines. A line that is not a plain ASCII number, or a value outside that
+    dtype, sends the read to :func:`_read_lines`, a loop over the UTF-8 text
+    that splits at every line boundary ``str.splitlines`` knows, skips blank
+    lines, names the first line ``cast`` cannot read, and leaves an
+    out-of-range value to the caller's range check.
     """
     data = Path(path).read_bytes()
-    try:
-        return np.fromiter(map(cast, filter(None, data.strip().splitlines())), cast)
-    except (ValueError, OverflowError):
-        pass
+    lines = data.strip().splitlines()
+    for kept in (filter(None, lines), filter(bytes.strip, lines)):
+        try:
+            return np.fromiter(map(cast, kept), cast)
+        except (ValueError, OverflowError):
+            pass
+    return _read_lines(path, data, cast)
+
+
+def _read_lines(path: str, data: bytes, cast) -> np.ndarray:
+    """The line-by-line read of :func:`_read_values`."""
     values = []
-    for line in data.decode().splitlines():
-        line = line.strip()
-        if line:
-            try:
-                values.append(cast(line))
-            except ValueError:
-                raise ParameterError(
-                    f"{path}: cannot read {line!r} as {cast.__name__}"
-                ) from None
+    for line in filter(None, map(str.strip, data.decode().splitlines())):
+        try:
+            values.append(cast(line))
+        except ValueError:
+            raise ParameterError(f"{path}: cannot read {line!r} as {cast.__name__}") from None
     return np.asarray(values)
 
 

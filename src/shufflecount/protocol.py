@@ -16,12 +16,12 @@ ones, then the dropped zeros and each trial's flooding total, then the noise
 shares, summed over users as they are drawn in chunks of whole trials under
 :data:`CHUNK_ELEMENTS`. A Binomial count of drops has the law of an
 independent drop per user, so a batch holds no per-user array.
-:func:`draw_counts` is the one per-user path: the vectorized randomizer
-behind :func:`run_counting`, which reports every user's message count. The
-analyzer reads only per-code totals of the pool, which no permutation
-changes, so a run draws no shuffle; :func:`shuffle` materializes a uniformly
-shuffled sequence where the order itself is wanted (tests). Three simulation
-fidelities exist:
+:func:`run_counting`, which reports every user's message count, is the same
+one-trial draw with the noise shares kept per user, followed by a placement
+of its totals on users. The analyzer reads only per-code totals of the pool,
+which no permutation changes, so a run draws no shuffle; :func:`shuffle`
+materializes a uniformly shuffled sequence where the order itself is wanted
+(tests). Three simulation fidelities exist:
 
 ``message``
     The default pipeline: every message total is drawn, flooding included,
@@ -39,7 +39,6 @@ fidelities exist:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,12 +64,12 @@ CHUNK_ELEMENTS = 1 << 22
 #: The layout of every seeded stream: which draws a run or batch makes, in
 #: which order and shape. A change that moves any seeded draw bumps it, and
 #: ``tests/test_protocol.py`` pins it with the digest of seeded runs.
-STREAM_LAYOUT = 3
+STREAM_LAYOUT = 4
 
 
 @dataclass(frozen=True)
 class Contribution:
-    """Message counts before shuffling: one user's, or arrays over users."""
+    """One user's message counts before shuffling, as :func:`randomize` draws them."""
 
     input_plus: int
     input_minus: int
@@ -107,7 +106,7 @@ class CountingRun:
     """Result of one end-to-end protocol execution.
 
     ``messages_per_user`` is the int64 array, shape ``(n,)``, of every user's
-    message count in input order, as :func:`draw_counts` draws it. Compare
+    message count in input order, as :func:`run_counting` places it. Compare
     runs field by field: ``==`` on two runs raises on the array.
     """
 
@@ -135,7 +134,7 @@ def _ones(zeros: int, ones: int, n: int) -> int:
 
 
 def randomize(x: int, params: ProtocolParams, rng: RandomSource) -> Contribution:
-    """Run one user's randomizer (scalar reference for :func:`draw_counts`).
+    """Run one user's randomizer (scalar reference for :func:`run_counting`).
 
     With probability ``1 - drop_prob`` the input-dependent block is
     ``(pad + x, pad)``, otherwise ``(0, 0)``. Noise counts are negative
@@ -156,41 +155,10 @@ def randomize(x: int, params: ProtocolParams, rng: RandomSource) -> Contribution
     return Contribution(input_plus, input_minus, noise_plus, noise_minus, flood)
 
 
-def draw_counts(
-    bits: np.ndarray, params: ProtocolParams, rng: RandomSource, trials=None
-) -> Contribution:
-    """The vectorized randomizer: message counts of the users holding ``bits``.
-
-    Same per-user laws as :func:`randomize`, with shares ``1/params.n_users``
-    for ``bits`` of shape ``(m,)`` or ``(trials, m)``. Fields have shape
-    ``(m,)``, or ``(trials, m)`` when ``trials`` is given. The dropped inputs
-    come first: one Binomial(``cells``, ``drop_prob``) total over the
-    ``cells`` users and trials, then that many distinct cells chosen
-    uniformly (none drawn when the total is 0), which is exactly an
-    independent drop per cell. Then the noise shares (``2m``, plus shares
-    first) and the flooding counts.
-    """
-    m = bits.shape[-1]
-    shape = (m,) if trials is None else (trials, m)
-    gen = rng.generator
-    cells = math.prod(shape)
-    keep = np.ones(cells, dtype=bool)
-    dropped = gen.binomial(cells, params.drop_prob)
-    if dropped:
-        keep[gen.choice(cells, dropped, replace=False, shuffle=False)] = False
-    keep = keep.reshape(shape)
-    p = geo_success_prob(params.noise_epsilon)
-    noise = sample_nb(1.0 / params.n_users, p, rng, size=shape[:-1] + (2 * m,))
-    return Contribution(
-        input_plus=np.where(keep, params.pad_count + bits.astype(np.int64, copy=False), 0),
-        input_minus=np.where(keep, params.pad_count, 0),
-        noise_plus=noise[..., :m],
-        noise_minus=noise[..., m:],
-        flood=sample_poi(params.flood_mean / params.n_users, rng, size=shape),
-    )
-
-
-def _stages(ones, m: int, params: ProtocolParams, rng: RandomSource, fidelity: str, trials=None):
+def _stages(
+    ones, m: int, params: ProtocolParams, rng: RandomSource, fidelity: str, trials=None, *,
+    per_user=False,
+):
     """One instance's totals over ``m`` users, ``ones`` of whom hold a one, for all trials.
 
     The draws come in stages, in stream order, and each fidelity stops at the
@@ -207,13 +175,19 @@ def _stages(ones, m: int, params: ProtocolParams, rng: RandomSource, fidelity: s
     A drop count has the law of an independent drop per user, and a flooding
     total that of the per-user counts, by Poisson additivity. ``ones`` is a
     count or an array of ``trials`` counts; only ``law`` may leave
-    ``trials`` out, for a single draw. ``law`` and ``counts`` return the
-    signed sum, ``kept + DLap(noise_epsilon)`` and ``kept + noise_plus -
-    noise_minus``; ``message`` returns the plus and minus message totals,
-    ``pad * K + kept + noise_plus + flood`` and ``pad * K + noise_minus +
-    flood``, where ``K`` counts every kept user.
+    ``trials`` out, for a single draw; one trial passes numpy's binomial a
+    Python int, the same draw far faster than an array. ``law`` and
+    ``counts`` return the signed sum, ``kept + DLap(noise_epsilon)`` and
+    ``kept + noise_plus - noise_minus``; ``message`` returns the plus and
+    minus message totals, ``pad * K + kept + noise_plus + flood`` and ``pad
+    * K + noise_minus + flood``, where ``K`` counts every kept user. With
+    ``per_user``, one ``message`` trial keeps its ``2m`` noise shares
+    (``group = 1`` makes the same draws) and returns ``(plus, minus),
+    (dropped_ones, dropped_zeros, flood, shares)``.
     """
     gen, q = rng.generator, params.drop_prob
+    if trials == 1:
+        ones = np.asarray(ones).item()
     if fidelity == "law":
         kept = ones - gen.binomial(ones, q, size=trials)
         return kept + sample_dlap(params.noise_epsilon, rng, size=trials)
@@ -223,14 +197,19 @@ def _stages(ones, m: int, params: ProtocolParams, rng: RandomSource, fidelity: s
         users = kept + (m - ones) - gen.binomial(m - ones, q, size=trials)
         flood = sample_poi(params.flood_mean * m / params.n_users, rng, size=trials)
     p = geo_success_prob(params.noise_epsilon)
-    noise = np.empty((trials, 2), dtype=np.int64)
-    for chunk, size in chunks:
-        noise[chunk] = sample_nb(1.0 / params.n_users, p, rng, size=(size, 2 * m), group=m)
+    if per_user:  # one trial in one chunk: its shares, then their sums
+        shares = sample_nb(1.0 / params.n_users, p, rng, size=2 * m)
+        noise = shares.reshape(1, 2, m).sum(axis=2)
+    else:
+        noise = np.empty((trials, 2), dtype=np.int64)
+        for chunk, size in chunks:
+            noise[chunk] = sample_nb(1.0 / params.n_users, p, rng, size=(size, 2 * m), group=m)
     plus, minus = kept + noise[:, 0], noise[:, 1]
     if fidelity == "counts":
         return plus - minus
     padded = params.pad_count * users + flood
-    return padded + plus, padded + minus
+    totals = padded + plus, padded + minus
+    return (totals, (ones - kept, m - ones - (users - kept), flood, shares)) if per_user else totals
 
 
 def signed_sums(ones, params: ProtocolParams, rng: RandomSource, fidelity: str, size=None):
@@ -324,19 +303,35 @@ def run_counting(
 ) -> CountingRun:
     """Run the full pipeline: randomize every user, pool, analyze.
 
-    Every user's message counts are drawn by :func:`draw_counts` on ``rng``'s
-    own stream. The view is their totals, and ``messages_per_user`` each
-    user's plus and minus counts added in place.
+    The one-trial :func:`_stages` of ``message`` fidelity, noise shares kept
+    per user, draws the estimate and view of the one-trial
+    :func:`estimate_trials` and :func:`simulate_views` at the same seed. Its
+    totals are then placed on users, exactly: the drops by ``choice`` among
+    the ones and among the zeros, the flooding by one O(n) multinomial.
     """
     bits = check_array("xs", xs, 0, 1)
-    if bits.size != params.n_users:
-        raise ParameterError(f"got {bits.size} inputs for n_users={params.n_users}")
+    n = params.n_users
+    if bits.size != n:
+        raise ParameterError(f"got {bits.size} inputs for n_users={n}")
     require_feasible(params)
-    c = draw_counts(bits, params, rng)
-    plus, minus = c.plus_count, c.minus_count
-    view = View(int(plus.sum()), int(minus.sum()))
-    plus += minus  # each user's message count, with no third (n,) array
-    return CountingRun(estimate=analyze(view), messages_per_user=plus, view=view)
+    ones = int(np.count_nonzero(bits))
+    (plus, minus), (*dropped, flood, shares) = _stages(
+        ones, n, params, rng, "message", 1, per_user=True
+    )
+    drops = [  # the dropped users among the ones and among the zeros
+        np.flatnonzero(bits == x)[rng.generator.choice(size, d[0], replace=False, shuffle=False)]
+        for x, size, d in zip((1, 0), (ones, n - ones), dropped) if d[0]
+    ]
+    counts = rng.generator.multinomial(flood[0], np.full(n, 1.0 / n))
+    counts *= 2
+    counts += shares[:n]
+    counts += shares[n:]
+    counts += 2 * params.pad_count  # every user's block, then taken back from the dropped
+    counts += bits == 1
+    for users in drops:
+        counts[users] -= 2 * params.pad_count + (bits[users] == 1)
+    view = View(int(plus[0]), int(minus[0]))
+    return CountingRun(estimate=analyze(view), messages_per_user=counts, view=view)
 
 
 def sample_estimate(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shufflecount import cli
 from shufflecount.cli import (
     SEED_ENV_VAR,
     _int_list,
@@ -411,6 +412,25 @@ def test_reader_matches_line_by_line_loop(tmp_path, text, cast):
         return
     got = _read_values(str(path), cast)
     assert got.dtype == expected.dtype or not expected.size  # an empty file is rejected
+    np.testing.assert_array_equal(got, expected)
+
+
+
+@pytest.mark.parametrize("blank", ["  ", "\t", " \t \x0b"], ids=["spaces", "tab", "mixed"])
+@pytest.mark.parametrize("cast", [int, float])
+def test_whitespace_only_lines_stay_out_of_the_line_loop(tmp_path, monkeypatch, blank, cast):
+    # the second C-speed pass leaves whitespace-only lines out, so a clean
+    # file with such lines between its values never reaches the loop
+    path = tmp_path / "values.txt"
+    path.write_bytes(f"1\n{blank}\n0\r\n 1\t\n{blank}\n0\n".encode())
+    expected = _read_line_by_line(path, cast)
+
+    def loop(*args):
+        raise AssertionError("the line-by-line loop ran")
+
+    monkeypatch.setattr(cli, "_read_lines", loop)
+    got = _read_values(str(path), cast)
+    assert got.dtype == expected.dtype
     np.testing.assert_array_equal(got, expected)
 
 

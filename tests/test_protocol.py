@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from shufflecount.dist import geo_success_prob, poi_logpmf, sample_nb
 from shufflecount.protocol import (
     CHUNK_ELEMENTS,
     FIDELITIES,
-    draw_counts,
     estimate_trials,
     message_count_trials,
     run_trials,
@@ -44,8 +44,8 @@ from shufflecount.protocol import (
 
 REFERENCE = minimal_params(1.0, 0.5, 0.01, 100)
 #: SHA-256 of the seeded draws of test_stream_layout_pins_the_seeded_draws at
-#: protocol.STREAM_LAYOUT 3
-STREAM_DIGEST = "34b15d4c10493f3073d23d0cdee0ef22bfdcbcafaddfadd3bd2f783d39a5d0eb"
+#: protocol.STREAM_LAYOUT 4
+STREAM_DIGEST = "481464aee7050a07f07529b9551c45ecd5148c48f047983bd7f2a2fd4658879d"
 
 
 def _loose_params(q=0.2, n=4):
@@ -54,6 +54,46 @@ def _loose_params(q=0.2, n=4):
         n_users=n, epsilon=1.0, noise_epsilon=0.5,
         drop_prob=q, pad_count=3, flood_mean=8.0,
     )
+
+
+@pytest.fixture
+def unchecked(monkeypatch):
+    # run_counting checks feasibility first; the laws under test do not need it
+    monkeypatch.setattr(protocol, "require_feasible", lambda params: None)
+
+
+class Recorder:
+    """A generator that records the name, result size and arguments of every draw."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, []
+
+    def __getattr__(self, name):
+        method = getattr(self.gen, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, np.size(out), args))
+            return out
+
+        return draw
+
+    @property
+    def names(self):
+        return [name for name, _, _ in self.calls]
+
+
+def _recorded(seed):
+    """A seeded source whose generator records its draws, and an untouched twin."""
+    rng, twin = RandomSource(seed), RandomSource(seed)
+    rng._generator = Recorder(rng.generator)
+    return rng, twin
+
+
+def _dropped_users(run, params):
+    # with a pad far above every user's noise shares and flooding, a user is
+    # dropped exactly when it sends fewer than 2 pad messages
+    return run.messages_per_user < 2 * params.pad_count
 
 
 class TestRandomize:
@@ -182,14 +222,14 @@ class TestRunCounting:
     def test_decomposition_identity(self):
         # estimate equals the input part plus the noise part; flooding cancels
         xs = [1] * 40 + [0] * 60
-        rng = RandomSource(12)
-        c = draw_counts(np.array(xs), REFERENCE, rng)
-        view = View(int(c.plus_count.sum()), int(c.minus_count.sum()))
-        input_part = int((c.input_plus - c.input_minus).sum())
-        noise_part = int((c.noise_plus - c.noise_minus).sum())
-        assert analyze(view) == input_part + noise_part
+        (plus, minus), (dropped, _, _, shares) = protocol._stages(
+            40, 100, REFERENCE, RandomSource(12), "message", 1, per_user=True
+        )
+        input_part = 40 - int(dropped[0])  # each kept one sends pad + 1 and pad
+        noise_part = int(shares[:100].sum() - shares[100:].sum())
+        assert plus[0] - minus[0] == input_part + noise_part
         run = run_counting(xs, REFERENCE, RandomSource(12))
-        assert run.estimate == analyze(view)
+        assert run.estimate == analyze(run.view) == input_part + noise_part
 
     def test_all_zeros_estimate_is_discrete_laplace(self):
         params = minimal_params(1.0, 0.5, 0.01, 50)
@@ -286,29 +326,34 @@ def test_message_count_trials_mean():
 
 
 class TestEngine:
-    def test_draw_counts_matches_scalar_randomize_moments(self):
-        params = _loose_params(q=0.2)
+    def test_run_counting_matches_scalar_randomize_moments(self, unchecked):
+        # each user's message count has the law of the scalar randomizer's
+        params = _loose_params(q=0.2, n=2)
         trials = 20_000
-        vec = draw_counts(np.array([0, 1]), params, RandomSource(60), trials)
+        rng = RandomSource(60)
+        vec = np.array([run_counting([0, 1], params, rng).messages_per_user for _ in range(trials)])
         rng = RandomSource(61)
         for x in (0, 1):
-            ref = [randomize(x, params, rng) for _ in range(trials)]
-            for field in ("plus_count", "minus_count"):
-                a = getattr(vec, field)[:, x].astype(np.float64)
-                b = np.array([getattr(c, field) for c in ref], dtype=np.float64)
-                se = math.sqrt(a.var(ddof=1) / trials + b.var(ddof=1) / trials)
-                assert abs(a.mean() - b.mean()) <= 3.0 * se, (x, field)
-                da, db = (a - a.mean()) ** 2, (b - b.mean()) ** 2
-                se = math.sqrt(da.var(ddof=1) / trials + db.var(ddof=1) / trials)
-                assert abs(da.mean() - db.mean()) <= 3.0 * se, (x, field)
+            a = vec[:, x].astype(np.float64)
+            b = np.array(
+                [randomize(x, params, rng).message_count for _ in range(trials)], dtype=np.float64
+            )
+            se = math.sqrt(a.var(ddof=1) / trials + b.var(ddof=1) / trials)
+            assert abs(a.mean() - b.mean()) <= 3.0 * se, x
+            da, db = (a - a.mean()) ** 2, (b - b.mean()) ** 2
+            se = math.sqrt(da.var(ddof=1) / trials + db.var(ddof=1) / trials)
+            assert abs(da.mean() - db.mean()) <= 3.0 * se, x
 
     @pytest.mark.parametrize("q", [0.01, 0.5])
-    def test_drops_are_independent_per_user_and_trial(self, q):
-        # 200 000 cells: Generator.choice places 1 % of them through a hash
-        # set and half of them through a partial shuffle of every cell
+    def test_drops_are_independent_per_user_and_trial(self, unchecked, q):
+        # 500 runs of 400 users holding a zero; Generator.choice places each
+        # run's drops through a partial shuffle of its 400 zeros
         m, trials = 400, 500
-        c = draw_counts(np.zeros(m), _loose_params(q=q, n=m), RandomSource(68), trials)
-        dropped = c.input_minus == 0
+        params = replace(_loose_params(q=q, n=m), pad_count=10**6)
+        rng, bits = RandomSource(68), np.zeros(m, dtype=np.int64)
+        dropped = np.array(
+            [_dropped_users(run_counting(bits, params, rng), params) for _ in range(trials)]
+        )
         kept = m - np.count_nonzero(dropped, axis=1)
         result = gof_integer_samples(kept, lambda k: _binom_logpmf(m, 1.0 - q, k))
         assert result.pvalue >= 1e-3
@@ -316,37 +361,98 @@ class TestEngine:
         result = gof_integer_samples(per_user, lambda k: _binom_logpmf(trials, q, k))
         assert result.pvalue >= 1e-3
 
-    def test_no_drop_draws_only_the_binomial(self):
-        class Recorder:
-            def __init__(self, gen):
-                self.gen, self.calls = gen, []
+    @pytest.mark.parametrize("q", [0.01, 0.5])
+    def test_dropped_users_are_the_stage_drop_counts(self, unchecked, q):
+        # 15 000 ones and 15 000 zeros: Generator.choice places 1 % of each
+        # through a hash set and half of each through a partial shuffle
+        n = 30_000
+        params = replace(_loose_params(q=q, n=n), pad_count=10**6)
+        bits = np.arange(n) % 2
+        run = run_counting(bits, params, RandomSource(81))
+        _, (dropped_ones, dropped_zeros, _, _) = protocol._stages(
+            n // 2, n, params, RandomSource(81), "message", 1, per_user=True
+        )
+        dropped = _dropped_users(run, params)
+        assert np.count_nonzero(dropped & (bits == 1)) == dropped_ones[0] > 0
+        assert np.count_nonzero(dropped & (bits == 0)) == dropped_zeros[0] > 0
+        assert run.messages_per_user.sum() == run.view.plus_count + run.view.minus_count
 
-            def __getattr__(self, name):
-                self.calls.append(name)
-                return getattr(self.gen, name)
-
-        # at q = 0 draw_counts places no drop: the binomial is its only
-        # draw before the noise shares and the flooding
+    def test_no_drop_draws_only_the_binomial(self, unchecked):
+        # at q = 0 run_counting places no drop: the stage binomials are its
+        # only drop draws, and no choice follows them
         params = _loose_params(q=0.0, n=6)
-        rng, twin = RandomSource(69), RandomSource(69)
-        rng._generator = Recorder(rng.generator)
-        c = draw_counts(np.zeros(6, dtype=np.int64), params, rng, 3)
-        twin.generator.binomial(18, 0.0)
-        sample_nb(1.0 / 6, geo_success_prob(params.noise_epsilon), twin, size=(3, 12))
-        twin.generator.poisson(params.flood_mean / 6, (3, 6))
-        assert np.all(c.input_minus == params.pad_count)
-        assert rng.generator.calls[0] == "binomial"
-        assert "choice" not in rng.generator.calls
+        rng, twin = _recorded(69)
+        run = run_counting(np.zeros(6, dtype=np.int64), params, rng)
+        _, (*_, flood, _) = protocol._stages(0, 6, params, twin, "message", 1, per_user=True)
+        twin.generator.multinomial(flood[0], np.full(6, 1 / 6))
+        assert np.all(run.messages_per_user >= 2 * params.pad_count)
+        assert rng.generator.names[:2] == ["binomial", "binomial"]
+        assert "choice" not in rng.generator.names
         assert rng.generator.gen.bit_generator.state == twin.generator.bit_generator.state
 
+    def test_flooding_is_placed_by_one_multinomial(self):
+        # count-large's parameters: about 1.3 million flooding pairs on 500
+        # users take one multinomial draw, never one draw per pair
+        params = derive_params(1.0, 0.5, 500)
+        rng, _ = _recorded(83)
+        run = run_counting(np.arange(500) % 2, params, rng)
+        calls = rng.generator.calls
+        assert run.view.minus_count > 10**6
+        assert [name for name, _, _ in calls].count("multinomial") == 1
+        assert sum(size for name, size, _ in calls if name != "multinomial") < 500
+
     def test_run_counting_is_the_one_instance_pooled_run(self):
-        # the view of a counting run is the pool of draw_counts on its stream
-        xs = [1] * 30 + [0] * 70
-        run = run_counting(xs, REFERENCE, RandomSource(62))
-        c = draw_counts(np.array(xs), REFERENCE, RandomSource(62))
-        assert run.view == View(c.plus_count.sum(), c.minus_count.sum())
-        assert run.estimate == analyze(run.view)
-        assert np.array_equal(run.messages_per_user, c.message_count)
+        # a counting run's estimate and view are those of the one-trial
+        # batch at the same seed, draw for draw, and its users' message
+        # counts add up to the view
+        for n in (1, 2, 3, 50, 500, 5000):
+            for params in (derive_params(1.0, 0.5, n), minimal_params(1.0, 0.5, 0.2, n)):
+                for seed in range(10):
+                    bits = np.random.default_rng((n, seed)).integers(0, 2, n)
+                    ones = int(bits.sum())
+                    run = run_counting(bits, params, RandomSource(seed))
+                    est = estimate_trials(n - ones, ones, params, 1, RandomSource(seed))
+                    views = simulate_views(n - ones, ones, params, 1, RandomSource(seed))
+                    assert run.estimate == est[0], (n, seed)
+                    assert run.view == View(*(int(v[0]) for v in views)), (n, seed)
+                    total = run.messages_per_user.sum()
+                    assert total == run.view.plus_count + run.view.minus_count, (n, seed)
+
+    def test_run_counting_memory_per_user(self):
+        # n = 10**6 at derived parameters, in bytes per user: the noise shares
+        # (16), the counts and the multinomial's probabilities (8 each); the
+        # per-user input and total arrays it once held came to 56
+        n = 10**6
+        params = derive_params(1.0, 0.5, n)
+        bits = (np.arange(n) < n // 2).astype(np.uint8)
+        run_counting(bits[:1000], derive_params(1.0, 0.5, 1000), RandomSource(84))  # warm up
+        tracemalloc.start()
+        try:
+            run_counting(bits, params, RandomSource(84))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * n
+
+    def test_binomial_of_a_scalar_count_is_the_same_draw(self):
+        # numpy's binomial takes a Python int far faster than a one-element
+        # array, and draws the same value and leaves the same state either way
+        for seed in range(200):
+            for n in (0, 3, 57, 10**3, 10**6):
+                for q in (0.001, 0.01, 0.3, 0.7):
+                    gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+                    assert gen.binomial(np.array([n]), q, size=1) == twin.binomial(n, q, size=1)
+                    assert gen.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_one_trial_draws_its_drops_from_a_scalar_count(self, fidelity):
+        # a one-trial batch over per-bit sums hands its stages a Python int
+        params = minimal_params(1.0, 0.5, 0.2, 6)
+        rng, twin = _recorded(85)
+        sums, _ = run_trials(lambda rng, rows: np.full((rows, 2), 3), [params] * 2, 1, rng, fidelity)
+        binomials = [args for name, _, args in rng.generator.calls if name == "binomial"]
+        assert binomials and all(type(args[0]) is int for args in binomials)
+        assert np.array_equal(sums, run_trials([3, 3], [params] * 2, 1, twin, fidelity)[0])
 
     def test_pooled_shuffle_holds_one_byte_per_message(self):
         params = derive_params(1.0, 0.5, 100)
@@ -488,13 +594,15 @@ class TestDealtShuffle:
 
     def test_batched_totals_match_the_per_user_moments(self):
         # the per-trial flooding total has the law of the per-user sum: the
-        # message totals of a batch match those of per-user draw_counts
+        # message totals of a batch match those of the scalar randomizer
+        # summed over the users
         params = _loose_params(q=0.2, n=6)
-        bits = np.array([1, 0, 1, 1, 0, 0])
+        bits = [1, 0, 1, 1, 0, 0]
         trials = 20_000
         _, batched = run_trials([3], [params], trials, RandomSource(79), "message")
-        per_user = draw_counts(bits, params, RandomSource(80), trials).message_count
-        a, b = batched.astype(np.float64), per_user.sum(axis=1).astype(np.float64)
+        rng = RandomSource(80)
+        per_user = [sum(randomize(x, params, rng).message_count for x in bits) for _ in range(trials)]
+        a, b = batched.astype(np.float64), np.array(per_user, dtype=np.float64)
         se = math.sqrt(a.var(ddof=1) / trials + b.var(ddof=1) / trials)
         assert abs(a.mean() - b.mean()) <= 3.0 * se
         da, db = (a - a.mean()) ** 2, (b - b.mean()) ** 2
@@ -520,7 +628,7 @@ class TestDealtShuffle:
             sums, totals, counts, [run.estimate, *run.messages_per_user], *views, messages
         ):
             digest.update(np.asarray(values, dtype=np.int64).tobytes())
-        assert (protocol.STREAM_LAYOUT, digest.hexdigest()) == (3, STREAM_DIGEST)
+        assert (protocol.STREAM_LAYOUT, digest.hexdigest()) == (4, STREAM_DIGEST)
 
     def test_position_and_run_statistics_match_a_full_shuffle(self):
         plus, minus, draws, bins = 15_000, 5_000, 400, 10

@@ -6,6 +6,17 @@ output on the parent commit and on the change::
 
     PYTHONPATH=src python tools/report_digest.py > digests.txt
 
+or in one step, against any revision::
+
+    PYTHONPATH=src python tools/report_digest.py --against HEAD
+
+``--against REV`` exports the committed files of ``REV`` (``git archive``,
+as ``tools/bench_pairs.py`` does), runs that revision's own copy of this
+script under its own ``src``, and prints only what differs, matched by the
+argv column: ``moved`` lines, whose hash or exit code changed, with both
+exit codes, and the lines present on one side only. It exits 1 when
+anything differs, else 0.
+
 The package is imported from ``PYTHONPATH``; every report comes from
 ``shufflecount.cli.main`` in this process. The list covers ``run count``
 (as JSON and as the per-user CSV), ``run realsum`` and ``run histogram``
@@ -32,14 +43,18 @@ temporary directory, which the argv column and the hashed text show as
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+from bench_pairs import export
 from shufflecount.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -186,7 +201,8 @@ def digest(argv: list[str], tmp: str) -> tuple[str, int]:
     return hashlib.sha256(text.encode()).hexdigest(), code
 
 
-def run() -> None:
+def lines():
+    """One ``<sha256>  <exit code>  <argv>`` line per call, in call order."""
     with tempfile.TemporaryDirectory() as tmp:
         calls = [argv for seed in SEEDS for argv in seeded_calls(seed)]
         calls += input_file_calls(Path(tmp))
@@ -194,7 +210,53 @@ def run() -> None:
         calls += parse_edge_calls() + usage_calls()
         for argv in calls:
             sha, code = digest(argv, tmp)
-            print(f"{sha}  {code}  {' '.join(argv).replace(tmp, '<tmp>')}", flush=True)
+            yield f"{sha}  {code}  {' '.join(argv).replace(tmp, '<tmp>')}"
+
+
+def revision_lines(revision: str) -> list[str]:
+    """The lines of ``revision``'s own copy of this script, run under its own ``src``."""
+    with tempfile.TemporaryDirectory(prefix="report-digest-") as tmp:
+        tree = export(revision, Path(tmp))
+        proc = subprocess.run(
+            [sys.executable, "tools/report_digest.py"], cwd=tree, check=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        )
+    return proc.stdout.splitlines()
+
+
+def differences(theirs: list[str], ours: list[str], revision: str) -> list[str]:
+    """The lines that moved or sit on one side only, matched by their argv."""
+    def split(text):
+        return {argv: (sha, code) for sha, code, argv in (t.split("  ", 2) for t in text)}
+
+    old, new = split(theirs), split(ours)
+    out = []
+    for argv, (sha, code) in new.items():
+        if argv not in old:
+            out.append(f"only here  {sha}  {code}  {argv}")
+        elif old[argv] != (sha, code):
+            out.append(f"moved  exit {old[argv][1]} -> {code}  {argv}")
+    out += [f"only at {revision}  {sha}  {code}  {argv}"
+            for argv, (sha, code) in old.items() if argv not in new]
+    return out
+
+
+def run(argv=None) -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("--against", metavar="REV", help="print only what differs from REV")
+    args = ap.parse_args(argv)
+    if args.against is None:
+        for line in lines():
+            print(line, flush=True)
+        return 0
+    ours = list(lines())
+    diff = differences(revision_lines(args.against), ours, args.against)
+    for line in diff:
+        print(line)
+    print(f"{len(diff)} of {len(ours)} lines differ from {args.against}")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
