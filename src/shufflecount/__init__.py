@@ -5,11 +5,9 @@ from .audit import (
     DatasetSummary,
     check_geo_ratio,
     check_poi_ratio,
-    crossvalidate_views,
     divergence_audit,
     exact_mean_messages,
     exact_mse,
-    exact_view_logpmf,
     measure_comm,
     measure_mse,
     mse_bound,
@@ -26,11 +24,8 @@ from .composition import (
 from .dist import (
     RandomSource,
     dlap_variance,
-    geo_logpmf,
-    nb_logpmf,
     poi_logpmf,
     sample_dlap,
-    sample_geo,
     sample_nb,
     sample_poi,
 )
@@ -53,9 +48,7 @@ from .protocol import (
     analyze,
     randomize,
     run_counting,
-    sample_estimate,
     shuffle,
-    view_of,
 )
 
 __version__ = "0.1.0"
@@ -78,32 +71,25 @@ __all__ = [
     "check_condition",
     "check_geo_ratio",
     "check_poi_ratio",
-    "crossvalidate_views",
     "derive_params",
     "divergence_audit",
     "dlap_variance",
     "encode_real",
     "exact_mean_messages",
     "exact_mse",
-    "exact_view_logpmf",
-    "geo_logpmf",
     "measure_comm",
     "measure_mse",
     "minimal_params",
     "mse_bound",
-    "nb_logpmf",
     "poi_logpmf",
     "randomize",
     "run_counting",
     "run_histogram",
     "run_real_sum",
     "sample_dlap",
-    "sample_estimate",
-    "sample_geo",
     "sample_nb",
     "sample_poi",
     "shuffle",
     "split_budget",
     "view_logpmf_grid",
-    "view_of",
 ]

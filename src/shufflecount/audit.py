@@ -56,16 +56,14 @@ from .dist import (
     geo_success_prob,
     poi_logpmf,
 )
-from .errors import AuditInconclusiveError, ParameterError, check_array, check_count, check_real
+from .errors import AuditInconclusiveError, ParameterError, check_count, check_real
 from .params import ProtocolParams
-from .protocol import estimate_trials, message_count_trials, simulate_views
+from .protocol import estimate_trials, message_count_trials
 
 DEFAULT_COVERAGE = 1.0 - 1e-9
 DEFAULT_MASS_FLOOR = 1e-30
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_GRID_CAP = 4096
-#: Goodness-of-fit cells expecting fewer samples are lumped into one cell.
-MIN_EXPECTED = 10.0
 
 
 @dataclass(frozen=True)
@@ -189,49 +187,6 @@ def view_logpmf_grid(
     acc += (2.0 * math.log(geo_success_prob(eta)) - eta * i)[:, None]
     acc -= eta * j
     return acc
-
-
-def exact_view_logpmf(
-    ds: DatasetSummary, params: ProtocolParams, i: int, j: int
-) -> float:
-    """Exact log-probability that the view equals ``(i, j)``.
-
-    Point evaluation with its own finite sums (independent of the grid code
-    path, which the tests cross-check against this one).
-    """
-    from scipy.special import gammaln, logsumexp
-
-    if check_count("i", i, -math.inf) < 0 or check_count("j", j, -math.inf) < 0:
-        return NEG_INF
-    eta = params.noise_epsilon
-    p = geo_success_prob(eta)
-    log_flood_mean = math.log(params.flood_mean)
-    keep = 1.0 - params.drop_prob
-    terms = []
-    for a0 in range(ds.zeros + 1):
-        for a1 in range(ds.ones + 1):
-            lw = float(
-                _binom_logpmf(ds.zeros, keep, np.asarray(a0))
-                + _binom_logpmf(ds.ones, keep, np.asarray(a1))
-            )
-            if lw == NEG_INF:
-                continue
-            a = i - (a0 + a1) * params.pad_count - a1
-            b = j - (a0 + a1) * params.pad_count
-            if a < 0 or b < 0:
-                continue
-            w = np.arange(min(a, b) + 1)
-            inner = (
-                w * (log_flood_mean + 2.0 * eta)
-                - params.flood_mean
-                - gammaln(w + 1)
-            )
-            terms.append(
-                lw + 2.0 * math.log(p) - eta * (a + b) + logsumexp(inner)
-            )
-    if not terms:
-        return NEG_INF
-    return float(logsumexp(terms))
 
 
 @dataclass(frozen=True)
@@ -632,89 +587,3 @@ def measure_comm(
         bound=messages_bound(params),
         trials=trials,
     )
-
-
-@dataclass(frozen=True)
-class GofResult:
-    """Chi-square goodness-of-fit outcome."""
-
-    statistic: float
-    pvalue: float
-    dof: int
-    cells: int
-
-
-def _lumped_chisquare(
-    observed: np.ndarray, expected: np.ndarray, total: int
-) -> GofResult:
-    """Chi-square test of ``total`` samples over lumped cells.
-
-    Cells expecting at least ``MIN_EXPECTED`` samples are kept; one remainder
-    cell lumps all other mass.
-    """
-    from scipy.special import chdtrc
-
-    sel = expected >= MIN_EXPECTED
-    f_obs = np.append(observed[sel], total - observed[sel].sum())
-    f_exp = np.append(expected[sel], total - expected[sel].sum())
-    statistic = float(np.sum((f_obs - f_exp) ** 2 / f_exp))
-    return GofResult(
-        statistic=statistic,
-        pvalue=float(chdtrc(f_obs.size - 1, statistic)),
-        dof=f_obs.size - 1,
-        cells=f_obs.size,
-    )
-
-
-def gof_integer_samples(samples: np.ndarray, logpmf) -> GofResult:
-    """Chi-square test of non-negative integer samples against an exact PMF.
-
-    Cells with expected count below ``MIN_EXPECTED`` are lumped into a single
-    remainder cell (which also absorbs all mass beyond the observed range).
-    """
-    samples = check_array("samples", samples, 0, math.inf)
-    n = samples.size
-    k_max = int(samples.max())
-    ks = np.arange(k_max + 1)
-    expected = np.exp(logpmf(ks)) * n
-    observed = np.bincount(samples, minlength=k_max + 1).astype(np.float64)
-    return _lumped_chisquare(observed, expected, n)
-
-
-def crossvalidate_views(
-    ds: DatasetSummary,
-    params: ProtocolParams,
-    trials: int,
-    rng: RandomSource,
-) -> GofResult:
-    """Chi-square simulated views against the exact oracle.
-
-    The two routes are independent: simulation draws the randomizer's totals
-    (drop counts, every user's noise shares, a flooding total), the oracle
-    evaluates the pooled convolution in closed form.
-    """
-    v_plus, v_minus = simulate_views(ds.zeros, ds.ones, params, trials, rng)
-    bound_i, bound_j = _grid_bounds(params, ds.n, 1e-12)
-    i_max = max(int(v_plus.max()), bound_i)
-    j_max = max(int(v_minus.max()), bound_j)
-    grid = view_logpmf_grid(ds, params, i_max, j_max)
-    expected = np.exp(grid) * trials
-    observed = np.zeros_like(expected)
-    np.add.at(observed, (v_plus, v_minus), 1.0)
-    return _lumped_chisquare(observed, expected, trials)
-
-
-def max_log_ratio(pmf_1: np.ndarray, pmf_2: np.ndarray) -> float:
-    """Max over the support of ``pmf_1`` of ``ln(pmf_1 / pmf_2)``.
-
-    Infinite when ``pmf_1`` puts mass where ``pmf_2`` has none. The two
-    arrays must be aligned over the same outcome set.
-    """
-    pmf_1 = np.asarray(pmf_1, dtype=np.float64)
-    pmf_2 = np.asarray(pmf_2, dtype=np.float64)
-    support = pmf_1 > 0.0
-    if not np.any(support):
-        return NEG_INF
-    if np.any(pmf_2[support] == 0.0):
-        return math.inf
-    return float(np.max(np.log(pmf_1[support]) - np.log(pmf_2[support])))

@@ -87,7 +87,10 @@ def _emit(args, report: dict, rows: list[dict] | None = None) -> None:
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ParameterError(f"{args.out}: cannot write: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -162,7 +165,10 @@ def _read_values(path: str, cast) -> np.ndarray:
     lines, names the first line ``cast`` cannot read, and leaves an
     out-of-range value to the caller's range check.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParameterError(f"{path}: cannot read: {exc.strerror}") from None
     lines = data.strip().splitlines()
     for kept in (filter(None, lines), filter(bytes.strip, lines)):
         try:
@@ -174,8 +180,12 @@ def _read_values(path: str, cast) -> np.ndarray:
 
 def _read_lines(path: str, data: bytes, cast) -> np.ndarray:
     """The line-by-line read of :func:`_read_values`."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     values = []
-    for line in filter(None, map(str.strip, data.decode().splitlines())):
+    for line in filter(None, map(str.strip, text.splitlines())):
         try:
             values.append(cast(line))
         except ValueError:

@@ -1,13 +1,13 @@
-"""Log-space PMFs and seeded samplers for the protocol's noise distributions.
+"""The Poisson log-PMF and seeded samplers for the protocol's noise distributions.
 
-The log-PMFs are computed in log space so that counts in the millions
-(flooding means, padded message counts) never touch a raw factorial. The
-Poisson log-PMF needs only ``math`` and numpy: one anchor per run of
-consecutive counts in Loader's saddle-point form, and O(1) increments from it.
-The negative binomial's fractional shapes take ``scipy.special.gammaln``,
-imported inside :func:`nb_logpmf`. All samplers draw from an
+The log-PMF is computed in log space so that counts in the millions (flooding
+means, padded message counts) never touch a raw factorial. It needs only
+``math`` and numpy: one anchor per run of consecutive counts in Loader's
+saddle-point form, and O(1) increments from it. All samplers draw from an
 explicit :class:`RandomSource`, so identical seeds reproduce identical runs and
-distinct streams can be handed to concurrent workers.
+distinct streams can be handed to concurrent workers. The geometric and
+negative-binomial log-PMFs that the tests check the samplers against live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -66,39 +66,6 @@ class RandomSource:
 
 def _as_result(values: np.ndarray, scalar: bool):
     return float(values) if scalar else values
-
-
-def geo_logpmf(p: float, k) -> float | np.ndarray:
-    """Log-PMF of the geometric distribution on {0, 1, ...}.
-
-    ``f(k) = p (1-p)^k`` for ``k >= 0``; minus infinity off-support.
-    """
-    check_real("p", p, 0.0, 1.0)
-    k = check_points("k", k)
-    scalar = k.ndim == 0
-    out = np.where(k >= 0, math.log(p) + k * math.log1p(-p), NEG_INF)
-    return _as_result(out, scalar)
-
-
-def nb_logpmf(r: float, p: float, k) -> float | np.ndarray:
-    """Log-PMF of the negative binomial with real shape ``r > 0``.
-
-    ``f(k) = C(k+r-1, k) p^r (1-p)^k``, with the binomial coefficient
-    evaluated through log-gamma so fractional shapes (the n-divided noise
-    components) are exact. Coincides with :func:`geo_logpmf` at ``r = 1``.
-    """
-    from scipy.special import gammaln
-
-    check_real("r", r)
-    check_real("p", p, 0.0, 1.0)
-    k = check_points("k", k)
-    scalar = k.ndim == 0
-    kk = np.where(k >= 0, k, 0)  # keep gammaln off its poles; masked below
-    log_coef = gammaln(kk + r) - gammaln(kk + 1) - gammaln(r)
-    out = np.where(
-        k >= 0, log_coef + r * math.log(p) + kk * math.log1p(-p), NEG_INF
-    )
-    return _as_result(out, scalar)
 
 
 def poi_logpmf(mean: float, k) -> float | np.ndarray:
@@ -192,12 +159,6 @@ def _poi_anchor(mean: float, k: int) -> float:
     else:
         bd0 = k * math.log(k / mean) - d
     return -stirlerr - bd0 - 0.5 * math.log(k) - _HALF_LOG_2PI
-
-
-def sample_geo(p: float, rng: RandomSource, size=None):
-    """Draw from the geometric on {0, 1, ...} with PMF ``p (1-p)^k``."""
-    check_real("p", p, 0.0, 1.0)
-    return rng.generator.geometric(p, size=check_shape("size", size)) - 1
 
 
 def sample_nb(r: float, p: float, rng: RandomSource, size=None, group: int = 1):

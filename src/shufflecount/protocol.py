@@ -277,22 +277,6 @@ def shuffle(
     return messages, view
 
 
-def view_of(messages: np.ndarray) -> View:
-    """Summarize a +1/-1 message sequence into its view.
-
-    The messages are integers; an empty sequence, of any dtype, is the view
-    of a zero-message dump.
-    """
-    messages = np.asarray(messages)
-    if messages.size and messages.dtype.kind not in "iu":
-        raise ParameterError(f"messages must be +1/-1 integers, got dtype {messages.dtype}")
-    plus = int(np.count_nonzero(messages == 1))
-    minus = int(np.count_nonzero(messages == -1))
-    if plus + minus != messages.size:
-        raise ParameterError("messages must consist of +1/-1 entries only")
-    return View(plus, minus)
-
-
 def analyze(view: View) -> int:
     """Analyzer output: the signed sum of all messages, ``V_plus - V_minus``."""
     return view.plus_count - view.minus_count
@@ -332,19 +316,6 @@ def run_counting(
         counts[users] -= 2 * params.pad_count + (bits[users] == 1)
     view = View(int(plus[0]), int(minus[0]))
     return CountingRun(estimate=analyze(view), messages_per_user=counts, view=view)
-
-
-def sample_estimate(
-    ones: int, params: ProtocolParams, rng: RandomSource, size=None
-):
-    """Derivation-level simulation: draw straight from the estimate law.
-
-    The end-to-end estimate is distributed as
-    ``ones - Binomial(ones, drop_prob) + DLap(noise_epsilon)``; this samples
-    that law directly, with no per-user structure. Intended for large-scale
-    error experiments only.
-    """
-    return signed_sums(ones, params, rng, "law", size=size)
 
 
 def simulate_views(

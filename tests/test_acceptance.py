@@ -17,7 +17,6 @@ from shufflecount import (
     analyze,
     check_geo_ratio,
     check_poi_ratio,
-    crossvalidate_views,
     divergence_audit,
     dlap_variance,
     measure_comm,
@@ -26,19 +25,20 @@ from shufflecount import (
     split_budget,
     view_logpmf_grid,
 )
-from shufflecount.audit import _grid_bounds, gof_integer_samples
+from shufflecount.audit import _grid_bounds
 from shufflecount.cli import main as cli_main
 from shufflecount.composition import bit_weights, real_sum_params, real_sum_trials, histogram_trials
 from shufflecount.dist import (
-    geo_logpmf,
     geo_mean,
     geo_success_prob,
     poi_logpmf,
     sample_nb,
     sample_poi,
 )
-from shufflecount.protocol import estimate_trials, view_of
+from shufflecount.protocol import estimate_trials
 from scipy.special import logsumexp
+
+from oracles import crossvalidate_views, geo_logpmf, gof_integer_samples, view_of
 
 REFERENCE = ProtocolParams(
     n_users=100, epsilon=1.0, noise_epsilon=0.5,

@@ -18,12 +18,10 @@ from shufflecount import (
     RandomSource,
     check_geo_ratio,
     check_poi_ratio,
-    crossvalidate_views,
     divergence_audit,
     dlap_variance,
     exact_mean_messages,
     exact_mse,
-    exact_view_logpmf,
     measure_comm,
     measure_mse,
     minimal_params,
@@ -31,21 +29,27 @@ from shufflecount import (
 )
 from shufflecount import audit
 from shufflecount.audit import (
-    MIN_EXPECTED,
-    GofResult,
     RatioCheck,
     _binom_logpmf,
     _grid_bounds,
-    _lumped_chisquare,
     _one_user_terms,
     _poi_upper_quantile,
     _zero_mixture,
-    gof_integer_samples,
-    max_log_ratio,
     messages_bound,
     mse_bound,
 )
-from shufflecount.dist import geo_logpmf, geo_success_prob, poi_logpmf, sample_nb
+from shufflecount.dist import geo_success_prob, poi_logpmf, sample_nb
+
+from oracles import (
+    MIN_EXPECTED,
+    GofResult,
+    _lumped_chisquare,
+    crossvalidate_views,
+    exact_view_logpmf,
+    geo_logpmf,
+    gof_integer_samples,
+    max_log_ratio,
+)
 
 
 def _reference(n, q=0.01):

@@ -486,6 +486,25 @@ def test_unusable_file_exits_2(tmp_path, capsys, command, text, message):
     assert "zz" not in err
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-in-missing-dir"])
+def test_file_errors_exit_2_naming_the_file(tmp_path, capsys, case):
+    # exit 1 means a failed audit: a file that cannot be read or written is a usage error
+    (tmp_path / "latin1.txt").write_bytes("1\n0\né\n".encode("latin-1"))
+    path = {
+        "missing": tmp_path / "missing.txt",
+        "directory": tmp_path,
+        "not-utf8": tmp_path / "latin1.txt",
+        "out-in-missing-dir": tmp_path / "missing" / "report.json",
+    }[case]
+    if case == "out-in-missing-dir":
+        source = ["--ones", "3", "--zeros", "2", "--out", str(path)]
+    else:
+        source = ["--input-file", str(path)]
+    code, out, err = run_cli(capsys, "run", "count", "--eps", "2", *source, "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"invalid parameters: {path}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

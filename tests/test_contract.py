@@ -1,7 +1,8 @@
 """One validation contract for every public entry point.
 
-``ROWS`` has a row for every name in ``shufflecount.__all__`` and for the
-trial functions and helpers that other modules and tools call directly. A
+``ROWS`` has a row for every name in ``shufflecount.__all__``, for the
+trial functions and helpers that other modules and tools call directly, and
+for the test oracles of ``tests/oracles.py`` that take checked values. A
 row gives a valid call and the kind of each parameter the entry point
 checks. Every bad value of a kind must raise ``ParameterError`` (so the CLI
 exits 2): NaN, the infinities, negatives, zero where it is excluded,
@@ -22,7 +23,9 @@ import numpy as np
 import pytest
 
 import shufflecount as sc
-from shufflecount import ParameterError, audit, composition, protocol
+from shufflecount import ParameterError, composition, protocol
+
+import oracles
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,7 @@ def rng():
 
 
 def geo_half(k):
-    return sc.geo_logpmf(0.5, k)
+    return oracles.geo_logpmf(0.5, k)
 
 
 RESULT_TYPES = (
@@ -160,7 +163,7 @@ ROWS = {
         dict(i_max=Count(), tolerance=TOLERANCE),
     ),
     "crossvalidate_views": Row(
-        sc.crossvalidate_views,
+        oracles.crossvalidate_views,
         dict(ds=DS, params=P3, trials=20, rng=rng()),
         dict(trials=Count(1)),
     ),
@@ -191,11 +194,11 @@ ROWS = {
     ),
     "exact_mse": Row(sc.exact_mse, dict(params=P3, ones=2), dict(ones=Count(0, 3))),
     "exact_view_logpmf": Row(
-        sc.exact_view_logpmf,
+        oracles.exact_view_logpmf,
         dict(ds=DS, params=P3, i=40, j=36),
         dict(i=Count(-math.inf), j=Count(-math.inf)),
     ),
-    "geo_logpmf": Row(sc.geo_logpmf, dict(p=0.4, k=3), dict(p=PROB, k=Points())),
+    "geo_logpmf": Row(oracles.geo_logpmf, dict(p=0.4, k=3), dict(p=PROB, k=Points())),
     "measure_comm": Row(
         sc.measure_comm,
         dict(params=P3, x=1, trials=1000, rng=rng()),
@@ -216,7 +219,7 @@ ROWS = {
     ),
     "mse_bound": Row(sc.mse_bound, dict(params=P3)),
     "nb_logpmf": Row(
-        sc.nb_logpmf, dict(r=0.5, p=0.4, k=3), dict(r=Real(), p=PROB, k=Points())
+        oracles.nb_logpmf, dict(r=0.5, p=0.4, k=3), dict(r=Real(), p=PROB, k=Points())
     ),
     "poi_logpmf": Row(sc.poi_logpmf, dict(mean=2.5, k=3), dict(mean=Real(), k=Points())),
     "randomize": Row(sc.randomize, dict(x=1, params=P3, rng=rng()), dict(x=Count(0, 1))),
@@ -243,12 +246,12 @@ ROWS = {
         sc.sample_dlap, dict(a=0.5, rng=rng(), size=3), dict(a=Real(), size=Shape())
     ),
     "sample_estimate": Row(
-        sc.sample_estimate,
+        oracles.sample_estimate,
         dict(ones=2, params=P3, rng=rng(), size=None),
         dict(ones=Count(0, 3), size=Count(1)),
     ),
     "sample_geo": Row(
-        sc.sample_geo, dict(p=0.4, rng=rng(), size=3), dict(p=PROB, size=Shape())
+        oracles.sample_geo, dict(p=0.4, rng=rng(), size=3), dict(p=PROB, size=Shape())
     ),
     "sample_nb": Row(
         sc.sample_nb,
@@ -267,7 +270,7 @@ ROWS = {
         dict(ds=DS, params=P3, i_max=40, j_max=36),
         dict(i_max=Count(), j_max=Count()),
     ),
-    "view_of": Row(sc.view_of, dict(messages=[1, -1, 1])),
+    "view_of": Row(oracles.view_of, dict(messages=[1, -1, 1])),
     # trial functions and helpers called across modules
     "signed_sums": Row(
         protocol.signed_sums,
@@ -324,7 +327,7 @@ ROWS = {
         composition.tag_bits, dict(num_instances=5), dict(num_instances=Count(1))
     ),
     "gof_integer_samples": Row(
-        audit.gof_integer_samples,
+        oracles.gof_integer_samples,
         dict(samples=[0, 1, 0, 2, 0, 1] * 10, logpmf=geo_half),
         dict(samples=Array(0, math.inf)),
     ),
@@ -332,13 +335,17 @@ ROWS = {
 
 EXTRAS = {
     "signed_sums", "run_trials", "estimate_trials", "real_sum_trials", "histogram_trials",
-    "message_count_trials", "split_budget", "decode_bits", "tag_bits", "gof_integer_samples",
-    "real_sum_params", "histogram_params",
+    "message_count_trials", "split_budget", "decode_bits", "tag_bits", "real_sum_params",
+    "histogram_params",
+}
+ORACLES = {
+    "crossvalidate_views", "exact_view_logpmf", "geo_logpmf", "gof_integer_samples",
+    "nb_logpmf", "sample_estimate", "sample_geo", "view_of",
 }
 
 
 def test_every_public_name_has_a_row():
-    assert set(ROWS) == set(sc.__all__) | EXTRAS
+    assert set(ROWS) == set(sc.__all__) | EXTRAS | ORACLES
 
 
 @pytest.mark.parametrize("name", [name for name, row in ROWS.items() if row.valid is not None])
@@ -385,10 +392,10 @@ def test_legal_edge_cases_still_run():
     # the audit's negative control
     assert sc.ProtocolParams(3, 1.0, 0.5, 0.0, 17, 127.0).drop_prob == 0.0
     # off-support points of the exact oracle
-    assert sc.exact_view_logpmf(DS, P3, -1, 3) == -math.inf
-    assert sc.exact_view_logpmf(DS, P3, 3, -2) == -math.inf
+    assert oracles.exact_view_logpmf(DS, P3, -1, 3) == -math.inf
+    assert oracles.exact_view_logpmf(DS, P3, 3, -2) == -math.inf
     # off-support and grid-shaped log-PMF points, sampler shapes of any rank
-    assert sc.geo_logpmf(0.5, -1) == sc.poi_logpmf(2.5, -3) == -math.inf
-    assert sc.nb_logpmf(0.5, 0.4, np.arange(6).reshape(2, 3)).shape == (2, 3)
+    assert oracles.geo_logpmf(0.5, -1) == sc.poi_logpmf(2.5, -3) == -math.inf
+    assert oracles.nb_logpmf(0.5, 0.4, np.arange(6).reshape(2, 3)).shape == (2, 3)
     assert sc.sample_nb(0.5, 0.4, rng(), size=[2, 0]).shape == (2, 0)
     assert sc.sample_poi(2.5, rng(), size=(2, 3)).shape == (2, 3)

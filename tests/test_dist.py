@@ -8,16 +8,14 @@ from shufflecount import (
     ParameterError,
     RandomSource,
     dlap_variance,
-    geo_logpmf,
-    nb_logpmf,
     poi_logpmf,
     sample_dlap,
-    sample_geo,
     sample_nb,
     sample_poi,
 )
-from shufflecount.audit import MIN_EXPECTED, gof_integer_samples
 from shufflecount.dist import geo_success_prob
+
+from oracles import MIN_EXPECTED, geo_logpmf, gof_integer_samples, nb_logpmf, sample_geo
 
 
 class TestGeoLogpmf:

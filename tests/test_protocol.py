@@ -20,16 +20,12 @@ from shufflecount import (
     minimal_params,
     randomize,
     run_counting,
-    sample_estimate,
     shuffle,
-    view_of,
 )
 from shufflecount.audit import (
     DatasetSummary,
     _binom_logpmf,
-    crossvalidate_views,
     exact_mean_messages,
-    gof_integer_samples,
 )
 from shufflecount.dist import geo_success_prob, poi_logpmf, sample_nb
 from shufflecount.protocol import (
@@ -41,6 +37,8 @@ from shufflecount.protocol import (
     signed_sums,
     simulate_views,
 )
+
+from oracles import crossvalidate_views, gof_integer_samples, sample_estimate, view_of
 
 REFERENCE = minimal_params(1.0, 0.5, 0.01, 100)
 #: SHA-256 of the seeded draws of test_stream_layout_pins_the_seeded_draws at

@@ -1,28 +1,34 @@
-"""Start-up cost: which scipy modules a fresh interpreter ends up loading.
+"""Start-up and dependencies: the package runs on numpy alone.
 
-``scipy.stats`` is never imported by the package. ``scipy.special`` is
-imported inside the few helpers that still need it (the negative binomial
-log-PMF, the chi-square p-value and the point oracle ``exact_view_logpmf``),
-and no CLI path calls them; every other log-PMF and quantile uses numpy and
-``math`` only.
+The package imports only the standard library, numpy and its own modules.
+scipy is a test dependency: ``tests/oracles.py`` and some tests use it as a
+reference. Each CLI path runs in a fresh interpreter in which ``import scipy``
+fails, and loads no scipy module; and every import statement under
+``src/shufflecount``, function-local ones included, names the standard
+library, the package or a runtime dependency listed in ``pyproject.toml``.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 _PROBE = """
 import json, sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
 import shufflecount, shufflecount.cli
 argv = json.loads(sys.argv[1])
 code = shufflecount.cli.main(argv) if argv else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+scipy = [m for m, mod in sys.modules.items() if mod is not None and m.split(".")[0] == "scipy"]
+print(json.dumps([code, sorted(scipy)]))
 """
 
 
@@ -60,3 +66,27 @@ def test_no_scipy_submodule_loaded(tmp_path, argv):
     code, modules = _loaded(tmp_path, argv)
     assert code == 0
     assert modules == []
+
+
+def _imported_modules(path):
+    """Top-level module of every absolute import in ``path``, function-local ones included."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_imports_only_stdlib_and_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        dependencies = tomllib.load(f)["project"]["dependencies"]
+    allowed = {"shufflecount", *sys.stdlib_module_names}
+    allowed |= {re.match(r"[\w.-]+", d).group().replace("-", "_") for d in dependencies}
+    outside = {
+        (str(path.relative_to(SRC)), module)
+        for path in (SRC / "shufflecount").rglob("*.py")
+        for module in _imported_modules(path)
+        if module not in allowed
+    }
+    assert outside == set()

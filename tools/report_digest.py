@@ -25,7 +25,8 @@ way the benchmark passes its inputs), ``audit mse`` at every fidelity across
 several trial chunks, ``audit comm`` and ``bench``, each at seeds 1, 7 and
 9001; ``params`` in derive and check mode, ``audit lemmas`` and
 ``audit divergence`` on the reference set (``--n 3`` and ``--n 20``, and
-the failing ``--q 0`` control); ``run histogram --buckets 256 --uniform
+the failing ``--q 0`` control), and these two audits, ``audit mse`` and
+``params`` once more as one-row CSV; ``run histogram --buckets 256 --uniform
 100000`` at every fidelity and ``run count`` over 10**6 users, at seed 1,
 runs at scale, with ``run realsum --uniform 100000 --bits 3`` at every
 fidelity; each run command on an input file with CRLF endings, padding and
@@ -106,6 +107,17 @@ def unseeded_calls() -> list[list[str]]:
         ]
     no_drops = ["--eps", "1", "--eps-prime", "0.5", "--q", "0"]
     return calls + [["audit", "divergence", *no_drops, "--n", "3"]]
+
+
+def csv_calls() -> list[list[str]]:
+    """Reports without rows, each flattened into one CSV row."""
+    csv = ["--format", "csv"]
+    return [
+        ["params", "--eps", "1", "--rho", "0.5", "--n", "1000", *csv],
+        ["audit", "lemmas", *REFERENCE, "--n", "3", *csv],
+        ["audit", "divergence", *REFERENCE, "--n", "3", *csv],
+        ["audit", "mse", *REFERENCE, "--n", "20", "--trials", "1000", "--seed", "1", *csv],
+    ]
 
 
 def input_file_calls(tmp: Path) -> list[list[str]]:
@@ -206,7 +218,7 @@ def lines():
     with tempfile.TemporaryDirectory() as tmp:
         calls = [argv for seed in SEEDS for argv in seeded_calls(seed)]
         calls += input_file_calls(Path(tmp))
-        calls += scale_calls() + unseeded_calls() + mc_case_calls()
+        calls += scale_calls() + unseeded_calls() + csv_calls() + mc_case_calls()
         calls += parse_edge_calls() + usage_calls()
         for argv in calls:
             sha, code = digest(argv, tmp)
