@@ -4,6 +4,10 @@ Reports are self-describing (they embed the resolved parameters and the seed)
 and byte-identical across reruns with the same configuration and seed; flags
 take precedence over the ``SHUFFLECOUNT_SEED`` environment variable. Exit
 codes: 0 pass, 1 fail, 2 usage or invalid input, 3 audit inconclusive.
+Each handler returns its report and its CSV rows; :func:`main` checks the
+``--out`` directory before the handler runs, writes the report once and
+takes the exit code from the report's verdict (``pass``, or ``ok`` for
+``params``; a report without one passes).
 
 Each call is parsed once, against the leaf parser its leading command words
 name (``params``, ``bench``, ``run count``, ``audit divergence``, ...), not by
@@ -23,11 +27,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import errno
 import functools
 import io
 import json
 import math
 import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -50,7 +57,7 @@ from .audit import (
     measure_mse,
     mse_bound,
 )
-from .composition import run_histogram, run_real_sum, split_budget
+from .composition import run_histogram, run_real_sum
 from .dist import RandomSource
 from .errors import (
     AuditInconclusiveError,
@@ -75,7 +82,20 @@ EXIT_INCONCLUSIVE = 3
 SEED_ENV_VAR = "SHUFFLECOUNT_SEED"
 
 
-def _emit(args, report: dict, rows: list[dict] | None = None) -> None:
+def _check_out(path: str | None) -> None:
+    """Raise before the run the error a write to ``path`` would end in, if its folder is missing."""
+    if path:
+        folder = os.path.dirname(path) or "."
+        try:
+            if stat.S_ISDIR(os.stat(folder).st_mode):
+                return
+            error = errno.ENOTDIR
+        except OSError as exc:
+            error = exc.errno
+        raise ParameterError(f"{path}: cannot write: {os.strerror(error)}")
+
+
+def _emit(args, report: dict, rows: list[dict] | None) -> None:
     if args.format == "csv":
         if rows is None:
             rows = [_flatten(report)]
@@ -131,23 +151,11 @@ def _explicit_params(args, n_users: int) -> ProtocolParams:
     disabling drops.
     """
     if args.s is not None and args.lam is not None:
-        return ProtocolParams(
-            n_users=n_users,
-            epsilon=args.eps,
-            noise_epsilon=args.eps_prime,
-            drop_prob=args.q,
-            pad_count=args.s,
-            flood_mean=args.lam,
-        )
-    reference_q = args.q if args.q > 0.0 else 0.01
-    base = minimal_params(args.eps, args.eps_prime, reference_q, n_users)
-    return ProtocolParams(
-        n_users=n_users,
-        epsilon=args.eps,
-        noise_epsilon=args.eps_prime,
-        drop_prob=args.q,
-        pad_count=args.s if args.s is not None else base.pad_count,
-        flood_mean=args.lam if args.lam is not None else base.flood_mean,
+        return ProtocolParams(n_users, args.eps, args.eps_prime, args.q, args.s, args.lam)
+    base = minimal_params(args.eps, args.eps_prime, args.q if args.q > 0.0 else 0.01, n_users)
+    given = {"pad_count": args.s, "flood_mean": args.lam}
+    return dataclasses.replace(
+        base, drop_prob=args.q, **{name: v for name, v in given.items() if v is not None}
     )
 
 
@@ -211,7 +219,7 @@ def _run_inputs(args, rng: RandomSource, cast, draw) -> np.ndarray:
     return xs
 
 
-def _cmd_params(args) -> int:
+def _cmd_params(args) -> tuple[dict, list[dict] | None]:
     if args.eps_prime is not None or args.q is not None:
         # validation mode: check an explicit set instead of deriving one
         if args.eps_prime is None or args.q is None:
@@ -226,8 +234,7 @@ def _cmd_params(args) -> int:
             "pad_threshold": check.pad_threshold,
             "flood_threshold": check.flood_threshold,
         }
-        _emit(args, report)
-        return EXIT_PASS if check.ok else EXIT_FAIL
+        return report, None
     params = derive_params(args.eps, args.rho, args.n)
     report = {
         "mode": "derive",
@@ -236,8 +243,7 @@ def _cmd_params(args) -> int:
         "expected_messages_per_user_x1": exact_mean_messages(params, 1),
         "law_mse_all_ones": exact_mse(params, params.n_users),
     }
-    _emit(args, report)
-    return EXIT_PASS
+    return report, None
 
 
 def _count_inputs(args) -> np.ndarray:
@@ -252,7 +258,7 @@ def _count_inputs(args) -> np.ndarray:
     return np.repeat(np.array([1, 0], dtype=np.uint8), [args.ones, zeros])
 
 
-def _cmd_run_count(args) -> int:
+def _cmd_run_count(args) -> tuple[dict, list[dict] | None]:
     seed = _seed(args)
     xs = _count_inputs(args)
     params = derive_params(args.eps, args.rho, len(xs))
@@ -282,18 +288,17 @@ def _cmd_run_count(args) -> int:
             {"user": i, "input": x, "messages": m}
             for i, (x, m) in enumerate(zip(xs.tolist(), per_user.tolist()))
         ]
-    _emit(args, report, rows)
-    return EXIT_PASS
+    return report, rows
 
 
-def _cmd_run_realsum(args) -> int:
+def _cmd_run_realsum(args) -> tuple[dict, list[dict] | None]:
     seed = _seed(args)
     rng = RandomSource(seed)
     xs = _run_inputs(args, rng, float, lambda gen, n: gen.random(n))
     n_bits = args.bits if args.bits is not None else max(1, math.ceil(math.log2(len(xs))))
     run = run_real_sum(xs, args.eps, args.rho, n_bits, rng, fidelity=args.fidelity)
     true_sum = float(np.add.accumulate(xs)[-1])  # in input order; np.sum adds pairwise
-    budgets = split_budget(args.eps, n_bits)
+    budgets = [inst.epsilon for inst in run.instances]
     report = {
         "subcommand": "run realsum",
         "seed": seed,
@@ -302,8 +307,8 @@ def _cmd_run_realsum(args) -> int:
         "n_bits": n_bits,
         "epsilon": args.eps,
         "slack": args.rho,
-        "bit_budgets": [float(b) for b in budgets],
-        "budget_total": float(math.fsum(budgets)),
+        "bit_budgets": budgets,
+        "budget_total": math.fsum(budgets),
         "instances": [inst.to_dict() for inst in run.instances],
         "bit_counts": list(run.bit_counts),
         "estimate": run.estimate,
@@ -312,14 +317,13 @@ def _cmd_run_realsum(args) -> int:
         "total_messages": run.total_messages,
     }
     rows = [
-        {"bit": j, "budget": float(b), "count": c}
+        {"bit": j, "budget": b, "count": c}
         for j, (b, c) in enumerate(zip(budgets, run.bit_counts))
     ]
-    _emit(args, report, rows)
-    return EXIT_PASS
+    return report, rows
 
 
-def _cmd_run_histogram(args) -> int:
+def _cmd_run_histogram(args) -> tuple[dict, list[dict] | None]:
     seed = _seed(args)
     rng = RandomSource(seed)
     check_count("--buckets", args.buckets, 1)  # before --uniform draws from it
@@ -345,15 +349,13 @@ def _cmd_run_histogram(args) -> int:
         {"bucket": b, "estimate": e, "true": int(t)}
         for b, (e, t) in enumerate(zip(run.estimates, true_counts))
     ]
-    _emit(args, report, rows)
-    return EXIT_PASS
+    return report, rows
 
 
-def _cmd_audit_lemmas(args) -> int:
+def _cmd_audit_lemmas(args) -> tuple[dict, list[dict] | None]:
     params = _explicit_params(args, args.n)
     geo = check_geo_ratio(params.noise_epsilon, args.i_max)
     poi = check_poi_ratio(params)
-    passed = geo.ok and poi.ok
     report = {
         "subcommand": "audit lemmas",
         "params": params.to_dict(),
@@ -369,13 +371,12 @@ def _cmd_audit_lemmas(args) -> int:
             "worst_index": poi.worst_index,
             "i_max": poi.i_max,
         },
-        "pass": passed,
+        "pass": geo.ok and poi.ok,
     }
-    _emit(args, report)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return report, None
 
 
-def _cmd_audit_divergence(args) -> int:
+def _cmd_audit_divergence(args) -> tuple[dict, list[dict] | None]:
     params = _explicit_params(args, args.n)
     report_obj = divergence_audit(
         args.n,
@@ -390,8 +391,7 @@ def _cmd_audit_divergence(args) -> int:
         "params": params.to_dict(),
         **report_obj.to_json_dict(),
     }
-    _emit(args, report)
-    return EXIT_PASS if report_obj.passed else EXIT_FAIL
+    return report, None
 
 
 def _three_se_checks(empirical: float, result) -> dict:
@@ -401,7 +401,7 @@ def _three_se_checks(empirical: float, result) -> dict:
     return {"within_3se_of_exact": within, "at_most_bound": below, "pass": within and below}
 
 
-def _cmd_audit_mse(args) -> int:
+def _cmd_audit_mse(args) -> tuple[dict, list[dict] | None]:
     check_count("--threads", args.threads, 1)
     seed = _seed(args)
     params = _explicit_params(args, args.n)
@@ -422,11 +422,10 @@ def _cmd_audit_mse(args) -> int:
         "bound": result.bound,
         **_three_se_checks(result.empirical_mse, result),
     }
-    _emit(args, report)
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
+    return report, None
 
 
-def _cmd_audit_comm(args) -> int:
+def _cmd_audit_comm(args) -> tuple[dict, list[dict] | None]:
     seed = _seed(args)
     params = _explicit_params(args, args.n)
     require_feasible(params)
@@ -443,11 +442,10 @@ def _cmd_audit_comm(args) -> int:
         "bound": result.bound,
         **_three_se_checks(result.empirical_mean, result),
     }
-    _emit(args, report)
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
+    return report, None
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> tuple[dict, list[dict] | None]:
     seed = _seed(args)
     if not args.n_list:
         raise ParameterError("--n-list names no user count")
@@ -480,8 +478,7 @@ def _cmd_bench(args) -> int:
         "trials": args.trials,
         "rows": rows,
     }
-    _emit(args, report, rows)
-    return EXIT_PASS
+    return report, rows
 
 
 def _int_list(text: str) -> list[int]:
@@ -715,7 +712,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
     try:
-        return args.handler(args)
+        _check_out(args.out)
+        report, rows = args.handler(args)
+        _emit(args, report, rows)
     except DegenerateInputError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -725,6 +724,7 @@ def main(argv=None) -> int:
     except AuditInconclusiveError as exc:
         print(f"audit inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    return EXIT_PASS if report.get("pass", report.get("ok", True)) else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -92,15 +92,7 @@ class ProtocolParams:
             object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "epsilon": self.epsilon,
-            "noise_epsilon": self.noise_epsilon,
-            "drop_prob": self.drop_prob,
-            "pad_count": self.pad_count,
-            "flood_mean": self.flood_mean,
-            "slack": self.slack,
-        }
+        return dict(vars(self))  # the fields in declaration order
 
 
 @dataclass(frozen=True)

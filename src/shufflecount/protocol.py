@@ -156,7 +156,7 @@ def randomize(x: int, params: ProtocolParams, rng: RandomSource) -> Contribution
 
 
 def _stages(
-    ones, m: int, params: ProtocolParams, rng: RandomSource, fidelity: str, trials=None, *,
+    ones, m: int, params: ProtocolParams, rng: RandomSource, fidelity: str, trials: int, *,
     per_user=False,
 ):
     """One instance's totals over ``m`` users, ``ones`` of whom hold a one, for all trials.
@@ -174,10 +174,9 @@ def _stages(
 
     A drop count has the law of an independent drop per user, and a flooding
     total that of the per-user counts, by Poisson additivity. ``ones`` is a
-    count or an array of ``trials`` counts; only ``law`` may leave
-    ``trials`` out, for a single draw; one trial passes numpy's binomial a
-    Python int, the same draw far faster than an array. ``law`` and
-    ``counts`` return the signed sum, ``kept + DLap(noise_epsilon)`` and
+    count or an array of ``trials`` counts; one trial passes numpy's
+    binomial a Python int, the same draw far faster than an array. ``law``
+    and ``counts`` return the signed sum, ``kept + DLap(noise_epsilon)`` and
     ``kept + noise_plus - noise_minus``; ``message`` returns the plus and
     minus message totals, ``pad * K + kept + noise_plus + flood`` and ``pad
     * K + noise_minus + flood``, where ``K`` counts every kept user. With
@@ -210,20 +209,6 @@ def _stages(
     padded = params.pad_count * users + flood
     totals = padded + plus, padded + minus
     return (totals, (ones - kept, m - ones - (users - kept), flood, shares)) if per_user else totals
-
-
-def signed_sums(ones, params: ProtocolParams, rng: RandomSource, fidelity: str, size=None):
-    """An instance's signed sum over all users, drawn without building messages.
-
-    The :func:`_stages` of ``counts`` or ``law`` fidelity. ``ones`` is a
-    count or an array of counts of shape ``size``: a number of trials, which
-    only ``law`` fidelity may leave out for a single draw.
-    """
-    check_choice("fidelity", fidelity, ("counts", "law"))
-    if size is not None or fidelity == "counts":
-        check_count("size", size, 1)
-    check_array("ones", np.atleast_1d(ones), 0, params.n_users)
-    return _stages(ones, params.n_users, params, rng, fidelity, size)
 
 
 def run_trials(inputs, instances, trials: int, rng: RandomSource, fidelity: str):

@@ -26,7 +26,7 @@ from shufflecount.errors import (
     check_shape,
 )
 from shufflecount.params import ProtocolParams
-from shufflecount.protocol import View, signed_sums, simulate_views
+from shufflecount.protocol import View, estimate_trials, simulate_views
 
 #: Goodness-of-fit cells expecting fewer samples are lumped into one cell.
 MIN_EXPECTED = 10.0
@@ -218,6 +218,11 @@ def sample_estimate(
     The end-to-end estimate is distributed as
     ``ones - Binomial(ones, drop_prob) + DLap(noise_epsilon)``; this samples
     that law directly, with no per-user structure. Intended for large-scale
-    error experiments only.
+    error experiments only. These are the draws of :func:`estimate_trials`
+    at ``law`` fidelity; ``size=None`` gives the one draw of a one-trial
+    batch.
     """
-    return signed_sums(ones, params, rng, "law", size=size)
+    ones = check_count("ones", ones, 0, params.n_users)
+    trials = 1 if size is None else size
+    draws = estimate_trials(params.n_users - ones, ones, params, trials, rng, "law")
+    return draws[0].item() if size is None else draws

@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import importlib.util
 import io
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -503,6 +505,28 @@ def test_file_errors_exit_2_naming_the_file(tmp_path, capsys, case):
     code, out, err = run_cli(capsys, "run", "count", "--eps", "2", *source, "--seed", "1")
     assert (code, out) == (2, "")
     assert err.startswith(f"invalid parameters: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "folder, error",
+    [("missing", errno.ENOENT), ("file.txt", errno.ENOTDIR)],
+    ids=["missing-dir", "file-as-dir"],
+)
+def test_out_is_checked_before_the_run(tmp_path, capsys, monkeypatch, folder, error):
+    # the write's own error line, before any parameter is derived or draw made
+    def called(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("derive_params", "run_counting", "RandomSource"):
+        monkeypatch.setattr(cli, name, called)
+    (tmp_path / "file.txt").write_text("")
+    path = tmp_path / folder / "r.json"
+    code, out, err = run_cli(
+        capsys, "run", "count", "--ones", "3", "--zeros", "2", "--eps", "2",
+        "--out", str(path), "--seed", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"invalid parameters: {path}: cannot write: {os.strerror(error)}\n"
 
 
 @pytest.mark.parametrize(

@@ -272,11 +272,6 @@ ROWS = {
     ),
     "view_of": Row(oracles.view_of, dict(messages=[1, -1, 1])),
     # trial functions and helpers called across modules
-    "signed_sums": Row(
-        protocol.signed_sums,
-        dict(ones=2, params=P3, rng=rng(), fidelity="counts", size=2),
-        dict(ones=Count(0, 3), fidelity=Choice(("counts", "law")), size=Count(1)),
-    ),
     "run_trials": Row(
         protocol.run_trials,
         dict(inputs=[2, 0], instances=[P3, P3], trials=2, rng=rng(), fidelity="message"),
@@ -334,7 +329,7 @@ ROWS = {
 }
 
 EXTRAS = {
-    "signed_sums", "run_trials", "estimate_trials", "real_sum_trials", "histogram_trials",
+    "run_trials", "estimate_trials", "real_sum_trials", "histogram_trials",
     "message_count_trials", "split_budget", "decode_bits", "tag_bits", "real_sum_params",
     "histogram_params",
 }

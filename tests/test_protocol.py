@@ -34,7 +34,6 @@ from shufflecount.protocol import (
     estimate_trials,
     message_count_trials,
     run_trials,
-    signed_sums,
     simulate_views,
 )
 
@@ -715,7 +714,6 @@ class TestValidation:
         entry_points = [
             lambda t: simulate_views(1, 2, params, t, RandomSource(0))[0],
             lambda t: message_count_trials(1, params, t, RandomSource(0)),
-            lambda t: signed_sums(2, params, RandomSource(0), "counts", size=t),
             *(
                 lambda t, f=f: estimate_trials(1, 2, params, t, RandomSource(0), f)
                 for f in FIDELITIES
@@ -725,7 +723,3 @@ class TestValidation:
             with pytest.raises(ParameterError):
                 call(trials)
             assert call(np.int64(2)).shape == (2,)
-        # signed_sums draws only the counts and law fidelities
-        for fidelity in ("message", "bogus"):
-            with pytest.raises(ParameterError):
-                signed_sums(2, params, RandomSource(0), fidelity, size=2)

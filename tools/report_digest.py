@@ -37,9 +37,22 @@ empty one; both audits of every vetted mc-trials case of the benchmark
 ``--seed`` and an option-like value); and usage errors (an empty input file
 and negative counts among them), help and ``--version``.
 Each line is ``<sha256>  <exit code>  <argv>``; the hash covers the exit
-code, stdout and stderr. Input files are written with fixed contents to a
-temporary directory, which the argv column and the hashed text show as
-``<tmp>``.
+code, stdout, stderr and the file a call wrote through ``--out``. Input and
+output files live in a temporary directory, which the argv column and the
+hashed text show as ``<tmp>``.
+
+``--golden`` prints the lines of ``tests/golden/report_digest.txt``, which
+a tier-1 test compares with the reports of the working tree. Each line there
+is ``<kind>  <sha256>  <exit code>  <floats>  <argv>``. An ``exact`` line's
+output holds no float literal and its hash is the digest's. A ``float``
+line's hash covers the output with every float literal replaced by
+``<float>``, so its integers (every draw is an integer count), strings and
+layout compare exactly; its float literals are listed, comma-separated, and
+each compares within a relative tolerance of ``TOLERANCE``, since numpy's
+vectorized ``exp`` and ``log`` may differ in their last bits across CPUs.
+After any change to a report, re-record the file::
+
+    PYTHONPATH=src python tools/report_digest.py --golden > tests/golden/report_digest.txt
 """
 
 from __future__ import annotations
@@ -49,11 +62,14 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from bench_pairs import export
 from shufflecount.cli import main
@@ -62,6 +78,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 7, 9001)
 FIDELITIES = ("message", "counts", "law")
 REFERENCE = ["--eps", "1", "--eps-prime", "0.5", "--q", "0.01", "--s", "17", "--lam", "127"]
+#: a float literal of a JSON or CSV report, or of an error or help text
+FLOAT = re.compile(r"(?<![\w.])-?(?:\d+\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)(?![\w.])")
+#: relative tolerance of a golden line's float literals
+TOLERANCE = 1e-12
+GOLDEN_HEADER = f"""\
+# Golden report digest: PYTHONPATH=src python tools/report_digest.py --golden
+# <kind>  <sha256>  <exit code>  <floats>  <argv>; exact lines match byte for byte,
+# float lines with float literals masked and each within {TOLERANCE} relative."""
 
 
 def seeded_calls(seed: int) -> list[list[str]]:
@@ -195,6 +219,18 @@ def parse_edge_calls() -> list[list[str]]:
     ]
 
 
+def out_calls(tmp: Path) -> list[list[str]]:
+    """Reports written through ``--out`` instead of stdout."""
+    count = ["run", "count", "--ones", "400", "--zeros", "600", "--seed", "1"]
+    return [
+        [*count, "--out", str(tmp / "count.json")],
+        [*count, "--format", "csv", "--out", str(tmp / "count.csv")],
+        ["run", "realsum", "--uniform", "1000", "--bits", "4", "--seed", "1",
+         "--format", "csv", "--out", str(tmp / "realsum.csv")],
+        ["audit", "divergence", *REFERENCE, "--n", "3", "--out", str(tmp / "divergence.json")],
+    ]
+
+
 def mc_case_calls() -> list[list[str]]:
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
@@ -205,24 +241,74 @@ def mc_case_calls() -> list[list[str]]:
     return [argv for index in workloads.MC_CASES for argv in mc.audits(*mc.case(index))]
 
 
-def digest(argv: list[str], tmp: str) -> tuple[str, int]:
+def output(argv: list[str], tmp: str) -> str:
+    """The exit code, stdout, stderr and ``--out`` file of one call, ``tmp`` shown as ``<tmp>``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    text = f"{code}\0{out.getvalue()}\0{err.getvalue()}".replace(tmp, "<tmp>")
-    return hashlib.sha256(text.encode()).hexdigest(), code
+    text = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+    written = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if written is not None and written.parent == Path(tmp):
+        text += f"\0{written.read_text()}"
+    return text.replace(tmp, "<tmp>")
+
+
+def outputs():
+    """``(code, text, argv)`` per call, in call order, with ``tmp`` shown as ``<tmp>``."""
+    # help and usage text wrap at 80 columns whatever terminal the tool runs in
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, COLUMNS="80"):
+        calls = [argv for seed in SEEDS for argv in seeded_calls(seed)]
+        calls += input_file_calls(Path(tmp))
+        calls += scale_calls() + unseeded_calls() + csv_calls() + out_calls(Path(tmp))
+        calls += mc_case_calls() + parse_edge_calls() + usage_calls()
+        for argv in calls:
+            text = output(argv, tmp)
+            yield text.split("\0", 1)[0], text, " ".join(argv).replace(tmp, "<tmp>")
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def lines():
     """One ``<sha256>  <exit code>  <argv>`` line per call, in call order."""
-    with tempfile.TemporaryDirectory() as tmp:
-        calls = [argv for seed in SEEDS for argv in seeded_calls(seed)]
-        calls += input_file_calls(Path(tmp))
-        calls += scale_calls() + unseeded_calls() + csv_calls() + mc_case_calls()
-        calls += parse_edge_calls() + usage_calls()
-        for argv in calls:
-            sha, code = digest(argv, tmp)
-            yield f"{sha}  {code}  {' '.join(argv).replace(tmp, '<tmp>')}"
+    for code, text, argv in outputs():
+        yield f"{sha256(text)}  {code}  {argv}"
+
+
+def golden_lines():
+    """One ``<kind>  <sha256>  <exit code>  <floats>  <argv>`` line per call, in call order."""
+    for code, text, argv in outputs():
+        floats = FLOAT.findall(text)
+        kind, sha = "float" if floats else "exact", sha256(FLOAT.sub("<float>", text))
+        yield f"{kind}  {sha}  {code}  {','.join(floats) or '-'}  {argv}"
+
+
+def golden_differences(recorded: list[str], current: list[str]) -> list[str]:
+    """The golden lines that moved or sit on one side only, named by their argv.
+
+    A line moved when its kind, hash or exit code differs, or when one of
+    its float literals differs from the recorded one by more than
+    :data:`TOLERANCE` of it. Lines starting with ``#`` are comments.
+    """
+    def split(text):
+        fields = (t.split("  ", 4) for t in text if not t.startswith("#"))
+        return {argv: (kind, sha, code, floats) for kind, sha, code, floats, argv in fields}
+
+    old, new = split(recorded), split(current)
+    out = [f"only recorded  {argv}" for argv in old if argv not in new]
+    for argv, (*head, floats) in new.items():
+        if argv not in old:
+            out.append(f"not recorded  {argv}")
+            continue
+        *old_head, old_floats = old[argv]
+        # equal hashes hold as many float literals on both sides
+        if old_head != head or any(
+            a != b and not math.isclose(float(a), float(b), rel_tol=TOLERANCE, abs_tol=0.0)
+            for a, b in zip(old_floats.split(","), floats.split(","))
+        ):
+            out.append(f"moved  {argv}")
+    return out
 
 
 def revision_lines(revision: str) -> list[str]:
@@ -258,9 +344,12 @@ def run(argv=None) -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     ap.add_argument("--against", metavar="REV", help="print only what differs from REV")
+    ap.add_argument("--golden", action="store_true", help="print the golden lines")
     args = ap.parse_args(argv)
     if args.against is None:
-        for line in lines():
+        if args.golden:
+            print(GOLDEN_HEADER)
+        for line in golden_lines() if args.golden else lines():
             print(line, flush=True)
         return 0
     ours = list(lines())
