@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,8 +190,7 @@ def view_logpmf_grid(
     return acc
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Outcome of a grid-restricted max-divergence audit."""
 
     sup_abs_log_ratio: float
@@ -389,8 +389,7 @@ def divergence_audit(
     )
 
 
-@dataclass(frozen=True)
-class RatioCheck:
+class RatioCheck(NamedTuple):
     """Result of an exhaustive single-step ratio inequality check."""
 
     ok: bool
@@ -527,8 +526,7 @@ def messages_bound(params: ProtocolParams) -> float:
     )
 
 
-@dataclass(frozen=True)
-class MseMeasurement:
+class MseMeasurement(NamedTuple):
     empirical_mse: float
     std_err: float
     exact: float
@@ -537,8 +535,7 @@ class MseMeasurement:
     fidelity: str
 
 
-@dataclass(frozen=True)
-class CommMeasurement:
+class CommMeasurement(NamedTuple):
     empirical_mean: float
     std_err: float
     exact: float

@@ -26,7 +26,6 @@ as it always has.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import errno
 import functools
@@ -83,13 +82,19 @@ SEED_ENV_VAR = "SHUFFLECOUNT_SEED"
 
 
 def _check_out(path: str | None) -> None:
-    """Raise before the run the error a write to ``path`` would end in, if its folder is missing."""
+    """Raise before the run the error a write to ``path`` would end in.
+
+    The write fails when the folder is missing or not a folder, or ``path`` names one.
+    """
     if path:
         folder = os.path.dirname(path) or "."
         try:
-            if stat.S_ISDIR(os.stat(folder).st_mode):
+            if not stat.S_ISDIR(os.stat(folder).st_mode):
+                error = errno.ENOTDIR
+            elif os.path.isdir(path):
+                error = errno.EISDIR
+            else:
                 return
-            error = errno.ENOTDIR
         except OSError as exc:
             error = exc.errno
         raise ParameterError(f"{path}: cannot write: {os.strerror(error)}")
@@ -97,6 +102,8 @@ def _check_out(path: str | None) -> None:
 
 def _emit(args, report: dict, rows: list[dict] | None) -> None:
     if args.format == "csv":
+        import csv  # its one use: JSON reports never load it
+
         if rows is None:
             rows = [_flatten(report)]
         buf = io.StringIO()

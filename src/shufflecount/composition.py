@@ -19,8 +19,7 @@ rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,8 +132,7 @@ def real_sum_params(
     return instances
 
 
-@dataclass(frozen=True)
-class RealSumRun:
+class RealSumRun(NamedTuple):
     """Result of one real-sum execution."""
 
     estimate: float
@@ -144,8 +142,7 @@ class RealSumRun:
     total_messages: int | None = None
 
 
-@dataclass(frozen=True)
-class HistogramRun:
+class HistogramRun(NamedTuple):
     """Result of one histogram execution."""
 
     estimates: tuple[int, ...]

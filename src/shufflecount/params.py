@@ -15,7 +15,8 @@ set for a target budget, slack and user count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dist import dlap_variance
 from .errors import (
@@ -95,14 +96,13 @@ class ProtocolParams:
         return dict(vars(self))  # the fields in declaration order
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     """Outcome of the three-clause feasibility check."""
 
     ok: bool
     violations: tuple[str, ...]
-    pad_threshold: float = field(default=math.nan)
-    flood_threshold: float = field(default=math.nan)
+    pad_threshold: float = math.nan
+    flood_threshold: float = math.nan
 
 
 def pad_count_threshold(epsilon: float, noise_epsilon: float, drop_prob: float) -> float:

@@ -39,8 +39,7 @@ materializes a uniformly shuffled sequence where the order itself is wanted
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,8 +66,7 @@ CHUNK_ELEMENTS = 1 << 22
 STREAM_LAYOUT = 4
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(NamedTuple):
     """One user's message counts before shuffling, as :func:`randomize` draws them."""
 
     input_plus: int
@@ -90,8 +88,7 @@ class Contribution:
         return self.plus_count + self.minus_count
 
 
-@dataclass(frozen=True)
-class View:
+class View(NamedTuple):
     """The shuffler's output summary: total +1 and -1 message counts.
 
     Invariant under any permutation of the underlying message sequence.
@@ -101,8 +98,7 @@ class View:
     minus_count: int
 
 
-@dataclass(frozen=True)
-class CountingRun:
+class CountingRun(NamedTuple):
     """Result of one end-to-end protocol execution.
 
     ``messages_per_user`` is the int64 array, shape ``(n,)``, of every user's

@@ -508,11 +508,11 @@ def test_file_errors_exit_2_naming_the_file(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize(
-    "folder, error",
-    [("missing", errno.ENOENT), ("file.txt", errno.ENOTDIR)],
-    ids=["missing-dir", "file-as-dir"],
+    "out, error",
+    [("missing/r.json", errno.ENOENT), ("file.txt/r.json", errno.ENOTDIR), ("", errno.EISDIR)],
+    ids=["missing-dir", "file-as-dir", "directory"],
 )
-def test_out_is_checked_before_the_run(tmp_path, capsys, monkeypatch, folder, error):
+def test_out_is_checked_before_the_run(tmp_path, capsys, monkeypatch, out, error):
     # the write's own error line, before any parameter is derived or draw made
     def called(*args, **kwargs):
         raise AssertionError("the run started")
@@ -520,7 +520,7 @@ def test_out_is_checked_before_the_run(tmp_path, capsys, monkeypatch, folder, er
     for name in ("derive_params", "run_counting", "RandomSource"):
         monkeypatch.setattr(cli, name, called)
     (tmp_path / "file.txt").write_text("")
-    path = tmp_path / folder / "r.json"
+    path = tmp_path / out  # "" names tmp_path itself
     code, out, err = run_cli(
         capsys, "run", "count", "--ones", "3", "--zeros", "2", "--eps", "2",
         "--out", str(path), "--seed", "1",

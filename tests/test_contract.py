@@ -17,7 +17,8 @@ kinds.
 """
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 import pytest
@@ -394,3 +395,21 @@ def test_legal_edge_cases_still_run():
     assert oracles.nb_logpmf(0.5, 0.4, np.arange(6).reshape(2, 3)).shape == (2, 3)
     assert sc.sample_nb(0.5, 0.4, rng(), size=[2, 0]).shape == (2, 0)
     assert sc.sample_poi(2.5, rng(), size=(2, 3)).shape == (2, 3)
+
+
+def test_validated_inputs_are_dataclasses_and_results_named_tuples():
+    # a dataclass where construction validates, a NamedTuple where a record carries a result
+    import shufflecount.cli  # noqa: F401  (every module of the package)
+
+    classes = {
+        obj
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "shufflecount"
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == name
+    }
+    assert {c.__name__ for c in classes if is_dataclass(c)} == {"ProtocolParams", "DatasetSummary"}
+    assert {c.__name__ for c in classes if issubclass(c, tuple)} == {
+        "Contribution", "View", "CountingRun", "ConditionCheck", "AuditReport", "RatioCheck",
+        "MseMeasurement", "CommMeasurement", "RealSumRun", "HistogramRun",
+    }

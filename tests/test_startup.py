@@ -3,12 +3,14 @@
 The package imports only the standard library, numpy and its own modules.
 scipy is a test dependency: ``tests/oracles.py`` and some tests use it as a
 reference. Each CLI path runs in a fresh interpreter in which ``import scipy``
-fails, and loads no scipy module; and every import statement under
-``src/shufflecount``, function-local ones included, names the standard
-library, the package or a runtime dependency listed in ``pyproject.toml``.
+fails, and loads no scipy module, and no ``csv`` module unless it writes a
+CSV report; and every import statement under ``src/shufflecount``,
+function-local ones included, names the standard library, the package or a
+runtime dependency listed in ``pyproject.toml``.
 """
 
 import ast
+import functools
 import json
 import os
 import re
@@ -28,12 +30,12 @@ import shufflecount, shufflecount.cli
 argv = json.loads(sys.argv[1])
 code = shufflecount.cli.main(argv) if argv else 0
 scipy = [m for m, mod in sys.modules.items() if mod is not None and m.split(".")[0] == "scipy"]
-print(json.dumps([code, sorted(scipy)]))
+print(json.dumps([code, sorted(scipy), "csv" in sys.modules]))
 """
 
 
 def _loaded(tmp_path, argv):
-    """Exit code and loaded scipy modules of ``argv`` in a fresh interpreter."""
+    """Exit code, scipy modules and whether ``csv`` loaded, of ``argv`` in a fresh interpreter."""
     if argv:
         argv = [*argv, "--seed", "1", "--out", str(tmp_path / "report")]
     proc = subprocess.run(
@@ -41,11 +43,18 @@ def _loaded(tmp_path, argv):
         capture_output=True, text=True, check=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
-    code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
-    return code, modules
+    code, modules, csv = json.loads(proc.stdout.strip().splitlines()[-1])
+    return code, modules, csv
 
 
-@pytest.mark.parametrize(
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """:func:`_loaded` of a tuple ``argv``, run once per module."""
+    tmp_path = tmp_path_factory.mktemp("startup")
+    return functools.cache(lambda argv: _loaded(tmp_path, list(argv)))
+
+
+CLI_PATHS = pytest.mark.parametrize(
     "argv",
     [
         [],
@@ -62,10 +71,24 @@ def _loaded(tmp_path, argv):
     ids=["import", "run-count", "run-realsum", "run-histogram", "params",
          "bench", "audit-mse", "audit-comm", "audit-lemmas", "audit-divergence"],
 )
-def test_no_scipy_submodule_loaded(tmp_path, argv):
-    code, modules = _loaded(tmp_path, argv)
+
+
+@CLI_PATHS
+def test_no_scipy_submodule_loaded(loaded, argv):
+    code, modules, _ = loaded(tuple(argv))
     assert code == 0
     assert modules == []
+
+
+@CLI_PATHS
+def test_json_reports_load_no_csv(loaded, argv):
+    assert loaded(tuple(argv))[2] is False
+
+
+def test_csv_report_loads_csv(loaded):
+    # the probe sees csv when it is loaded
+    argv = ("run", "count", "--ones", "4", "--zeros", "6", "--format", "csv")
+    assert loaded(argv) == (0, [], True)
 
 
 def _imported_modules(path):
