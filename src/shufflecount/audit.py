@@ -410,20 +410,18 @@ def check_geo_ratio(
     margin is also one value for every ``i >= 1``, so only ``i = 0`` and
     ``i = 1`` are evaluated.
     """
-    check_real("noise_epsilon", noise_epsilon)
+    noise_epsilon = check_real("noise_epsilon", noise_epsilon)
     i_max = check_count("i_max", i_max)
-    check_real("tolerance", tolerance, *TOLERANCE)
+    tolerance = check_real("tolerance", tolerance, *TOLERANCE)
     p = geo_success_prob(noise_epsilon)
     # p rounds to 1 above eta ~ 37, leaving no geometric tail to check
     check_real(f"success probability 1 - exp(-{noise_epsilon})", p, 0.0, 1.0)
-    i = np.arange(min(i_max, 1) + 1)
-    # ln f(i-1) - ln f(i) = -log1p(-p) for i >= 1; -inf margin never occurs
-    step = np.where(i >= 1, -math.log1p(-p), NEG_INF)
-    margins = noise_epsilon - step
-    worst = int(np.argmin(margins))
+    # ln f(i-1) - ln f(i) = -log1p(-p) for i >= 1, so i = 1 is the worst point
+    worst = min(i_max, 1)
+    margin = noise_epsilon + math.log1p(-p) if worst else math.inf
     return RatioCheck(
-        ok=bool(margins[worst] >= -tolerance),
-        worst_margin=float(margins[worst]),
+        ok=margin >= -tolerance,
+        worst_margin=margin,
         worst_index=worst,
         i_max=i_max,
         tolerance=tolerance,

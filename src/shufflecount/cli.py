@@ -9,18 +9,17 @@ Each handler returns its report and its CSV rows; :func:`main` checks the
 takes the exit code from the report's verdict (``pass``, or ``ok`` for
 ``params``; a report without one passes).
 
-Each call is parsed once, against the leaf parser its leading command words
-name (``params``, ``bench``, ``run count``, ``audit divergence``, ...), not by
-the three nested parsers in turn. A plain call, made only of the leaf's exact
-option strings, each with a value that does not start with ``-`` and that
-converts to the option's type and choices, and naming every required option,
-is walked in one pass over a table read off the leaf's own argparse actions;
-it gets the namespace the leaf parser would build. Any other call after the
-leaf's words (``--opt=value``, an abbreviation, a negative or option-like
-value, ``-h``, a bad value, a missing option) goes to the leaf parser, and
-one that names no leaf or whose leaf leaves arguments over goes to the full
-parser, so argparse writes every usage error, help text and ``--version``
-as it always has.
+A plain call is parsed in one pass against the leaf parser its leading
+command words name (``params``, ``bench``, ``run count``, ``audit
+divergence``, ...), not by the three nested parsers in turn. Made only of the
+leaf's exact option strings, each with a value that does not start with
+``-`` and that converts to the option's type and choices, and naming every
+required option, it is walked over a table read off the leaf's own argparse
+actions and gets the namespace the leaf parser would build. Every other call
+(``--opt=value``, an abbreviation, a negative or option-like value, ``-h``,
+a bad value, a missing option, or no leaf named) goes to the full parser, so
+argparse writes every usage error, help text and ``--version`` as it always
+has.
 """
 
 from __future__ import annotations
@@ -692,22 +691,16 @@ def _parse_args(argv) -> argparse.Namespace:
     """Parse ``argv`` in one pass where its command words name a leaf.
 
     A plain call (see ``_parse_plain``) is walked once against the leaf's
-    own actions. Any other call after those words goes to the leaf parser,
-    which the full parser would reach after two passes of its own; anything
-    else (no leaf named, or arguments the leaf leaves over) goes through the
-    full parser, so every usage error and help text reads as it always has.
+    own actions. Every other call goes through the full parser, so every
+    usage error and help text reads as it always has.
     """
     parser, leaves = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     for depth in (1, 2):
         leaf = leaves.get(tuple(argv[:depth]))
         if leaf is not None:
-            rest = argv[depth:]
-            args = _parse_plain(leaf, rest)
+            args = _parse_plain(leaf, argv[depth:])
             if args is not None:
-                return args
-            args, extra = leaf.parse_known_args(rest)
-            if not extra:
                 return args
             break
     return parser.parse_args(argv)

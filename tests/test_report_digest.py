@@ -1,8 +1,8 @@
 """Every CLI report of ``tools/report_digest.py``'s call list against the golden digest.
 
 ``tests/golden/report_digest.txt`` holds one line per call; a change that
-moves a report re-records it (``tools/report_digest.py --golden``) and lists
-the lines that moved.
+moves a report re-records it (``tools/report_digest.py``) and lists the
+lines that moved.
 """
 
 import contextlib
@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "report_digest.txt"
 
-sys.path.insert(0, str(ROOT / "tools"))  # the tool imports bench_pairs beside it
+sys.path.insert(0, str(ROOT / "tools"))  # a script, not a package module
 import report_digest  # noqa: E402
 
 sys.path.remove(str(ROOT / "tools"))
@@ -23,6 +23,16 @@ sys.path.remove(str(ROOT / "tools"))
 
 def _recorded() -> list[str]:
     return GOLDEN.read_text().splitlines()
+
+
+def test_the_golden_header_names_the_tool_without_options():
+    # golden_differences skips "#" lines, so only this test reads the header
+    header = [line for line in _recorded() if line.startswith("#")]
+    assert header == report_digest.GOLDEN_HEADER.splitlines()
+    assert header[0].endswith(": PYTHONPATH=src python tools/report_digest.py")
+    with pytest.raises(SystemExit) as exc:
+        report_digest.run(["--golden"])
+    assert exc.value.code == 2
 
 
 def test_every_report_matches_the_golden_digest():

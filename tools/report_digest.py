@@ -1,21 +1,11 @@
-"""Print one SHA-256 per CLI report over a fixed list of calls.
+"""Print the golden digest of every CLI report over a fixed list of calls.
 
-Two checkouts whose random streams agree print identical lines, so a change
-that claims to keep every stream can be checked by diffing this script's
-output on the parent commit and on the change::
+The output is ``tests/golden/report_digest.txt``, which the tier-1
+``tests/test_report_digest.py`` compares with the working tree's reports.
+After a change to a report, re-record the file and read its diff::
 
-    PYTHONPATH=src python tools/report_digest.py > digests.txt
-
-or in one step, against any revision::
-
-    PYTHONPATH=src python tools/report_digest.py --against HEAD
-
-``--against REV`` exports the committed files of ``REV`` (``git archive``,
-as ``tools/bench_pairs.py`` does), runs that revision's own copy of this
-script under its own ``src``, and prints only what differs, matched by the
-argv column: ``moved`` lines, whose hash or exit code changed, with both
-exit codes, and the lines present on one side only. It exits 1 when
-anything differs, else 0.
+    PYTHONPATH=src python tools/report_digest.py > tests/golden/report_digest.txt
+    git diff --exit-code tests/golden/
 
 The package is imported from ``PYTHONPATH``; every report comes from
 ``shufflecount.cli.main`` in this process. The list covers ``run count``
@@ -36,23 +26,15 @@ empty one; both audits of every vetted mc-trials case of the benchmark
 (an ``=``-joined value, an abbreviated option, a negative count, a repeated
 ``--seed`` and an option-like value); and usage errors (an empty input file
 and negative counts among them), help and ``--version``.
-Each line is ``<sha256>  <exit code>  <argv>``; the hash covers the exit
-code, stdout, stderr and the file a call wrote through ``--out``. Input and
-output files live in a temporary directory, which the argv column and the
-hashed text show as ``<tmp>``.
 
-``--golden`` prints the lines of ``tests/golden/report_digest.txt``, which
-a tier-1 test compares with the reports of the working tree. Each line there
-is ``<kind>  <sha256>  <exit code>  <floats>  <argv>``. An ``exact`` line's
-output holds no float literal and its hash is the digest's. A ``float``
-line's hash covers the output with every float literal replaced by
-``<float>``, so its integers (every draw is an integer count), strings and
-layout compare exactly; its float literals are listed, comma-separated, and
-each compares within a relative tolerance of ``TOLERANCE``, since numpy's
-vectorized ``exp`` and ``log`` may differ in their last bits across CPUs.
-After any change to a report, re-record the file::
-
-    PYTHONPATH=src python tools/report_digest.py --golden > tests/golden/report_digest.txt
+Each line is ``<kind>  <sha256>  <exit code>  <floats>  <argv>``; the hash
+covers the exit code, stdout, stderr and ``--out`` file of a call, with every
+float literal replaced by ``<float>`` (an ``exact`` line has none), and the
+floats are listed, comma-separated. Input and output files live in a
+temporary directory, shown as ``<tmp>``. Hash and floats fix the output
+exactly. The test compares the hash, and with it every draw (an integer
+count), exactly, and each float within a relative ``TOLERANCE``, since
+numpy's vectorized ``exp`` and ``log`` may differ across CPUs in last bits.
 """
 
 from __future__ import annotations
@@ -65,13 +47,11 @@ import io
 import math
 import os
 import re
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
 
-from bench_pairs import export
 from shufflecount.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,7 +63,7 @@ FLOAT = re.compile(r"(?<![\w.])-?(?:\d+\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)(?
 #: relative tolerance of a golden line's float literals
 TOLERANCE = 1e-12
 GOLDEN_HEADER = f"""\
-# Golden report digest: PYTHONPATH=src python tools/report_digest.py --golden
+# Golden report digest: PYTHONPATH=src python tools/report_digest.py
 # <kind>  <sha256>  <exit code>  <floats>  <argv>; exact lines match byte for byte,
 # float lines with float literals masked and each within {TOLERANCE} relative."""
 
@@ -270,12 +250,6 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def lines():
-    """One ``<sha256>  <exit code>  <argv>`` line per call, in call order."""
-    for code, text, argv in outputs():
-        yield f"{sha256(text)}  {code}  {argv}"
-
-
 def golden_lines():
     """One ``<kind>  <sha256>  <exit code>  <floats>  <argv>`` line per call, in call order."""
     for code, text, argv in outputs():
@@ -311,53 +285,15 @@ def golden_differences(recorded: list[str], current: list[str]) -> list[str]:
     return out
 
 
-def revision_lines(revision: str) -> list[str]:
-    """The lines of ``revision``'s own copy of this script, run under its own ``src``."""
-    with tempfile.TemporaryDirectory(prefix="report-digest-") as tmp:
-        tree = export(revision, Path(tmp))
-        proc = subprocess.run(
-            [sys.executable, "tools/report_digest.py"], cwd=tree, check=True,
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(tree / "src")},
-        )
-    return proc.stdout.splitlines()
-
-
-def differences(theirs: list[str], ours: list[str], revision: str) -> list[str]:
-    """The lines that moved or sit on one side only, matched by their argv."""
-    def split(text):
-        return {argv: (sha, code) for sha, code, argv in (t.split("  ", 2) for t in text)}
-
-    old, new = split(theirs), split(ours)
-    out = []
-    for argv, (sha, code) in new.items():
-        if argv not in old:
-            out.append(f"only here  {sha}  {code}  {argv}")
-        elif old[argv] != (sha, code):
-            out.append(f"moved  exit {old[argv][1]} -> {code}  {argv}")
-    out += [f"only at {revision}  {sha}  {code}  {argv}"
-            for argv, (sha, code) in old.items() if argv not in new]
-    return out
-
-
 def run(argv=None) -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    ap.add_argument("--against", metavar="REV", help="print only what differs from REV")
-    ap.add_argument("--golden", action="store_true", help="print the golden lines")
-    args = ap.parse_args(argv)
-    if args.against is None:
-        if args.golden:
-            print(GOLDEN_HEADER)
-        for line in golden_lines() if args.golden else lines():
-            print(line, flush=True)
-        return 0
-    ours = list(lines())
-    diff = differences(revision_lines(args.against), ours, args.against)
-    for line in diff:
-        print(line)
-    print(f"{len(diff)} of {len(ours)} lines differ from {args.against}")
-    return 1 if diff else 0
+    ap.parse_args(argv)
+    print(GOLDEN_HEADER)
+    for line in golden_lines():
+        print(line, flush=True)
+    return 0
 
 
 if __name__ == "__main__":
