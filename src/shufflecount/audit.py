@@ -32,11 +32,13 @@ user for ``x``), both views are ``2 log p - eta (i + j)`` plus a profile:
 (``j < i``) both read ``t = j``; on or above it ``t = i`` and ``t - 1``. So
 the log ratio is one constant per class (side, ``t = min(i, j)``), and a
 class's mass is its cell nearest the diagonal times a geometric partial sum
-over its row or column. Sup, masses, support and mass floor all come from
-1-D arrays of length ``min(i_max, j_max) + 1``. Only ``h_{n-1}`` is summed
-over ``a0``: ``x'`` reuses ``x``'s mixture, as ``h_n`` is one Pascal step
-from it (``Bin(n, a) = q Bin(n - 1, a) + (1 - q) Bin(n - 1, a - 1)``, one
-``logaddexp`` of the ``a1 = 0`` and ``a1 = 1`` terms). The audit is an
+over its row or column. Sup, masses and support all come from 1-D arrays of
+length ``min(i_max, j_max) + 1``, and the sup runs over every class either
+view reaches. Only ``h_{n-1}`` is summed over ``a0``: ``x'`` reuses ``x``'s
+mixture, as ``h_n`` is one Pascal step from it (``Bin(n, a) = q Bin(n - 1,
+a) + (1 - q) Bin(n - 1, a - 1)``, one ``logaddexp`` of the ``a1 = 0`` and
+``a1 = 1`` terms). The grid's extent is closed-form: Bennett's tail bound
+for the flood count and the geometric tail for the noise. The audit is an
 empirical certification for regression detection, not a proof: the
 guarantee over the infinite support is the protocol's own.
 """
@@ -62,7 +64,6 @@ from .params import ProtocolParams
 from .protocol import estimate_trials, message_count_trials
 
 DEFAULT_COVERAGE = 1.0 - 1e-9
-DEFAULT_MASS_FLOOR = 1e-30
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_GRID_CAP = 4096
 
@@ -203,7 +204,6 @@ class AuditReport(NamedTuple):
     support_mismatch: bool
     excluded_mass_bound: float
     coverage: float
-    mass_floor: float
     tolerance: float
     n_users: int
 
@@ -218,7 +218,6 @@ class AuditReport(NamedTuple):
             "excluded_mass_bound": self.excluded_mass_bound,
             "support_mismatch": self.support_mismatch,
             "coverage": self.coverage,
-            "mass_floor": self.mass_floor,
             "tolerance": self.tolerance,
             "n_users": self.n_users,
         }
@@ -232,72 +231,49 @@ def _grid_bounds(
     params: ProtocolParams, n_users: int, tail: float
 ) -> tuple[int, int]:
     p = geo_success_prob(params.noise_epsilon)
-    # the smallest k with P(Poi(lam) > k) <= 1 - (1 - tail), the tail that a
-    # CDF test against 1 - tail applies; scipy.stats.poisson.ppf makes that
-    # test but lands one short where the CDF rounds near 1 (large means,
-    # tiny tails)
-    flood_q = _poi_upper_quantile(params.flood_mean, 1.0 - (1.0 - tail)) + 2
+    # Bennett's bound P(Poi(lam) >= lam + r) <= exp(-r^2 / (2 (lam + r/3))),
+    # solved for r at the right-hand side tail; P(Geo > k) = (1 - p)^(k + 1)
+    big = -math.log(tail)
+    lam = params.flood_mean
+    flood_q = math.ceil(lam + big / 3.0 + math.sqrt(big * big / 9.0 + 2.0 * big * lam)) + 2
     noise_q = int(math.log(tail) / math.log1p(-p)) + 2
     i_max = n_users * (params.pad_count + 1) + flood_q + noise_q
     j_max = n_users * params.pad_count + flood_q + noise_q
     return i_max, j_max
 
 
-def _poi_upper_quantile(mean: float, tail: float) -> int:
-    """The smallest ``k`` with ``P(Poi(mean) > k) <= tail``, for ``0 < tail < 1``.
-
-    The upper tails are summed from the top of a window whose last log-PMF
-    is below ``-L``, ``L = 40 + log(1 + mean) - log(tail)``: with ``r =
-    L/3 + sqrt(L^2/9 + 2 L mean)`` past the mean, Bennett's bound
-    ``bd0(mean + r, mean) >= r^2 / (2 (mean + r/3))`` puts the mass beyond
-    the window below ``e^-40 tail``. Below ``tail = 1/2`` the quantile is
-    at least the median, so at least ``mean - log 2`` (K. P. Choi, 1994),
-    and the window starts just under the mean.
-    """
-    big = 40.0 + math.log1p(mean) - math.log(tail)
-    top = math.ceil(mean + big / 3.0 + math.sqrt(big * big / 9.0 + 2.0 * big * mean))
-    low = max(0, math.floor(mean) - 1) if tail < 0.5 else 0
-    # sf[i] = P(Poi(mean) > top - 1 - i) / tail, up to the mass beyond top;
-    # every term is at most 1 / tail, so none overflows
-    log_pmf = poi_logpmf(mean, range(low, top + 1))[::-1]
-    sf = np.cumsum(np.exp(log_pmf - math.log(tail)))
-    return top - int(np.searchsorted(sf, 1.0, side="right"))
-
-
 def divergence_audit(
     n_users: int,
     params: ProtocolParams,
     coverage: float = DEFAULT_COVERAGE,
-    mass_floor: float = DEFAULT_MASS_FLOOR,
     tolerance: float = DEFAULT_TOLERANCE,
     grid_cap: int = DEFAULT_GRID_CAP,
 ) -> AuditReport:
     """Audit the privacy guarantee on the canonical neighboring pair.
 
     Compares the exact view distributions of ``(1, 0, ..., 0)`` against
-    ``(0, ..., 0)`` over one grid, sized from tail quantiles of the flood and
+    ``(0, ..., 0)`` over one grid, sized from tail bounds of the flood and
     noise draws to hold at least ``coverage`` of both masses. The supremum of
-    the absolute log-ratio is taken over grid points where either PMF reaches
-    ``mass_floor``; disjoint-support points (one PMF exactly zero where the
-    other is positive) are reported separately and force an unbounded ratio,
-    whatever their mass. The audit passes when the supremum is at most
-    ``params.epsilon + tolerance``.
+    the absolute log-ratio is taken over every grid point either view
+    reaches; disjoint-support points (one PMF exactly zero where the other is
+    positive) are reported separately and force an unbounded ratio. The
+    audit passes when the supremum is at most ``params.epsilon + tolerance``.
 
     No grid is built. The cells below the diagonal with ``j = t`` share one
     log ratio, as do the cells on or above it with ``i = t`` (module
     docstring), so each class (side, ``t``) is one entry of a 1-D profile:
     its mass is ``p^2 e^profile`` times ``sum_{i=t+1}^{i_max} e^{-eta (i + t)}``
-    below or ``sum_{j=t}^{j_max} e^{-eta (t + j)}`` above, its cell nearest
-    the diagonal, ``(t + 1, t)`` or ``(t, t)``, decides the mass floor, and
-    it is off the support iff its profile is. One mixture over the zero-input
-    users is built, ``h_{n-1}`` for ``x``; ``x'`` reuses it, as its profile
-    ``h_n`` is the Pascal step of :func:`_one_user_terms` from ``h_{n-1}``.
+    below or ``sum_{j=t}^{j_max} e^{-eta (t + j)}`` above, and it is off the
+    support iff its profile is. One mixture over the zero-input users is
+    built, ``h_{n-1}`` for ``x``; ``x'`` reuses it, as its profile ``h_n`` is
+    the Pascal step of :func:`_one_user_terms` from ``h_{n-1}``.
 
     Raises
     ------
     ParameterError
-        If ``coverage`` is outside (0, 1), ``mass_floor`` outside (0, 1],
-        ``tolerance`` negative or not finite, or ``grid_cap`` below 1.
+        If ``coverage`` is outside (0, 1), ``tolerance`` negative or not
+        finite, ``grid_cap`` below 1, or the noise's success probability
+        ``1 - e^-eta`` rounds to 1 (``eta`` above about 37).
     AuditInconclusiveError
         If the grid exceeds ``grid_cap``, or holds less than ``coverage`` of
         either mass (a coverage closer to 1 than floating point resolves);
@@ -305,26 +281,22 @@ def divergence_audit(
     """
     n_users = check_count("n_users", n_users, 1)
     check_real("coverage", coverage, 0.0, 1.0)
-    check_real("mass_floor", mass_floor, 0.0, 1.0, "(]")
     check_real("tolerance", tolerance, *TOLERANCE)
     check_count("grid_cap", grid_cap, 1)
+    eta = params.noise_epsilon
+    p = geo_success_prob(eta)
+    check_real(f"success probability 1 - exp(-{eta})", p, 0.0, 1.0)
 
-    # Three tail quantiles bound each mass outside the grid by 3/8 (1 - coverage)
+    # Three tail bounds hold each mass outside the grid to 3/8 (1 - coverage)
     # in exact arithmetic, so a grid short of coverage is floating point's limit.
     tail = (1.0 - coverage) / 8.0
     if 1.0 - tail == 1.0:
         raise AuditInconclusiveError(f"coverage {coverage} beyond floating point")
-    # the flood quantile is at least its mean (tail < 1/2), so a mean past the
-    # cap settles the audit before a quantile search of O(sqrt(mean)) entries
-    if (
-        n_users * (params.pad_count + 1) + params.flood_mean > grid_cap
-        or max(grid := _grid_bounds(params, n_users, tail)) > grid_cap
-    ):
+    i_max, j_max = _grid_bounds(params, n_users, tail)
+    if max(i_max, j_max) > grid_cap:
         raise AuditInconclusiveError(
             f"coverage {coverage} not reachable within grid cap {grid_cap}"
         )
-    i_max, j_max = grid
-    eta = params.noise_epsilon
     t_max = min(i_max, j_max)
     # x's one-input user beside the other n - 1 users' mixture; g1[u + 1] is
     # read at u = min(i - 1, j): t below the diagonal, t - 1 on or above it
@@ -338,38 +310,26 @@ def divergence_audit(
         np.logaddexp(g0, g1[:-1]),
     ))
     lf_xp = np.concatenate((h_xp[:n_below], h_xp))
-    # each class's cell nearest the diagonal, (t + 1, t) below and (t, t)
-    # above, and its cell count, rows t + 1 .. i_max or columns t .. j_max
-    i = np.concatenate((t[:n_below] + 1, t))
-    j = np.concatenate((t[:n_below], t))
+    # a class's mass is its cell nearest the diagonal, (t + 1, t) below and
+    # (t, t) above, times a geometric partial sum over its rows t + 1 .. i_max
+    # or columns t .. j_max; the log weight goes in before exp, so every term
+    # is a log-probability
+    diag = np.concatenate((2 * t[:n_below] + 1, 2 * t))
     cells = np.concatenate((i_max - t[:n_below], j_max + 1 - t))
-    log_p = math.log(geo_success_prob(eta))
-    near = 2.0 * log_p - eta * i
-    near_x = lf_x + near - eta * j
-    near_xp = lf_xp + near - eta * j
-    # a class's mass is its nearest cell times a geometric partial sum; the
-    # log weight goes in before exp, so every term is a log-probability
-    span = np.log(-np.expm1(-eta * cells)) - log_p
-    mass_x = float(np.exp(near_x + span).sum())
-    mass_xp = float(np.exp(near_xp + span).sum())
+    weight = math.log(p) - eta * diag + np.log(-np.expm1(-eta * cells))
+    mass_x = float(np.exp(lf_x + weight).sum())
+    mass_xp = float(np.exp(lf_xp + weight).sum())
     if not (mass_x >= coverage and mass_xp >= coverage):  # so is a NaN mass
         raise AuditInconclusiveError(
             f"coverage {coverage} beyond floating point: grid mass {min(mass_x, mass_xp)!r}"
         )
 
     inf_x = np.isneginf(lf_x)
-    inf_xp = np.isneginf(lf_xp)
-    support_mismatch = bool(np.any(inf_x != inf_xp))
-
-    # a class reaches the floor iff its cell nearest the diagonal does
-    log_floor = math.log(mass_floor)
-    mask = ((near_x >= log_floor) | (near_xp >= log_floor)) & ~(inf_x & inf_xp)
+    support_mismatch = bool(np.any(inf_x != np.isneginf(lf_xp)))
     if support_mismatch:
         sup = math.inf
-    elif np.any(mask):
-        sup = float(np.max(np.abs(lf_x[mask] - lf_xp[mask])))
     else:
-        sup = 0.0
+        sup = float(np.abs(lf_x[~inf_x] - lf_xp[~inf_x]).max(initial=0.0))
 
     passed = not support_mismatch and sup <= params.epsilon + tolerance
     return AuditReport(
@@ -383,7 +343,6 @@ def divergence_audit(
         support_mismatch=support_mismatch,
         excluded_mass_bound=max(0.0, 1.0 - min(mass_x, mass_xp)),
         coverage=coverage,
-        mass_floor=mass_floor,
         tolerance=tolerance,
         n_users=n_users,
     )

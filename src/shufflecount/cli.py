@@ -43,7 +43,6 @@ from . import __version__
 from .audit import (
     DEFAULT_COVERAGE,
     DEFAULT_GRID_CAP,
-    DEFAULT_MASS_FLOOR,
     DEFAULT_TOLERANCE,
     DatasetSummary,
     check_geo_ratio,
@@ -258,10 +257,9 @@ def _count_inputs(args) -> np.ndarray:
         return _read_values(args.input_file, int)  # run_counting checks the bits
     if args.ones is None:
         raise ParameterError("pass --ones/--zeros or --input-file")
-    zeros = args.zeros if args.zeros is not None else 0
-    if args.ones < 0 or zeros < 0:
-        raise ParameterError("--ones and --zeros must be non-negative")
-    return np.repeat(np.array([1, 0], dtype=np.uint8), [args.ones, zeros])
+    ones = check_count("--ones", args.ones)
+    zeros = check_count("--zeros", args.zeros if args.zeros is not None else 0)
+    return np.repeat(np.array([1, 0], dtype=np.uint8), [ones, zeros])
 
 
 def _cmd_run_count(args) -> tuple[dict, list[dict] | None]:
@@ -389,7 +387,6 @@ def _cmd_audit_divergence(args) -> tuple[dict, list[dict] | None]:
         params,
         coverage=args.coverage,
         tolerance=args.tolerance,
-        mass_floor=args.floor,
         grid_cap=args.grid_cap,
     )
     report = {
@@ -586,7 +583,6 @@ def _parsers() -> tuple[
     ad.add_argument("--n", type=int, default=3)
     ad.add_argument("--coverage", type=float, default=DEFAULT_COVERAGE)
     ad.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    ad.add_argument("--floor", type=float, default=DEFAULT_MASS_FLOOR)
     ad.add_argument("--grid-cap", dest="grid_cap", type=int, default=DEFAULT_GRID_CAP)
     _add_common(ad)
     ad.set_defaults(handler=_cmd_audit_divergence)

@@ -33,7 +33,6 @@ from shufflecount.audit import (
     _binom_logpmf,
     _grid_bounds,
     _one_user_terms,
-    _poi_upper_quantile,
     _zero_mixture,
     messages_bound,
     mse_bound,
@@ -192,21 +191,18 @@ class TestViewGrid:
         view_logpmf_grid(ds, params, 5, 5)  # imports outside the trace
         tracemalloc.start()
         try:
-            grid = view_logpmf_grid(ds, params, 614, 594)
+            grid = view_logpmf_grid(ds, params, 621, 601)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * grid.nbytes
 
 
-def _grid_audit(
-    n_users, params, coverage=1.0 - 1e-9, mass_floor=1e-30, tolerance=1e-6,
-    grid_cap=4096,
-):
+def _grid_audit(n_users, params, coverage=1.0 - 1e-9, tolerance=1e-6, grid_cap=4096):
     """Reference divergence audit over the two full view grids.
 
     Builds ``view_logpmf_grid`` for ``(1, 0, ..., 0)`` and ``(0, ..., 0)``
-    and takes masses, support, mass-floor mask and sup cell by cell.
+    and takes masses, support and sup cell by cell.
     """
     tail = (1.0 - coverage) / 8.0
     if 1.0 - tail == 1.0:
@@ -223,13 +219,11 @@ def _grid_audit(
     inf_x = np.isneginf(lf_x)
     inf_xp = np.isneginf(lf_xp)
     support_mismatch = bool(np.any(inf_x != inf_xp))
-    mask = ((lf_x >= math.log(mass_floor)) | (lf_xp >= math.log(mass_floor))) & ~(
-        inf_x & inf_xp
-    )
+    reached = ~(inf_x & inf_xp)
     if support_mismatch:
         sup = math.inf
-    elif np.any(mask):
-        sup = float(np.max(np.abs(lf_x[mask] - lf_xp[mask])))
+    elif np.any(reached):
+        sup = float(np.max(np.abs(lf_x[reached] - lf_xp[reached])))
     else:
         sup = 0.0
     return {
@@ -252,7 +246,7 @@ class TestOneDimensionalAudit:
         for (eta, eps), n, kwargs in itertools.product(
             [(0.5, 1.0), (0.9, 1.0), (1.0, 2.0)],
             [1, 2, 3, 5, 20],
-            [{}, {"coverage": 0.999}, {"mass_floor": 1e-10}, {"grid_cap": 300}],
+            [{}, {"coverage": 0.999}, {"grid_cap": 300}],
         ):
             params = ProtocolParams(
                 n_users=n, epsilon=eps, noise_epsilon=eta,
@@ -315,8 +309,8 @@ class TestOneDimensionalAudit:
         assert np.abs(closed - tilted).max() <= 1e-14 * (1.0 + lam * math.exp(2.0 * eta))
 
     def test_memory_is_one_dimensional(self):
-        # two 615 x 595 float grids would take 5.9 MB; the profiles hold
-        # a few arrays of t_max + 1 = 595 entries
+        # two 622 x 602 float grids would take 6.0 MB; the profiles hold
+        # a few arrays of t_max + 1 = 602 entries
         params = _reference(20)
         divergence_audit(20, params)  # imports outside the trace
         tracemalloc.start()
@@ -383,9 +377,9 @@ class TestDivergenceAudit:
     )
     def test_unreachable_coverage_is_inconclusive(self, kwargs):
         # the coverages lie beyond the mass floating point resolves: the
-        # smaller mass's float sum reads 1 - 8 * 2^-53, below 1 - 5 * 2^-53,
+        # smaller mass's float sum reads 1 - 63 * 2^-53, below 1 - 5 * 2^-53,
         # the coverage nearest 1 whose 1 - (1 - coverage) / 8 does not round
-        # to 1; at the last, it rounds to a flood quantile at 1
+        # to 1; at the last, it does round to 1
         with pytest.raises(AuditInconclusiveError):
             divergence_audit(3, _reference(3), **kwargs)
 
@@ -395,8 +389,6 @@ class TestDivergenceAudit:
             {"coverage": 0.0},
             {"coverage": 1.0},
             {"coverage": 1.5},
-            {"mass_floor": 0.0},
-            {"mass_floor": 2.0},
             {"tolerance": -1e-9},
             {"tolerance": math.inf},
             {"tolerance": math.nan},
@@ -409,30 +401,29 @@ class TestDivergenceAudit:
             divergence_audit(3, _reference(3), **kwargs)
 
     def test_grid_flood_quantile_matches_scipy_stats(self):
-        # scipy's ppf tests its CDF near 1 against 1 - tail, and lands one
-        # short of the stated tail in 116 of these cases (large means, tiny
-        # tails); there a 40-digit tail sum decides
+        # the flood side of the grid is Bennett's bound: never short of the
+        # tail, and past scipy's quantile by at most L/3 + sqrt(L mean / 2),
+        # L = -log(tail), and a few cells (4.1 at most on these pairs)
         from scipy import stats
 
         gen = np.random.default_rng(20_000)
         means = np.exp(gen.uniform(-3.0, 16.0, size=2000))
         tails = 10.0 ** gen.uniform(-15.0, math.log10(0.125), size=2000)
-        quantiles = stats.poisson.ppf(1.0 - tails, means)
-        for mean, tail, quantile in zip(means, tails, quantiles):
+        noise_q = (np.log(tails) / math.log1p(-geo_success_prob(0.5))).astype(int) + 2
+        bounds = []
+        for mean, tail, nq in zip(means, tails, noise_q):
             params = ProtocolParams(
                 n_users=1, epsilon=1.0, noise_epsilon=0.5,
                 drop_prob=0.01, pad_count=17, flood_mean=float(mean),
             )
-            noise_q = int(math.log(tail) / math.log1p(-geo_success_prob(0.5))) + 2
             i_max, j_max = _grid_bounds(params, 1, float(tail))
-            got = i_max - 18 - noise_q - 2
-            expected = int(quantile)
-            if got != expected:
-                expected = _mp_upper_quantile(
-                    mean, 1.0 - (1.0 - tail), min(got, expected), max(got, expected)
-                )
-            assert got == expected
             assert j_max == i_max - 1
+            bounds.append(i_max - 18 - nq - 2)
+        bounds = np.array(bounds)
+        big = -np.log(tails)
+        assert np.all(stats.poisson.sf(bounds, means) <= tails)
+        excess = bounds - stats.poisson.isf(tails, means)
+        assert np.all(excess <= big / 3.0 + np.sqrt(big * means / 2.0) + 5.0)
 
     @pytest.mark.parametrize(
         "mean, tail",
@@ -446,9 +437,24 @@ class TestDivergenceAudit:
         ],
     )
     def test_flood_quantile_where_scipy_falls_short(self, mean, tail):
-        # cases of the test above where scipy.stats.poisson.ppf reads one less
-        got = _poi_upper_quantile(mean, tail)
-        assert got == _mp_upper_quantile(mean, tail, got - 1, got + 1)
+        # pairs of the test above where scipy.stats.poisson.ppf, asked at
+        # 1 - tail, reads one less than the exact quantile at the tail that
+        # float 1 - tail stands for; the grid's flood side still covers the
+        # exact one, within the same excess
+        from scipy import stats
+
+        params = ProtocolParams(
+            n_users=1, epsilon=1.0, noise_epsilon=0.5,
+            drop_prob=0.01, pad_count=17, flood_mean=mean,
+        )
+        noise_q = int(math.log(tail) / math.log1p(-geo_success_prob(0.5))) + 2
+        i_max, _ = _grid_bounds(params, 1, tail)
+        got = i_max - 18 - noise_q - 2
+        short = int(stats.poisson.ppf(1.0 - tail, mean))
+        exact = _mp_upper_quantile(mean, 1.0 - (1.0 - tail), short, short + 1)
+        assert exact == short + 1
+        big = -math.log(tail)
+        assert exact <= got <= exact + big / 3.0 + math.sqrt(big * mean / 2.0) + 5.0
 
     def test_json_schema(self):
         report = divergence_audit(2, _reference(2))
@@ -496,10 +502,17 @@ class TestRatioChecks:
             check_geo_ratio(0.0, 10)
 
     def test_geo_rejects_budget_whose_tail_rounds_away(self):
-        # 1 - e^-40 rounds to 1.0: no geometric tail is left to check or draw
+        # 1 - e^-40 rounds to 1.0: no geometric tail is left to check, draw
+        # or size the audit's grid by
         assert geo_success_prob(40.0) == 1.0
         with pytest.raises(ParameterError):
             check_geo_ratio(40.0, 10)
+        params = ProtocolParams(
+            n_users=1, epsilon=1.0, noise_epsilon=40.0,
+            drop_prob=0.01, pad_count=17, flood_mean=127.0,
+        )
+        with pytest.raises(ParameterError):
+            divergence_audit(1, params)
         with pytest.raises(ParameterError):
             sample_nb(0.1, geo_success_prob(40.0), RandomSource(0), size=3)
 

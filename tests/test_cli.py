@@ -149,7 +149,7 @@ class TestRunCount:
         )
         assert code == 2
         assert out == ""
-        assert "non-negative" in err
+        assert "must be an integer in [0, inf]" in err
 
     def test_non_integer_input_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bits.txt"
@@ -536,8 +536,6 @@ def test_out_is_checked_before_the_run(tmp_path, capsys, monkeypatch, out, error
         ["bench", "--n-list", "100", "--trials", "-5"],
         ["bench", "--n-list", ",", "--format", "csv"],
         ["audit", "lemmas", "--i-max", "-1"],
-        ["audit", "divergence", "--floor", "0"],
-        ["audit", "divergence", "--floor", "2"],
         ["audit", "divergence", "--coverage", "1"],
         ["audit", "mse", "--n", "20", "--trials", "1000", "--fidelity", "counts",
          "--threads", "0"],
@@ -551,6 +549,9 @@ def test_out_is_checked_before_the_run(tmp_path, capsys, monkeypatch, out, error
         ["audit", "divergence", "--n", "3", "--eps", "nan"],
         ["audit", "divergence", "--n", "3", "--eps", "inf"],
         ["audit", "divergence", "--n", "3", "--lam", "inf"],
+        # 1 - e^-38 rounds to 1: no geometric tail is left to size the grid by
+        ["audit", "divergence", "--eps", "1", "--eps-prime", "38", "--q", "0.01",
+         "--s", "17", "--lam", "127", "--n", "1"],
         ["audit", "lemmas", "--eps", "nan"],
         ["audit", "lemmas", "--lam", "inf"],
     ],

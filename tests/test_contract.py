@@ -175,14 +175,8 @@ ROWS = {
     ),
     "divergence_audit": Row(
         sc.divergence_audit,
-        dict(
-            n_users=3, params=P3, coverage=1 - 1e-9, mass_floor=1e-30, tolerance=1e-6,
-            grid_cap=4096,
-        ),
-        dict(
-            n_users=Count(1), coverage=PROB, mass_floor=Real(0.0, 1.0, "(]"),
-            tolerance=TOLERANCE, grid_cap=Count(1),
-        ),
+        dict(n_users=3, params=P3, coverage=1 - 1e-9, tolerance=1e-6, grid_cap=4096),
+        dict(n_users=Count(1), coverage=PROB, tolerance=TOLERANCE, grid_cap=Count(1)),
     ),
     "dlap_variance": Row(sc.dlap_variance, dict(a=0.5), dict(a=Real())),
     "encode_real": Row(

@@ -24,8 +24,9 @@ blank lines, one with a 23-digit line, one with unreadable lines, and an
 empty one; both audits of every vetted mc-trials case of the benchmark
 (``perfbench/workloads.py``); calls at the edges of the one-pass parse
 (an ``=``-joined value, an abbreviated option, a negative count, a repeated
-``--seed`` and an option-like value); and usage errors (an empty input file
-and negative counts among them), help and ``--version``.
+``--seed`` and an option-like value); and usage errors (an empty input file,
+negative counts and a noise budget whose geometric tail rounds away among
+them), help and ``--version``.
 
 Each line is ``<kind>  <sha256>  <exit code>  <floats>  <argv>``; the hash
 covers the exit code, stdout, stderr and ``--out`` file of a call, with every
@@ -183,6 +184,8 @@ def usage_calls() -> list[list[str]]:
         ["run", "count", "--ones", "3", "extra"],
         ["params", "--eps", "1", "--rho", "0.6", "--n", "100"],
         ["audit", "divergence", *REFERENCE, "--grid-cap", "10"],
+        ["audit", "divergence", "--eps", "1", "--eps-prime", "38", "--q", "0.01", "--s", "17",
+         "--lam", "127", "--n", "1"],
     ]
 
 
