@@ -28,19 +28,32 @@ almost all of both masses, and builds no grid. With ``h`` the mixture over
 the zero-input users (``h_n`` for ``x'``, ``h_{n-1}`` beside the one-input
 user for ``x``), both views are ``2 log p - eta (i + j)`` plus a profile:
 ``h_n[min(i, j)]`` for ``x'``, and for ``x`` the terms ``a1 = 0`` and
-``a1 = 1`` read at ``min(i, j)`` and ``min(i - 1, j)``. Below the diagonal
-(``j < i``) both read ``t = j``; on or above it ``t = i`` and ``t - 1``. So
-the log ratio is one constant per class (side, ``t = min(i, j)``), and a
-class's mass is its cell nearest the diagonal times a geometric partial sum
-over its row or column. Sup, masses and support all come from 1-D arrays of
-length ``min(i_max, j_max) + 1``, and the sup runs over every class either
-view reaches. Only ``h_{n-1}`` is summed over ``a0``: ``x'`` reuses ``x``'s
-mixture, as ``h_n`` is one Pascal step from it (``Bin(n, a) = q Bin(n - 1,
-a) + (1 - q) Bin(n - 1, a - 1)``, one ``logaddexp`` of the ``a1 = 0`` and
-``a1 = 1`` terms). The grid's extent is closed-form: Bennett's tail bound
-for the flood count and the geometric tail for the noise. The audit is an
-empirical certification for regression detection, not a proof: the
-guarantee over the infinite support is the protocol's own.
+``a1 = 1`` read at ``min(i, j)`` and ``min(i - 1, j)``. So the log ratio is
+one constant per class (side, ``t = min(i, j)``):
+
+- side 0 holds the cells ``(i, t)`` below the diagonal, ``i = t + 1 ..
+  i_max``, where ``x``'s ``a1 = 1`` term reads at ``u = t``;
+- side 1 holds the cells ``(t, j)`` on or above it, ``j = t .. j_max``,
+  where it reads at ``u = t - 1``.
+
+The grid bounds the plus count by ``n (pad + 1)`` and the minus count by
+``n pad``, each plus the same flood and noise tails, so ``i_max = j_max + n``.
+Each side thus has ``T = j_max + 1`` classes and each view's profile is one
+``(2, T)`` array, ``x'``'s the same on both sides. A class's mass is its
+profile at the cell nearest the diagonal, ``(t + 1, t)`` or ``(t, t)``,
+times a geometric partial sum over its rows or columns, with the log weight
+
+    log p - eta (2 t + [1, 0]) + log(1 - e^{-eta [i_max - t, j_max + 1 - t]})
+
+Sup, masses and support all come from these arrays, and the sup runs over
+every class either view reaches. Only ``h_{n-1}`` is summed over ``a0``:
+``x'`` reuses ``x``'s mixture, as ``h_n`` is one Pascal step from it
+(``Bin(n, a) = q Bin(n - 1, a) + (1 - q) Bin(n - 1, a - 1)``, one
+``logaddexp`` of the ``a1 = 0`` and ``a1 = 1`` terms). The grid's extent is
+closed-form: Bennett's tail bound for the flood count and the geometric tail
+for the noise. The audit is an empirical certification for regression
+detection, not a proof: the guarantee over the infinite support is the
+protocol's own.
 """
 
 from __future__ import annotations
@@ -129,18 +142,20 @@ def _zero_mixture(zeros: int, params: ProtocolParams, t_max: int) -> np.ndarray:
 
 def _one_user_terms(
     h: np.ndarray, params: ProtocolParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One user's terms beside the mixture ``h = h_{n-1}`` of the others.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both views' class profiles from the mixture ``h = h_{n-1}`` of the others.
 
-    Returns ``g0``, ``g1`` and ``h_n``. ``g0[t] = log q + h[t]`` is the user
-    dropped, and ``g1[u + 1] = log(1 - q) + eta (2 pad + 1) + h[u - pad]``
-    (``-inf`` for ``u < pad``) the user participating with input 1; the
-    divergence audit reads them at ``u = min(i, j)`` and ``u = min(i - 1, j)``.
-    With input 0 a participating user sends one plus-message fewer, so
-    ``h_n = logaddexp(g0, g1[1:] - eta)``: Pascal's rule ``Bin(n, a) =
-    q Bin(n - 1, a) + (1 - q) Bin(n - 1, a - 1)`` on the mixture. ``log q``
-    comes from :func:`_binom_logpmf`, as in :func:`_zero_mixture`, so ``q = 0``
-    gives ``-inf`` without a warning.
+    Returns ``h_n``, the profile of ``x'`` over the ``T = h.size`` classes
+    of either side, and ``lf_x``, that of ``x``, shape ``(2, T)`` by side
+    (module docstring). One user's terms beside ``h`` are ``g0[t] = log q +
+    h[t]``, the user dropped, and ``g1[u + 1] = log(1 - q) + eta (2 pad + 1)
+    + h[u - pad]`` (``-inf`` for ``u < pad``), the user participating with
+    input 1; ``lf_x`` reads ``g1`` at ``u = t`` on side 0 and ``u = t - 1``
+    on side 1. With input 0 a participating user sends one plus-message
+    fewer, so ``h_n = logaddexp(g0, g1[1:] - eta)``: Pascal's rule ``Bin(n,
+    a) = q Bin(n - 1, a) + (1 - q) Bin(n - 1, a - 1)`` on the mixture. ``log
+    q`` comes from :func:`_binom_logpmf`, as in :func:`_zero_mixture`, so
+    ``q = 0`` gives ``-inf`` without a warning.
     """
     eta = params.noise_epsilon
     pad = params.pad_count
@@ -150,7 +165,7 @@ def _one_user_terms(
     g1 = np.full(t_max + 2, NEG_INF)
     if pad <= t_max:
         g1[pad + 1 :] = lw1 + eta * (2 * pad + 1) + h[: t_max + 1 - pad]
-    return g0, g1, np.logaddexp(g0, g1[1:] - eta)
+    return np.logaddexp(g0, g1[1:] - eta), np.logaddexp(g0, np.array((g1[1:], g1[:-1])))
 
 
 def view_logpmf_grid(
@@ -237,9 +252,9 @@ def _grid_bounds(
     lam = params.flood_mean
     flood_q = math.ceil(lam + big / 3.0 + math.sqrt(big * big / 9.0 + 2.0 * big * lam)) + 2
     noise_q = int(math.log(tail) / math.log1p(-p)) + 2
-    i_max = n_users * (params.pad_count + 1) + flood_q + noise_q
+    # the plus count adds at most one message per user to the minus count
     j_max = n_users * params.pad_count + flood_q + noise_q
-    return i_max, j_max
+    return j_max + n_users, j_max
 
 
 def divergence_audit(
@@ -258,15 +273,6 @@ def divergence_audit(
     reaches; disjoint-support points (one PMF exactly zero where the other is
     positive) are reported separately and force an unbounded ratio. The
     audit passes when the supremum is at most ``params.epsilon + tolerance``.
-
-    No grid is built. The cells below the diagonal with ``j = t`` share one
-    log ratio, as do the cells on or above it with ``i = t`` (module
-    docstring), so each class (side, ``t``) is one entry of a 1-D profile:
-    its mass is ``p^2 e^profile`` times ``sum_{i=t+1}^{i_max} e^{-eta (i + t)}``
-    below or ``sum_{j=t}^{j_max} e^{-eta (t + j)}`` above, and it is off the
-    support iff its profile is. One mixture over the zero-input users is
-    built, ``h_{n-1}`` for ``x``; ``x'`` reuses it, as its profile ``h_n`` is
-    the Pascal step of :func:`_one_user_terms` from ``h_{n-1}``.
 
     Raises
     ------
@@ -293,29 +299,18 @@ def divergence_audit(
     if 1.0 - tail == 1.0:
         raise AuditInconclusiveError(f"coverage {coverage} beyond floating point")
     i_max, j_max = _grid_bounds(params, n_users, tail)
-    if max(i_max, j_max) > grid_cap:
+    if i_max > grid_cap:
         raise AuditInconclusiveError(
             f"coverage {coverage} not reachable within grid cap {grid_cap}"
         )
-    t_max = min(i_max, j_max)
-    # x's one-input user beside the other n - 1 users' mixture; g1[u + 1] is
-    # read at u = min(i - 1, j): t below the diagonal, t - 1 on or above it
-    g0, g1, h_xp = _one_user_terms(_zero_mixture(n_users - 1, params, t_max), params)
-    # classes (side, t): t = j below the diagonal (j < i), t = i on or above
-    # it; every cell of a class is its profile minus eta (i + j)
-    n_below = min(j_max + 1, i_max)
-    t = np.arange(t_max + 1)
-    lf_x = np.concatenate((
-        np.logaddexp(g0[:n_below], g1[1 : n_below + 1]),
-        np.logaddexp(g0, g1[:-1]),
-    ))
-    lf_xp = np.concatenate((h_xp[:n_below], h_xp))
-    # a class's mass is its cell nearest the diagonal, (t + 1, t) below and
-    # (t, t) above, times a geometric partial sum over its rows t + 1 .. i_max
-    # or columns t .. j_max; the log weight goes in before exp, so every term
-    # is a log-probability
-    diag = np.concatenate((2 * t[:n_below] + 1, 2 * t))
-    cells = np.concatenate((i_max - t[:n_below], j_max + 1 - t))
+    # classes (side, t), side 0 below the diagonal and side 1 on or above it
+    h_xp, lf_x = _one_user_terms(_zero_mixture(n_users - 1, params, j_max), params)
+    lf_xp = np.array((h_xp, h_xp))
+    # each class's log weight (module docstring) goes in before exp, so every
+    # term is a log-probability
+    t = np.arange(j_max + 1)
+    diag = 2 * t + np.array([[1], [0]])
+    cells = np.array([[i_max], [j_max + 1]]) - t
     weight = math.log(p) - eta * diag + np.log(-np.expm1(-eta * cells))
     mass_x = float(np.exp(lf_x + weight).sum())
     mass_xp = float(np.exp(lf_xp + weight).sum())

@@ -114,7 +114,7 @@ def real_sum_params(
     n_users = check_count("n_users", n_users, 1)
     drop_prob = target_drop_prob(epsilon, slack, n_users)
     instances = []
-    for j, eps_j in enumerate(budgets):
+    for j, eps_j in enumerate(budgets.tolist()):
         if eps_j < 1.0 / n_users:
             raise DegenerateInputError(
                 f"bit {j}: split budget {eps_j:.4g} is below 1/n_users; "

@@ -217,10 +217,13 @@ def run_trials(inputs, instances, trials: int, rng: RandomSource, fidelity: str)
     ``CHUNK_ELEMENTS // (4 n)`` trials; then each instance's :func:`_stages`
     run over all trials, in turn. A single run is a one-trial batch on the
     same stream. The totals, ``(trials,)``, are ``None`` below ``message``
-    fidelity.
+    fidelity. The instances, at least one, must share one ``n_users``.
     """
     check_choice("fidelity", fidelity, FIDELITIES)
-    n, k = instances[0].n_users, len(instances)
+    k = check_count("number of instances", len(instances), 1)
+    n = instances[0].n_users
+    if any(inst.n_users != n for inst in instances):
+        raise ParameterError("every instance must have the same n_users")
     chunks = _batches(trials, 4 * n)
     if callable(inputs):
         ones = np.empty((trials, k), dtype=np.int64)

@@ -263,6 +263,8 @@ class TestOneDimensionalAudit:
             assert report.passed == ref["pass"], case
             assert report.support_mismatch == ref["support_mismatch"], case
             assert (report.grid_i_max, report.grid_j_max) == ref["grid"], case
+            # the invariant of _grid_bounds that the (2, j_max + 1) class array relies on
+            assert report.grid_i_max - report.grid_j_max == n, case
             if math.isinf(ref["sup"]):
                 assert report.sup_abs_log_ratio == ref["sup"], case
             else:
@@ -284,7 +286,7 @@ class TestOneDimensionalAudit:
                 drop_prob=q, pad_count=pad, flood_mean=lam,
             )
             t_max = min(_grid_bounds(params, n, 1e-9 / 8.0))
-            _, _, h_n = _one_user_terms(_zero_mixture(n - 1, params, t_max), params)
+            h_n, _ = _one_user_terms(_zero_mixture(n - 1, params, t_max), params)
             direct = _zero_mixture(n, params, t_max)
             case = (eta, eps, n)
             assert np.array_equal(np.isneginf(h_n), np.isneginf(direct)), case

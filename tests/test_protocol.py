@@ -691,6 +691,14 @@ class TestValidation:
             with pytest.raises(ParameterError):
                 run_trials(ones, [params] * k, 2, RandomSource(0), "counts")
 
+    def test_run_trials_takes_instances_of_one_user_count(self):
+        # no instance, or instances over 10 and 1000 users
+        with pytest.raises(ParameterError):
+            run_trials([], [], 1, RandomSource(1), "law")
+        instances = [derive_params(1.0, 0.5, 10), derive_params(1.0, 0.5, 1000)]
+        with pytest.raises(ParameterError, match="n_users"):
+            run_trials([5, 5], instances, 2, RandomSource(1), "counts")
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_batches_reject_fewer_than_one_trial(self, trials):
         params = minimal_params(1.0, 0.5, 0.1, 3)

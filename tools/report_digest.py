@@ -14,19 +14,20 @@ The package is imported from ``PYTHONPATH``; every report comes from
 way the benchmark passes its inputs), ``audit mse`` at every fidelity across
 several trial chunks, ``audit comm`` and ``bench``, each at seeds 1, 7 and
 9001; ``params`` in derive and check mode, ``audit lemmas`` and
-``audit divergence`` on the reference set (``--n 3`` and ``--n 20``, and
-the failing ``--q 0`` control), and these two audits, ``audit mse`` and
-``params`` once more as one-row CSV; ``run histogram --buckets 256 --uniform
-100000`` at every fidelity and ``run count`` over 10**6 users, at seed 1,
-runs at scale, with ``run realsum --uniform 100000 --bits 3`` at every
-fidelity; each run command on an input file with CRLF endings, padding and
+``audit divergence`` on the reference set (``--n 3`` and ``--n 20``; the
+divergence audit also at ``--n 1``, on the failing ``--q 0`` control, on a
+failing ``--s 1`` set and on a set whose sup sits at the grid's edge), and
+these two audits, ``audit mse`` and ``params`` once more as one-row CSV;
+``run histogram --buckets 256 --uniform 100000`` at every fidelity and
+``run count`` over 10**6 users, at seed 1, runs at scale, with ``run realsum
+--uniform 100000 --bits 3`` at every fidelity; each run command on an input file with CRLF endings, padding and
 blank lines, one with a 23-digit line, one with unreadable lines, and an
 empty one; both audits of every vetted mc-trials case of the benchmark
 (``perfbench/workloads.py``); calls at the edges of the one-pass parse
 (an ``=``-joined value, an abbreviated option, a negative count, a repeated
 ``--seed`` and an option-like value); and usage errors (an empty input file,
-negative counts and a noise budget whose geometric tail rounds away among
-them), help and ``--version``.
+negative counts, a real-sum budget over the per-bit limit and a noise budget
+whose geometric tail rounds away among them), help and ``--version``.
 
 Each line is ``<kind>  <sha256>  <exit code>  <floats>  <argv>``; the hash
 covers the exit code, stdout, stderr and ``--out`` file of a call, with every
@@ -111,7 +112,14 @@ def unseeded_calls() -> list[list[str]]:
             ["audit", "divergence", *REFERENCE, "--n", n],
         ]
     no_drops = ["--eps", "1", "--eps-prime", "0.5", "--q", "0"]
-    return calls + [["audit", "divergence", *no_drops, "--n", "3"]]
+    lam = ["--eps", "1", "--eps-prime", "0.5", "--lam", "127"]
+    return calls + [
+        ["audit", "divergence", *no_drops, "--n", "3"],
+        ["audit", "divergence", *REFERENCE, "--n", "1"],
+        # a failing set with a finite sup, and a pass whose sup sits at the grid's edge
+        ["audit", "divergence", *lam, "--q", "0.01", "--s", "1", "--n", "3"],
+        ["audit", "divergence", *lam, "--q", "0.3", "--s", "3", "--n", "2"],
+    ]
 
 
 def csv_calls() -> list[list[str]]:
@@ -183,6 +191,7 @@ def usage_calls() -> list[list[str]]:
         ["run", "realsum", "--fidelity", "exact", "--seed", "1"],
         ["run", "count", "--ones", "3", "extra"],
         ["params", "--eps", "1", "--rho", "0.6", "--n", "100"],
+        ["run", "realsum", "--uniform", "100", "--bits", "3", "--eps", "20", "--seed", "1"],
         ["audit", "divergence", *REFERENCE, "--grid-cap", "10"],
         ["audit", "divergence", "--eps", "1", "--eps-prime", "38", "--q", "0.01", "--s", "17",
          "--lam", "127", "--n", "1"],
