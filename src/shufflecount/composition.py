@@ -26,11 +26,13 @@ import numpy as np
 from .dist import RandomSource
 from .errors import (
     DegenerateInputError,
+    ParameterError,
     check_array,
     check_count,
     check_real,
 )
 from .params import (
+    MAX_EPSILON,
     SLACK,
     ProtocolParams,
     derive_params,
@@ -110,6 +112,11 @@ def real_sum_params(
     bits at realistic user counts.
     """
     budgets = split_budget(epsilon, check_count("n_bits", n_bits, 1))
+    if budgets[0] > MAX_EPSILON:  # the largest part: the budgets decay
+        raise ParameterError(
+            f"epsilon={epsilon} gives bit 0 a split budget of {budgets[0]:.4g}, "
+            f"above the {MAX_EPSILON} an instance takes"
+        )
     check_real("slack", slack, *SLACK)
     n_users = check_count("n_users", n_users, 1)
     drop_prob = target_drop_prob(epsilon, slack, n_users)
@@ -227,7 +234,13 @@ def histogram_params(
     epsilon: float, slack: float, n_users: int
 ) -> ProtocolParams:
     """Shared per-bucket instance parameters: full derivation at ``epsilon/2``."""
-    return derive_params(check_real("epsilon", epsilon) / 2.0, slack, n_users)
+    epsilon = check_real("epsilon", epsilon)
+    if epsilon > 2.0 * MAX_EPSILON:
+        raise ParameterError(
+            f"epsilon={epsilon} gives each bucket's instance epsilon/2 = {epsilon / 2.0}, "
+            f"above the {MAX_EPSILON} an instance takes"
+        )
+    return derive_params(epsilon / 2.0, slack, n_users)
 
 
 def _histogram_trials(xs, n_buckets, epsilon, slack, trials, rng, fidelity):

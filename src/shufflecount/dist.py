@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, check_count, check_points, check_real, check_shape
+from .errors import check_count, check_points, check_real, check_shape
 
 NEG_INF = float("-inf")
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -161,7 +161,7 @@ def _poi_anchor(mean: float, k: int) -> float:
     return -stirlerr - bd0 - 0.5 * math.log(k) - _HALF_LOG_2PI
 
 
-def sample_nb(r: float, p: float, rng: RandomSource, size=None, group: int = 1):
+def sample_nb(r: float, p: float, rng: RandomSource, size=None):
     """Draw from the negative binomial via its compound-Poisson form.
 
     NB(``r``, ``p``) is the sum of Poisson(``-r ln p``) many
@@ -172,24 +172,16 @@ def sample_nb(r: float, p: float, rng: RandomSource, size=None, group: int = 1):
     with the number of summands, not of cells, so the tiny fractional shapes
     of per-user noise shares, nearly all 0, cost little. ``size=None`` draws
     one value through the same path.
-
-    With ``group > 1`` the last axis of ``size`` is cut into runs of
-    ``group`` cells and each summand is added into its cell's run: the
-    result, of shape ``size[:-1] + (size[-1] // group,)``, holds the sums of
-    the same draws over each run, and no per-cell array is built.
     """
     check_real("r", r)
     check_real("p", p, 0.0, 1.0)
     shape = check_shape("size", size) or ()
-    if check_count("group", group, 1) != 1 and not (shape and shape[-1] % group == 0):
-        raise ParameterError(f"group {group} must divide the last axis of size {size}")
     gen = rng.generator
     cells = math.prod(shape)
-    out = np.zeros(shape[:-1] + (shape[-1] // group,) if shape else (), dtype=np.int64)
+    out = np.zeros(shape, dtype=np.int64)
     total = gen.poisson(-r * math.log(p) * cells)
     if total:
-        run = gen.integers(0, cells, total) // group
-        np.add.at(out.reshape(-1), run, gen.logseries(1.0 - p, total))
+        np.add.at(out.reshape(-1), gen.integers(0, cells, total), gen.logseries(1.0 - p, total))
     return out[()] if size is None else out
 
 

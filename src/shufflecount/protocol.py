@@ -12,16 +12,18 @@ one, so every batch of runs takes its inputs as counts. :func:`run_trials`
 drives every batch (a single run is a one-trial batch on the same stream),
 and :func:`_stages` draws one instance's totals for all trials of a batch
 in stages, each fidelity stopping at the last stage it needs: the dropped
-ones, then the dropped zeros and each trial's flooding total, then the noise
-shares, summed over users as they are drawn in chunks of whole trials under
-:data:`CHUNK_ELEMENTS`. A Binomial count of drops has the law of an
-independent drop per user, so a batch holds no per-user array.
-:func:`run_counting`, which reports every user's message count, is the same
-one-trial draw with the noise shares kept per user, followed by a placement
-of its totals on users. The analyzer reads only per-code totals of the pool,
-which no permutation changes, so a run draws no shuffle; :func:`shuffle`
-materializes a uniformly shuffled sequence where the order itself is wanted
-(tests). Three simulation fidelities exist:
+ones, then the dropped zeros and each trial's flooding total, then each
+side's noise total. The ``n`` users' noise shares of a side are sized to
+pool to one geometric, so a trial draws that pair of geometrics, not the
+``2 n`` shares. A Binomial count of drops has the law of an independent
+drop per user, so a batch holds no per-user array, and its cost does not
+grow with ``n``. :func:`run_counting`, which reports every user's message
+count, is the same one-trial draw followed by a placement of its totals on
+users; the noise shares given their totals are placed by a Polya urn. The
+analyzer reads only per-code totals of the pool, which no permutation
+changes, so a run draws no shuffle; :func:`shuffle` materializes a uniformly
+shuffled sequence where the order itself is wanted (tests). Three simulation
+fidelities exist:
 
 ``message``
     The default pipeline: every message total is drawn, flooding included,
@@ -29,9 +31,9 @@ materializes a uniformly shuffled sequence where the order itself is wanted
     are reported. A batch draws each trial's flooding as one Poisson total,
     the same law as the per-user sum.
 ``counts``
-    Only what the signed sum needs is drawn: the dropped ones and every
-    user's noise shares, not the dropped zeros or flooding, which cancel in
-    the sum. The estimate law is exactly the same.
+    Only what the signed sum needs is drawn: the dropped ones and the noise
+    totals, not the dropped zeros or flooding, which cancel in the sum. The
+    estimate law is exactly the same.
 ``law``
     Derivation-level simulation of the closed-form estimate law
     ``ones - Binomial(ones, q) + DLap(noise_epsilon)``. No per-user structure.
@@ -49,21 +51,17 @@ from .params import ProtocolParams, require_feasible
 
 FIDELITIES = ("message", "counts", "law")
 
-#: Per-user draws in one chunk of a batch of trials; :func:`_batches` cuts
-#: every batch into chunks of whole trials, drawn in turn on one stream.
-#: :func:`_stages` sizes an instance's chunks for its ``2 m`` noise shares
-#: per trial, and each chunk's Poisson total of noise summands is a boundary
-#: of the stream, so resizing them would change every seeded batch; its drops
-#: and flooding are one draw per trial. :func:`run_trials` draws the real
-#: sum's rounding in chunks sized for ``4 n`` per trial, which keeps the
-#: rounding's float64 arrays at a quarter of a chunk each. A chunk sums each
-#: draw over users as it is made, so no per-user array outlives its chunk.
+#: Per-user draws in one chunk of the real sum's rounding: :func:`run_trials`
+#: draws it in chunks of whole trials sized for ``4 n`` per trial, which keeps
+#: the rounding's float64 arrays at a quarter of a chunk each, and reduces
+#: each chunk to per-bit sums, so no per-user array outlives its chunk. The
+#: stages draw a few values per trial and are not chunked.
 CHUNK_ELEMENTS = 1 << 22
 
 #: The layout of every seeded stream: which draws a run or batch makes, in
 #: which order and shape. A change that moves any seeded draw bumps it, and
 #: ``tests/test_protocol.py`` pins it with the digest of seeded runs.
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 
 
 class Contribution(NamedTuple):
@@ -111,17 +109,6 @@ class CountingRun(NamedTuple):
     view: View
 
 
-def _batches(trials: int, per_trial: int):
-    """Chunks ``(slice, size)`` of whole trials, at most :data:`CHUNK_ELEMENTS` draws each.
-
-    Checks that ``trials`` is a count >= 1 when called, before anything is
-    drawn.
-    """
-    trials = check_count("trials", trials, 1)
-    rows = max(1, CHUNK_ELEMENTS // per_trial)
-    return ((slice(s, s + rows), min(rows, trials - s)) for s in range(0, trials, rows))
-
-
 def _ones(zeros: int, ones: int, n: int) -> int:
     """``ones``, checked as the ones of a counting dataset of ``n = zeros + ones`` users."""
     ones = check_count("ones", ones, 0, n)
@@ -164,9 +151,10 @@ def _stages(
     2. at ``law`` fidelity, one discrete Laplace draw, and nothing more;
     3. at ``message`` fidelity, the dropped zeros, ``Binomial(m - ones,
        drop_prob)``, then the flooding total, ``Poisson(flood_mean * m / n)``;
-    4. the noise shares of shape ``1/n``, ``2m`` per trial (plus shares
-       first), summed over users as they are drawn (:func:`sample_nb` with
-       ``group = m``) in chunks of ``CHUNK_ELEMENTS // (2 m)`` trials.
+    4. the noise totals, ``(trials, 2)``, plus in column 0 and minus in
+       column 1: the sums of the ``m`` users' NB(1/n, p) shares of each side.
+       Over all ``n`` users each is one geometric, drawn as such (numpy's
+       ``geometric``); over ``m < n`` users it is NB(m/n, p) (:func:`sample_nb`).
 
     A drop count has the law of an independent drop per user, and a flooding
     total that of the per-user counts, by Poisson additivity. ``ones`` is a
@@ -176,35 +164,32 @@ def _stages(
     ``kept + noise_plus - noise_minus``; ``message`` returns the plus and
     minus message totals, ``pad * K + kept + noise_plus + flood`` and ``pad
     * K + noise_minus + flood``, where ``K`` counts every kept user. With
-    ``per_user``, one ``message`` trial keeps its ``2m`` noise shares
-    (``group = 1`` makes the same draws) and returns ``(plus, minus),
-    (dropped_ones, dropped_zeros, flood, shares)``.
+    ``per_user``, a ``message`` batch also returns the parts that
+    :func:`run_counting` places on users: ``(plus, minus), (dropped_ones,
+    dropped_zeros, flood, noise)``.
     """
+    trials = check_count("trials", trials, 1)
     gen, q = rng.generator, params.drop_prob
     if trials == 1:
         ones = np.asarray(ones).item()
     if fidelity == "law":
         kept = ones - gen.binomial(ones, q, size=trials)
         return kept + sample_dlap(params.noise_epsilon, rng, size=trials)
-    chunks = _batches(trials, 2 * m)  # checks trials before anything is drawn
     kept = ones - gen.binomial(ones, q, size=trials)
     if fidelity == "message":
         users = kept + (m - ones) - gen.binomial(m - ones, q, size=trials)
         flood = sample_poi(params.flood_mean * m / params.n_users, rng, size=trials)
     p = geo_success_prob(params.noise_epsilon)
-    if per_user:  # one trial in one chunk: its shares, then their sums
-        shares = sample_nb(1.0 / params.n_users, p, rng, size=2 * m)
-        noise = shares.reshape(1, 2, m).sum(axis=2)
+    if m == params.n_users:
+        noise = gen.geometric(p, size=(trials, 2)) - 1
     else:
-        noise = np.empty((trials, 2), dtype=np.int64)
-        for chunk, size in chunks:
-            noise[chunk] = sample_nb(1.0 / params.n_users, p, rng, size=(size, 2 * m), group=m)
+        noise = sample_nb(m / params.n_users, p, rng, size=(trials, 2))
     plus, minus = kept + noise[:, 0], noise[:, 1]
     if fidelity == "counts":
         return plus - minus
     padded = params.pad_count * users + flood
     totals = padded + plus, padded + minus
-    return (totals, (ones - kept, m - ones - (users - kept), flood, shares)) if per_user else totals
+    return (totals, (ones - kept, m - ones - (users - kept), flood, noise)) if per_user else totals
 
 
 def run_trials(inputs, instances, trials: int, rng: RandomSource, fidelity: str):
@@ -224,11 +209,12 @@ def run_trials(inputs, instances, trials: int, rng: RandomSource, fidelity: str)
     n = instances[0].n_users
     if any(inst.n_users != n for inst in instances):
         raise ParameterError("every instance must have the same n_users")
-    chunks = _batches(trials, 4 * n)
+    trials = check_count("trials", trials, 1)
     if callable(inputs):
+        rows = max(1, CHUNK_ELEMENTS // (4 * n))
         ones = np.empty((trials, k), dtype=np.int64)
-        for chunk, size in chunks:
-            ones[chunk] = inputs(rng, size)
+        for start in range(0, trials, rows):
+            ones[start : start + rows] = inputs(rng, min(rows, trials - start))
     else:
         ones = check_array("inputs", inputs, 0, n)
         if ones.size != k:
@@ -266,16 +252,39 @@ def analyze(view: View) -> int:
     return view.plus_count - view.minus_count
 
 
+def _table_sizes(totals, gen) -> list[int]:
+    """Sizes of the groups in which each side's noise total is placed on users.
+
+    Given their sum ``g``, ``n`` NB(1/n, p) shares are Dirichlet-multinomial
+    (g; 1/n, ..., 1/n): the Polya urn in which ball ``k`` goes to a fresh
+    uniform user with probability ``1/(k+1)`` and otherwise to the user of a
+    uniform earlier ball. Its balls form the tables of a Chinese restaurant
+    process of concentration 1, one uniform user each, and those tables have
+    the law of the cycles of a uniform permutation of the ``g`` balls: the
+    cycle through the first ball is uniform in size on ``1..g``, and the rest
+    is a uniform permutation of what is left. So a side's tables are drawn by
+    that splitting, about ``ln g`` draws, not one per ball.
+    """
+    sizes = []
+    for left in totals.tolist():
+        while left:
+            size = int(gen.integers(1, left + 1))
+            sizes.append(size)
+            left -= size
+    return sizes
+
+
 def run_counting(
     xs: Sequence[int], params: ProtocolParams, rng: RandomSource
 ) -> CountingRun:
     """Run the full pipeline: randomize every user, pool, analyze.
 
-    The one-trial :func:`_stages` of ``message`` fidelity, noise shares kept
-    per user, draws the estimate and view of the one-trial
-    :func:`estimate_trials` and :func:`simulate_views` at the same seed. Its
-    totals are then placed on users, exactly: the drops by ``choice`` among
-    the ones and among the zeros, the flooding by one O(n) multinomial.
+    The one-trial :func:`_stages` of ``message`` fidelity draws the estimate
+    and view of the one-trial :func:`estimate_trials` and
+    :func:`simulate_views` at the same seed. Its totals are then placed on
+    users, exactly: the drops by ``choice`` among the ones and among the
+    zeros, the flooding by one O(n) multinomial, and each side's noise total
+    by the tables of :func:`_table_sizes`, each added to one uniform user.
     """
     bits = check_array("xs", xs, 0, 1)
     n = params.n_users
@@ -283,17 +292,18 @@ def run_counting(
         raise ParameterError(f"got {bits.size} inputs for n_users={n}")
     require_feasible(params)
     ones = int(np.count_nonzero(bits))
-    (plus, minus), (*dropped, flood, shares) = _stages(
+    (plus, minus), (*dropped, flood, noise) = _stages(
         ones, n, params, rng, "message", 1, per_user=True
     )
+    gen = rng.generator
     drops = [  # the dropped users among the ones and among the zeros
-        np.flatnonzero(bits == x)[rng.generator.choice(size, d[0], replace=False, shuffle=False)]
+        np.flatnonzero(bits == x)[gen.choice(size, d[0], replace=False, shuffle=False)]
         for x, size, d in zip((1, 0), (ones, n - ones), dropped) if d[0]
     ]
-    counts = rng.generator.multinomial(flood[0], np.full(n, 1.0 / n))
+    counts = gen.multinomial(flood[0], np.full(n, 1.0 / n))
     counts *= 2
-    counts += shares[:n]
-    counts += shares[n:]
+    sizes = _table_sizes(noise[0], gen)
+    np.add.at(counts, gen.integers(0, n, len(sizes)), sizes)
     counts += 2 * params.pad_count  # every user's block, then taken back from the dropped
     counts += bits == 1
     for users in drops:
@@ -313,9 +323,9 @@ def simulate_views(
 
     The plus and minus message totals of the :func:`_stages` of ``message``
     fidelity over all ``n`` users: the dropped ones and zeros, each trial's
-    flooding total, and ``2 n`` noise shares per trial summed as they are
-    drawn. The multiset itself is never materialized because the view is
-    already a function of the counts.
+    flooding total and its two geometric noise totals, a few draws per trial
+    whatever ``n`` is. The multiset itself is never materialized because the
+    view is already a function of the counts.
 
     Returns
     -------
@@ -337,7 +347,7 @@ def estimate_trials(
 
     The one-instance :func:`run_trials` of the dataset's count of ones.
     ``message`` fidelity draws every message total, ``counts`` only the
-    dropped ones and noise shares that the signed sum needs, and ``law``
+    dropped ones and noise totals that the signed sum needs, and ``law``
     samples the closed-form estimate law. All three produce the same
     estimate distribution.
     """

@@ -3,9 +3,12 @@
 A speed claim holds only when the change wins at least nine pairs in ten and
 its median gain exceeds the parent's interquartile range; ties count for
 neither side; a metric reads ``WORSE`` when the change's median is worse than
-the parent's by more than ``bound`` times the parent's median.
+the parent's by more than ``bound`` times the parent's median. Every run of
+``bench`` starts from an empty bytecode cache of its own.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,3 +80,25 @@ def test_worse_than_bound_past_bound_times_the_parent_median(better, change, wor
     s = _summary([10.0] * 10, [change] * 10, better, bound=0.2)
     assert s["worse_than_bound"] is worse
     assert s["relative"] == pytest.approx(change / 10.0 - 1.0)
+
+
+def test_every_run_compiles_from_a_fresh_empty_bytecode_cache(monkeypatch, tmp_path):
+    # the parent's export has no __pycache__ and the working tree may: each
+    # run gets its own empty PYTHONPYCACHEPREFIX, so neither side starts warm
+    seen = []
+
+    def run(argv, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cwd, cache, cache.is_dir() and not any(cache.iterdir())))
+        (cache / "stale.pyc").write_bytes(b"")  # a run leaves bytecode behind
+        report = {"metrics": {"m": {"value": 1.0}}, "attempted": 3, "failed": 0}
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(report) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for side in ("parent", "change", "parent"):
+        assert bench_pairs.bench(trees[side], "mc-trials", 1, 0.1)["failed"] == 0
+    assert [cwd for cwd, _, _ in seen] == [trees["parent"], trees["change"], trees["parent"]]
+    assert all(empty for _, _, empty in seen)
+    assert len({cache for _, cache, _ in seen}) == 3
+    assert not any(cache.exists() for _, cache, _ in seen)

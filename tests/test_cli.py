@@ -577,6 +577,25 @@ def test_errors_name_the_option_passed(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["run", "realsum", "--uniform", "100", "--bits", "3", "--eps", "20"],
+         "epsilon=20.0 gives bit 0 a split budget of 9.868, above the 8.0"),
+        (["run", "histogram", "--buckets", "8", "--uniform", "100", "--eps", "20"],
+         "epsilon=20.0 gives each bucket's instance epsilon/2 = 10.0, above the 8.0"),
+    ],
+    ids=["realsum", "histogram"],
+)
+def test_over_limit_budget_names_the_budget_passed_and_the_instance(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+    assert (code, out) == (2, "")
+    assert message in err
+    # budgets at the limit still run: 16 for a histogram, 16.2 for 3 bits (bit 0 at 7.99)
+    argv[argv.index("--eps") + 1] = "16" if "histogram" in argv else "16.2"
+    assert run_cli(capsys, *argv, "--fidelity", "law", "--seed", "1")[0] == 0
+
+
 class TestBench:
     def test_deterministic_without_timing(self, tmp_path, capsys):
         blobs = []

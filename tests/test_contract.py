@@ -250,8 +250,8 @@ ROWS = {
     ),
     "sample_nb": Row(
         sc.sample_nb,
-        dict(r=0.5, p=0.4, rng=rng(), size=4, group=2),
-        dict(r=Real(), p=PROB, size=Shape(), group=Count(1)),
+        dict(r=0.5, p=0.4, rng=rng(), size=4),
+        dict(r=Real(), p=PROB, size=Shape()),
     ),
     "sample_poi": Row(
         sc.sample_poi, dict(mean=2.5, rng=rng(), size=3), dict(mean=Real(), size=Shape())

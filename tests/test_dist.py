@@ -232,21 +232,6 @@ def test_nb_matches_pmf_at_tiny_shapes_and_extreme_budgets(r, eta):
     assert result.pvalue >= 1e-3
 
 
-@pytest.mark.parametrize(("size", "group"), [((50, 12), 6), ((3, 40), 40), (24, 8), (24, 1)])
-def test_grouped_nb_sums_the_same_draws(size, group):
-    # grouping adds each summand into its cell's run of ``group`` cells: the
-    # per-cell draws summed over runs, with the stream left where they leave it
-    p = geo_success_prob(0.5)
-    rng, twin = RandomSource(108), RandomSource(108)
-    grouped = sample_nb(0.2, p, rng, size=size, group=group)
-    cells = sample_nb(0.2, p, twin, size=size)
-    assert grouped.shape == np.shape(cells)[:-1] + (np.shape(cells)[-1] // group,)
-    assert np.array_equal(grouped.reshape(-1), cells.reshape(-1, group).sum(axis=1))
-    assert rng.generator.bit_generator.state == twin.generator.bit_generator.state
-    with pytest.raises(ParameterError):
-        sample_nb(0.2, p, rng, size=size, group=group + 1 if group > 1 else 0)
-
-
 def test_nb_scalar_and_empty_draws():
     assert isinstance(sample_nb(0.5, 0.3, RandomSource(107)), np.int64)
     assert sample_nb(0.5, 0.3, RandomSource(107), size=(0, 3)).shape == (0, 3)

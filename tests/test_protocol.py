@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from shufflecount import protocol
 from shufflecount import (
@@ -27,7 +28,7 @@ from shufflecount.audit import (
     _binom_logpmf,
     exact_mean_messages,
 )
-from shufflecount.dist import geo_success_prob, poi_logpmf, sample_nb
+from shufflecount.dist import geo_success_prob, poi_logpmf
 from shufflecount.protocol import (
     CHUNK_ELEMENTS,
     FIDELITIES,
@@ -37,12 +38,18 @@ from shufflecount.protocol import (
     simulate_views,
 )
 
-from oracles import crossvalidate_views, gof_integer_samples, sample_estimate, view_of
+from oracles import (
+    crossvalidate_views,
+    geo_logpmf,
+    gof_integer_samples,
+    sample_estimate,
+    view_of,
+)
 
 REFERENCE = minimal_params(1.0, 0.5, 0.01, 100)
 #: SHA-256 of the seeded draws of test_stream_layout_pins_the_seeded_draws at
-#: protocol.STREAM_LAYOUT 4
-STREAM_DIGEST = "481464aee7050a07f07529b9551c45ecd5148c48f047983bd7f2a2fd4658879d"
+#: protocol.STREAM_LAYOUT 5
+STREAM_DIGEST = "946f3abe91dc17cb12799a864a3d1b40e2b3508c1df35278cabb32363db70a5b"
 
 
 def _loose_params(q=0.2, n=4):
@@ -219,11 +226,11 @@ class TestRunCounting:
     def test_decomposition_identity(self):
         # estimate equals the input part plus the noise part; flooding cancels
         xs = [1] * 40 + [0] * 60
-        (plus, minus), (dropped, _, _, shares) = protocol._stages(
+        (plus, minus), (dropped, _, _, noise) = protocol._stages(
             40, 100, REFERENCE, RandomSource(12), "message", 1, per_user=True
         )
         input_part = 40 - int(dropped[0])  # each kept one sends pad + 1 and pad
-        noise_part = int(shares[:100].sum() - shares[100:].sum())
+        noise_part = int(noise[0, 0] - noise[0, 1])
         assert plus[0] - minus[0] == input_part + noise_part
         run = run_counting(xs, REFERENCE, RandomSource(12))
         assert run.estimate == analyze(run.view) == input_part + noise_part
@@ -376,12 +383,20 @@ class TestEngine:
 
     def test_no_drop_draws_only_the_binomial(self, unchecked):
         # at q = 0 run_counting places no drop: the stage binomials are its
-        # only drop draws, and no choice follows them
+        # only drop draws, and no choice follows them; the twin then places
+        # the flooding and each side's noise total, table by table
         params = _loose_params(q=0.0, n=6)
         rng, twin = _recorded(69)
         run = run_counting(np.zeros(6, dtype=np.int64), params, rng)
-        _, (*_, flood, _) = protocol._stages(0, 6, params, twin, "message", 1, per_user=True)
-        twin.generator.multinomial(flood[0], np.full(6, 1 / 6))
+        _, (*_, flood, noise) = protocol._stages(0, 6, params, twin, "message", 1, per_user=True)
+        gen = twin.generator
+        gen.multinomial(flood[0], np.full(6, 1 / 6))
+        tables = 0
+        for left in noise[0]:
+            while left:
+                left -= gen.integers(1, left + 1)
+                tables += 1
+        gen.integers(0, 6, tables)
         assert np.all(run.messages_per_user >= 2 * params.pad_count)
         assert rng.generator.names[:2] == ["binomial", "binomial"]
         assert "choice" not in rng.generator.names
@@ -532,6 +547,75 @@ class TestEngine:
         assert peak <= n * trials
 
 
+def _dirichlet_multinomial_logpmf(n, shares):
+    """Log-PMF of Dirichlet-multinomial(total; 1/n, ..., 1/n) at the ``n`` rows of ``shares``.
+
+    The shapes sum to 1, so the factor ``total! Gamma(1) / Gamma(total + 1)`` is 1.
+    """
+    shares = np.asarray(shares, dtype=np.float64)
+    a = 1.0 / n
+    return (gammaln(shares + a) - gammaln(shares + 1.0) - gammaln(a)).sum(axis=0)
+
+
+class TestNoiseTotals:
+    """Each trial draws a side's noise total, and :func:`run_counting` places it on users."""
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_noise_totals_are_geometric(self, n):
+        # the n users' NB(1/n, p) shares of a side pool to one Geometric(p)
+        params = minimal_params(1.0, 0.5, 0.01, n)
+        p = geo_success_prob(params.noise_epsilon)
+        _, (*_, noise) = protocol._stages(
+            0, n, params, RandomSource(86), "message", 200_000, per_user=True
+        )
+        for side in noise.T:
+            assert gof_integer_samples(side, lambda k: geo_logpmf(p, k)).pvalue >= 1e-3
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["plus", "minus"])
+    def test_placed_noise_is_dirichlet_multinomial(self, unchecked, monkeypatch, side):
+        # given a side's total g, the shares of n users are Dirichlet-multinomial
+        # (g; 1/n, ..., 1/n); with no drop and no flooding, run_counting
+        # places a fixed total on 3 users, and each outcome is coded as
+        # share_0 * (g + 1) + share_1
+        n, g, runs = 3, 6, 40_000
+        params = _loose_params(q=0.0, n=n)
+        zero, noise = np.zeros(1, dtype=np.int64), np.zeros((1, 2), dtype=np.int64)
+        noise[0, side] = g
+        monkeypatch.setattr(
+            protocol, "_stages", lambda *args, **kwargs: ((zero, zero), (zero, zero, zero, noise))
+        )
+        rng, bits = RandomSource(87), np.zeros(n, dtype=np.int64)
+        shares = np.array(
+            [run_counting(bits, params, rng).messages_per_user for _ in range(runs)]
+        ) - 2 * params.pad_count
+        assert np.all(shares.sum(axis=1) == g)
+
+        def logpmf(codes):
+            first, second = np.divmod(codes, g + 1)
+            out = np.full(codes.shape, -np.inf)
+            on = first + second <= g
+            out[on] = _dirichlet_multinomial_logpmf(
+                n, [first[on], second[on], g - first[on] - second[on]]
+            )
+            return out
+
+        codes = shares[:, 0] * (g + 1) + shares[:, 1]
+        assert gof_integer_samples(codes, logpmf).pvalue >= 1e-3
+
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_batch_draws_do_not_grow_with_n(self, fidelity):
+        # a batch over 10**7 users makes the same generator calls, by name and
+        # size, as one over 10: a few draws per trial, none per user
+        calls = []
+        for n in (10, 10**7):
+            params = minimal_params(1.0, 0.5, 0.01, n)
+            rng, _ = _recorded(88)
+            run_trials([n // 2, n // 3], [params] * 2, 5, rng, fidelity)
+            simulate_views(n // 2, n - n // 2, params, 5, rng)
+            calls.append([(name, size) for name, size, _ in rng.generator.calls])
+        assert calls[0] == calls[1]
+
+
 class TestDealtShuffle:
     """A batch draws nothing after the instances' stages; :func:`shuffle` is uniform."""
 
@@ -552,13 +636,12 @@ class TestDealtShuffle:
 
     @pytest.mark.parametrize("rounded", [False, True], ids=["fixed", "rounded"])
     @pytest.mark.parametrize("k", [1, 64])
-    def test_batched_runs_sum_the_per_user_draws(self, monkeypatch, k, rounded):
-        # 6 users: the rounding comes in chunks of three trials and the noise
-        # shares in chunks of six, so seven trials end in partial chunks of
-        # both; inputs are a fixed vector of ones or per-bit sums drawn per
-        # chunk. The twin draws the rounding, then per instance the dropped
-        # ones and zeros and the flooding total of all seven trials, then the
-        # noise shares per user, and sums them
+    def test_batched_runs_draw_the_geometric_pair(self, monkeypatch, k, rounded):
+        # 6 users: the rounding comes in chunks of three trials, so seven
+        # trials end in a partial chunk; inputs are a fixed vector of ones or
+        # per-bit sums drawn per chunk. The twin draws the rounding, then per
+        # instance the dropped ones and zeros, the flooding total and the
+        # plus and minus noise totals of all seven trials, one geometric each
         monkeypatch.setattr(protocol, "CHUNK_ELEMENTS", 72)
         instances = [_loose_params(q=0.1 + 0.2 * (j % 3), n=6) for j in range(k)]
         fixed = np.random.default_rng(77).integers(0, 7, k)
@@ -579,12 +662,9 @@ class TestDealtShuffle:
             kept = ones[:, j] - gen.binomial(ones[:, j], inst.drop_prob)
             users = kept + 6 - ones[:, j] - gen.binomial(6 - ones[:, j], inst.drop_prob)
             flood = gen.poisson(inst.flood_mean, 7)
-            p = geo_success_prob(inst.noise_epsilon)
-            noise = np.concatenate(
-                [sample_nb(1.0 / 6, p, twin, size=(rows, 12)) for rows in (6, 1)]
-            )
-            plus[:, j] = inst.pad_count * users + kept + noise[:, :6].sum(axis=1) + flood
-            minus[:, j] = inst.pad_count * users + noise[:, 6:].sum(axis=1) + flood
+            noise = gen.geometric(geo_success_prob(inst.noise_epsilon), (7, 2)) - 1
+            plus[:, j] = inst.pad_count * users + kept + noise[:, 0] + flood
+            minus[:, j] = inst.pad_count * users + noise[:, 1] + flood
         assert rng.generator.bit_generator.state == gen.bit_generator.state
         assert np.array_equal(sums, plus - minus)
         assert np.array_equal(totals, (plus + minus).sum(axis=1))
@@ -607,10 +687,10 @@ class TestDealtShuffle:
         assert abs(da.mean() - db.mean()) <= 3.0 * se
 
     def test_stream_layout_pins_the_seeded_draws(self):
-        # a message batch of two instances over two chunks of noise shares, a
-        # counts batch, a single run, a view simulation and a batch of one
-        # user's message counts; a change that moves any seeded draw changes
-        # the digest, and must bump protocol.STREAM_LAYOUT with it
+        # a message batch of two instances, a counts batch, a single run, a
+        # view simulation and a batch of one user's message counts; a change
+        # that moves any seeded draw changes the digest, and must bump
+        # protocol.STREAM_LAYOUT with it
         n = 512
         params = minimal_params(1.0, 0.5, 0.01, n)
         ones = [256, 171]  # users i with i % 2 == 0 and with i % 3 == 0
@@ -625,7 +705,7 @@ class TestDealtShuffle:
             sums, totals, counts, [run.estimate, *run.messages_per_user], *views, messages
         ):
             digest.update(np.asarray(values, dtype=np.int64).tobytes())
-        assert (protocol.STREAM_LAYOUT, digest.hexdigest()) == (4, STREAM_DIGEST)
+        assert (protocol.STREAM_LAYOUT, digest.hexdigest()) == (5, STREAM_DIGEST)
 
     def test_position_and_run_statistics_match_a_full_shuffle(self):
         plus, minus, draws, bins = 15_000, 5_000, 400, 10

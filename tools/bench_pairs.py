@@ -7,7 +7,10 @@
 Each seed is one pair: ``perfbench/run.py --workload W --seed S --seconds T``
 runs once in an export of the parent revision (``git archive`` into a
 temporary directory, the committed files only) and once in the working tree.
-The side that runs first alternates from pair to pair. ``--workload`` takes a
+The side that runs first alternates from pair to pair. Every run compiles the
+package from source: ``PYTHONPYCACHEPREFIX`` points it at a fresh empty
+directory, so no ``__pycache__`` of the working tree, which the export lacks,
+favours one side's start-up. ``--workload`` takes a
 comma list; the workloads run one after the other. For every end-to-end
 metric of the working tree's ``BENCHMARK.json`` the script prints each run,
 then each side's median and quartiles, the pairs the change won (ties count
@@ -30,6 +33,7 @@ import argparse
 import io
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -51,12 +55,17 @@ def export(revision: str, dest: Path) -> Path:
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its metrics and failure count."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=tree, check=True, capture_output=True, text=True,
-    )
+    """One ``perfbench/run.py`` run in ``tree``: its metrics and failure count.
+
+    The run reads and writes bytecode only under a fresh empty directory.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds)],
+            cwd=tree, check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPYCACHEPREFIX": cache},
+        )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},

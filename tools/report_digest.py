@@ -11,8 +11,8 @@ The package is imported from ``PYTHONPATH``; every report comes from
 ``shufflecount.cli.main`` in this process. The list covers ``run count``
 (as JSON and as the per-user CSV), ``run realsum`` and ``run histogram``
 (each at every fidelity it takes, and each reading an ``--input-file`` the
-way the benchmark passes its inputs), ``audit mse`` at every fidelity across
-several trial chunks, ``audit comm`` and ``bench``, each at seeds 1, 7 and
+way the benchmark passes its inputs), ``audit mse`` at every fidelity over
+5000 trials, ``audit comm`` and ``bench``, each at seeds 1, 7 and
 9001; ``params`` in derive and check mode, ``audit lemmas`` and
 ``audit divergence`` on the reference set (``--n 3`` and ``--n 20``; the
 divergence audit also at ``--n 1``, on the failing ``--q 0`` control, on a
@@ -79,7 +79,7 @@ def seeded_calls(seed: int) -> list[list[str]]:
         calls += [
             ["run", "realsum", "--uniform", "1000", "--bits", "4", *f],
             ["run", "histogram", "--buckets", "8", "--uniform", "1000", *f],
-            # 5000 trials at n = 1000 span several chunks at every fidelity
+            # 5000 trials at n = 1000, one batch at every fidelity
             ["audit", "mse", *REFERENCE, "--n", "1000", "--ones", "700", "--trials", "5000", *f],
         ]
     calls += [
