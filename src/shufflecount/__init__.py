@@ -16,7 +16,6 @@ from .audit import (
 from .composition import (
     HistogramRun,
     RealSumRun,
-    encode_real,
     run_histogram,
     run_real_sum,
     split_budget,
@@ -25,7 +24,6 @@ from .dist import (
     RandomSource,
     dlap_variance,
     poi_logpmf,
-    sample_dlap,
     sample_nb,
     sample_poi,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "derive_params",
     "divergence_audit",
     "dlap_variance",
-    "encode_real",
     "exact_mean_messages",
     "exact_mse",
     "measure_comm",
@@ -86,7 +83,6 @@ __all__ = [
     "run_counting",
     "run_histogram",
     "run_real_sum",
-    "sample_dlap",
     "sample_nb",
     "sample_poi",
     "shuffle",

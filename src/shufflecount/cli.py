@@ -252,12 +252,15 @@ def _cmd_params(args) -> tuple[dict, list[dict] | None]:
 
 
 def _count_inputs(args) -> np.ndarray:
-    """The bits of a counting run: ``--ones`` ones, then ``--zeros`` zeros, or a file's."""
+    """The bits of a counting run: ``--ones`` ones, then ``--zeros`` zeros, or a file's.
+
+    Of ``--ones`` and ``--zeros``, one given alone takes the other as 0.
+    """
     if args.input_file:
         return _read_values(args.input_file, int)  # run_counting checks the bits
-    if args.ones is None:
+    if args.ones is None and args.zeros is None:
         raise ParameterError("pass --ones/--zeros or --input-file")
-    ones = check_count("--ones", args.ones)
+    ones = check_count("--ones", args.ones if args.ones is not None else 0)
     zeros = check_count("--zeros", args.zeros if args.zeros is not None else 0)
     return np.repeat(np.array([1, 0], dtype=np.uint8), [ones, zeros])
 
@@ -457,7 +460,7 @@ def _cmd_bench(args) -> tuple[dict, list[dict] | None]:
         params = derive_params(args.eps, args.rho, n)
         rng = RandomSource(seed).substream(n)
         start = time.perf_counter()
-        estimates = estimate_trials(0, n, params, args.trials, rng, fidelity="law")
+        estimates = estimate_trials(0, n, params, args.trials, rng, fidelity="counts")
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         sq_err = (estimates.astype(np.float64) - n) ** 2
         row = {

@@ -77,28 +77,6 @@ def bit_weights(k: int) -> np.ndarray:
     return 2.0 ** -(np.arange(k) + 1.0)
 
 
-def encode_real(x: float, n_bits: int, rng: RandomSource) -> np.ndarray:
-    """Stochastically round ``x`` in [0, 1] to ``n_bits`` fixed-point bits.
-
-    The rounded value ``v/2**n_bits`` is unbiased for ``x`` up to the top of
-    the representable range (values within one step of 1 clamp to the largest
-    representable point). Bits come most significant first.
-    """
-    check_real("x", x, 0.0, 1.0, "[]")
-    n_bits = check_count("n_bits", n_bits, 1)
-    scale = 1 << n_bits
-    v = int(x * scale + rng.generator.random())
-    v = min(v, scale - 1)
-    j = np.arange(n_bits)
-    return ((v >> (n_bits - 1 - j)) & 1).astype(np.uint8)
-
-
-def decode_bits(bits: np.ndarray) -> float:
-    """Value of an MSB-first fixed-point bit vector."""
-    bits = check_array("bits", bits, 0, 1)
-    return float(bits @ bit_weights(bits.size))
-
-
 def real_sum_params(
     epsilon: float, slack: float, n_bits: int, n_users: int
 ) -> list[ProtocolParams]:
@@ -162,10 +140,10 @@ def _bit_sums(xs: np.ndarray, n_bits: int):
     """Per-bit sums of a real-sum run's inputs, stochastically rounded on every draw.
 
     Returns ``draw(rng, rows)``: for each of ``rows`` trials, how many users'
-    :func:`encode_real` bits are one at each position, shape
-    ``(rows, n_bits)``. The rounded values are held in their narrowest dtype
-    and each position is counted in turn, so no array of all the bits is
-    built.
+    rounded values have a one at each bit position, most significant first,
+    shape ``(rows, n_bits)``. The rounded values are held in their narrowest
+    dtype and each position is counted in turn, so no array of all the bits
+    is built.
     """
     scale = 1 << n_bits
     dtype = np.min_scalar_type(scale - 1)
@@ -218,7 +196,7 @@ def real_sum_trials(
     n_bits: int,
     trials: int,
     rng: RandomSource,
-    fidelity: str = "law",
+    fidelity: str = "counts",
 ) -> np.ndarray:
     """Repeated real-sum estimates for error measurement.
 

@@ -191,18 +191,6 @@ def sample_poi(mean: float, rng: RandomSource, size=None):
     return rng.generator.poisson(mean, size=check_shape("size", size))
 
 
-def sample_dlap(a: float, rng: RandomSource, size=None):
-    """Draw from the discrete Laplace with PMF proportional to ``exp(-a |k|)``.
-
-    Realized as the difference of two independent geometric draws with
-    success probability ``1 - e^{-a}``.
-    """
-    p = geo_success_prob(a)
-    size = check_shape("size", size)
-    gen = rng.generator
-    return (gen.geometric(p, size=size) - 1) - (gen.geometric(p, size=size) - 1)
-
-
 def geo_success_prob(a: float) -> float:
     """Success probability ``1 - e^{-a}`` of the geometric with log-ratio ``a``."""
     check_real("a", a)

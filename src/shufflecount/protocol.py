@@ -22,8 +22,8 @@ count, is the same one-trial draw followed by a placement of its totals on
 users; the noise shares given their totals are placed by a Polya urn. The
 analyzer reads only per-code totals of the pool, which no permutation
 changes, so a run draws no shuffle; :func:`shuffle` materializes a uniformly
-shuffled sequence where the order itself is wanted (tests). Three simulation
-fidelities exist:
+shuffled sequence where the order itself is wanted (tests). Two simulation
+fidelities exist, each a stopping point of the same stages:
 
 ``message``
     The default pipeline: every message total is drawn, flooding included,
@@ -33,10 +33,9 @@ fidelities exist:
 ``counts``
     Only what the signed sum needs is drawn: the dropped ones and the noise
     totals, not the dropped zeros or flooding, which cancel in the sum. The
-    estimate law is exactly the same.
-``law``
-    Derivation-level simulation of the closed-form estimate law
-    ``ones - Binomial(ones, q) + DLap(noise_epsilon)``. No per-user structure.
+    estimate law is exactly the same, the closed form
+    ``ones - Binomial(ones, q) + DLap(noise_epsilon)``: the difference of the
+    two geometric noise totals is the discrete Laplace.
 """
 
 from __future__ import annotations
@@ -45,11 +44,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dist import RandomSource, geo_success_prob, sample_dlap, sample_nb, sample_poi
+from .dist import RandomSource, geo_success_prob, sample_nb, sample_poi
 from .errors import ParameterError, check_array, check_choice, check_count
 from .params import ProtocolParams, require_feasible
 
-FIDELITIES = ("message", "counts", "law")
+FIDELITIES = ("message", "counts")
 
 #: Per-user draws in one chunk of the real sum's rounding: :func:`run_trials`
 #: draws it in chunks of whole trials sized for ``4 n`` per trial, which keeps
@@ -61,7 +60,7 @@ CHUNK_ELEMENTS = 1 << 22
 #: The layout of every seeded stream: which draws a run or batch makes, in
 #: which order and shape. A change that moves any seeded draw bumps it, and
 #: ``tests/test_protocol.py`` pins it with the digest of seeded runs.
-STREAM_LAYOUT = 5
+STREAM_LAYOUT = 6
 
 
 class Contribution(NamedTuple):
@@ -148,10 +147,9 @@ def _stages(
     last one it needs:
 
     1. the dropped ones, ``Binomial(ones, drop_prob)``;
-    2. at ``law`` fidelity, one discrete Laplace draw, and nothing more;
-    3. at ``message`` fidelity, the dropped zeros, ``Binomial(m - ones,
+    2. at ``message`` fidelity, the dropped zeros, ``Binomial(m - ones,
        drop_prob)``, then the flooding total, ``Poisson(flood_mean * m / n)``;
-    4. the noise totals, ``(trials, 2)``, plus in column 0 and minus in
+    3. the noise totals, ``(trials, 2)``, plus in column 0 and minus in
        column 1: the sums of the ``m`` users' NB(1/n, p) shares of each side.
        Over all ``n`` users each is one geometric, drawn as such (numpy's
        ``geometric``); over ``m < n`` users it is NB(m/n, p) (:func:`sample_nb`).
@@ -159,22 +157,19 @@ def _stages(
     A drop count has the law of an independent drop per user, and a flooding
     total that of the per-user counts, by Poisson additivity. ``ones`` is a
     count or an array of ``trials`` counts; one trial passes numpy's
-    binomial a Python int, the same draw far faster than an array. ``law``
-    and ``counts`` return the signed sum, ``kept + DLap(noise_epsilon)`` and
-    ``kept + noise_plus - noise_minus``; ``message`` returns the plus and
-    minus message totals, ``pad * K + kept + noise_plus + flood`` and ``pad
-    * K + noise_minus + flood``, where ``K`` counts every kept user. With
-    ``per_user``, a ``message`` batch also returns the parts that
-    :func:`run_counting` places on users: ``(plus, minus), (dropped_ones,
-    dropped_zeros, flood, noise)``.
+    binomial a Python int, the same draw far faster than an array.
+    ``counts`` returns the signed sum, ``kept + noise_plus - noise_minus``,
+    whose noise difference over all ``n`` users is ``DLap(noise_epsilon)``;
+    ``message`` returns the plus and minus message totals, ``pad * K + kept
+    + noise_plus + flood`` and ``pad * K + noise_minus + flood``, where
+    ``K`` counts every kept user. With ``per_user``, a ``message`` batch
+    also returns the parts that :func:`run_counting` places on users:
+    ``(plus, minus), (dropped_ones, dropped_zeros, flood, noise)``.
     """
     trials = check_count("trials", trials, 1)
     gen, q = rng.generator, params.drop_prob
     if trials == 1:
         ones = np.asarray(ones).item()
-    if fidelity == "law":
-        kept = ones - gen.binomial(ones, q, size=trials)
-        return kept + sample_dlap(params.noise_epsilon, rng, size=trials)
     kept = ones - gen.binomial(ones, q, size=trials)
     if fidelity == "message":
         users = kept + (m - ones) - gen.binomial(m - ones, q, size=trials)
@@ -347,9 +342,9 @@ def estimate_trials(
 
     The one-instance :func:`run_trials` of the dataset's count of ones.
     ``message`` fidelity draws every message total, ``counts`` only the
-    dropped ones and noise totals that the signed sum needs, and ``law``
-    samples the closed-form estimate law. All three produce the same
-    estimate distribution.
+    dropped ones and noise totals that the signed sum needs. Both produce
+    the same estimate distribution, ``ones - Binomial(ones, drop_prob) +
+    DLap(noise_epsilon)``.
     """
     ones = _ones(zeros, ones, params.n_users)
     return run_trials([ones], [params], trials, rng, fidelity)[0][:, 0]

@@ -1,5 +1,6 @@
-"""Test oracles: reference log-PMFs and samplers, the exact point view oracle,
-the chi-square goodness-of-fit harness and the message-level view.
+"""Test oracles: reference log-PMFs and samplers, the scalar rounding
+references, the exact point view oracle, the chi-square goodness-of-fit
+harness and the message-level view.
 
 No pipeline, CLI path or benchmark op calls any of these; the tests check the
 package against them. Those that take checked values validate them through
@@ -16,6 +17,7 @@ import numpy as np
 from scipy.special import chdtrc, gammaln, logsumexp
 
 from shufflecount.audit import DatasetSummary, _binom_logpmf, _grid_bounds, view_logpmf_grid
+from shufflecount.composition import bit_weights
 from shufflecount.dist import NEG_INF, RandomSource, _as_result, geo_success_prob
 from shufflecount.errors import (
     ParameterError,
@@ -26,7 +28,7 @@ from shufflecount.errors import (
     check_shape,
 )
 from shufflecount.params import ProtocolParams
-from shufflecount.protocol import View, estimate_trials, simulate_views
+from shufflecount.protocol import View, simulate_views
 
 #: Goodness-of-fit cells expecting fewer samples are lumped into one cell.
 MIN_EXPECTED = 10.0
@@ -67,6 +69,40 @@ def sample_geo(p: float, rng: RandomSource, size=None):
     """Draw from the geometric on {0, 1, ...} with PMF ``p (1-p)^k``."""
     check_real("p", p, 0.0, 1.0)
     return rng.generator.geometric(p, size=check_shape("size", size)) - 1
+
+
+def sample_dlap(a: float, rng: RandomSource, size=None):
+    """Draw from the discrete Laplace with PMF proportional to ``exp(-a |k|)``.
+
+    Realized as the difference of two independent geometric draws with
+    success probability ``1 - e^{-a}``.
+    """
+    p = geo_success_prob(a)
+    size = check_shape("size", size)
+    gen = rng.generator
+    return (gen.geometric(p, size=size) - 1) - (gen.geometric(p, size=size) - 1)
+
+
+def encode_real(x: float, n_bits: int, rng: RandomSource) -> np.ndarray:
+    """Stochastically round ``x`` in [0, 1] to ``n_bits`` fixed-point bits.
+
+    The rounded value ``v/2**n_bits`` is unbiased for ``x`` up to the top of
+    the representable range (values within one step of 1 clamp to the largest
+    representable point). Bits come most significant first.
+    """
+    check_real("x", x, 0.0, 1.0, "[]")
+    n_bits = check_count("n_bits", n_bits, 1)
+    scale = 1 << n_bits
+    v = int(x * scale + rng.generator.random())
+    v = min(v, scale - 1)
+    j = np.arange(n_bits)
+    return ((v >> (n_bits - 1 - j)) & 1).astype(np.uint8)
+
+
+def decode_bits(bits: np.ndarray) -> float:
+    """Value of an MSB-first fixed-point bit vector."""
+    bits = check_array("bits", bits, 0, 1)
+    return float(bits @ bit_weights(bits.size))
 
 
 def exact_view_logpmf(
@@ -213,16 +249,16 @@ def view_of(messages: np.ndarray) -> View:
 def sample_estimate(
     ones: int, params: ProtocolParams, rng: RandomSource, size=None
 ):
-    """Derivation-level simulation: draw straight from the estimate law.
+    """Draw straight from the closed-form estimate law, with no protocol stage.
 
     The end-to-end estimate is distributed as
     ``ones - Binomial(ones, drop_prob) + DLap(noise_epsilon)``; this samples
-    that law directly, with no per-user structure. Intended for large-scale
-    error experiments only. These are the draws of :func:`estimate_trials`
-    at ``law`` fidelity; ``size=None`` gives the one draw of a one-trial
-    batch.
+    that law directly, one binomial and one :func:`sample_dlap` draw, so the
+    tests can hold the engine's estimates against it. ``size=None`` gives
+    one draw.
     """
     ones = check_count("ones", ones, 0, params.n_users)
-    trials = 1 if size is None else size
-    draws = estimate_trials(params.n_users - ones, ones, params, trials, rng, "law")
+    trials = 1 if size is None else check_count("size", size, 1)
+    kept = ones - rng.generator.binomial(ones, params.drop_prob, size=trials)
+    draws = kept + sample_dlap(params.noise_epsilon, rng, size=trials)
     return draws[0].item() if size is None else draws

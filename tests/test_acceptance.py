@@ -210,7 +210,7 @@ def test_criterion_7_real_summation():
 
     xs = RandomSource(707).generator.random(n)
     estimates = real_sum_trials(
-        xs, eps, slack, n_bits, trials, RandomSource(708), fidelity="law"
+        xs, eps, slack, n_bits, trials, RandomSource(708), fidelity="counts"
     )
     sq_err = (estimates - xs.sum()) ** 2
     rmse = math.sqrt(sq_err.mean())

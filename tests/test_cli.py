@@ -141,6 +141,17 @@ class TestRunCount:
         assert code == 0
         assert json.loads(out)["true_value"] == 30
 
+    @pytest.mark.parametrize("given", ["--ones", "--zeros"])
+    def test_one_count_alone_takes_the_other_as_zero(self, capsys, given):
+        code, out, _ = run_cli(capsys, "run", "count", given, "5", "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["inputs"] == {"n": 5, "ones": 5 if given == "--ones" else 0}
+
+    def test_no_counts_and_no_file_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "run", "count", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "pass --ones/--zeros or --input-file" in err
+
     @pytest.mark.parametrize("ones,zeros", [("-2", "5"), ("3", "-1")])
     def test_negative_counts_exit_2(self, capsys, ones, zeros):
         code, out, err = run_cli(
@@ -206,7 +217,7 @@ class TestRunRealsum:
     def test_single_bit_reduces_to_counting_budget(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "realsum", "--uniform", "60", "--bits", "1",
-            "--eps", "1", "--seed", "9", "--fidelity", "law",
+            "--eps", "1", "--seed", "9", "--fidelity", "counts",
         )
         assert code == 0
         report = json.loads(out)
@@ -228,7 +239,7 @@ class TestRunRealsum:
         # the report's sum is Python's left-to-right one over the drawn inputs
         code, out, _ = run_cli(
             capsys, "run", "realsum", "--uniform", "100000", "--bits", "3",
-            "--seed", "9", "--fidelity", "law",
+            "--seed", "9", "--fidelity", "counts",
         )
         assert code == 0
         xs = RandomSource(9).substream(9).generator.random(100_000)
@@ -593,7 +604,7 @@ def test_over_limit_budget_names_the_budget_passed_and_the_instance(capsys, argv
     assert message in err
     # budgets at the limit still run: 16 for a histogram, 16.2 for 3 bits (bit 0 at 7.99)
     argv[argv.index("--eps") + 1] = "16" if "histogram" in argv else "16.2"
-    assert run_cli(capsys, *argv, "--fidelity", "law", "--seed", "1")[0] == 0
+    assert run_cli(capsys, *argv, "--fidelity", "counts", "--seed", "1")[0] == 0
 
 
 class TestBench:
@@ -658,12 +669,12 @@ LEAF_CALLS = [
     ["params", "--eps", "1", "--n", "100"],
     ["run", "count", "--ones", "3", "--zeros", "2", "--seed", "1"],
     ["run", "realsum", "--uniform", "10", "--bits", "1", "--eps", "2",
-     "--fidelity", "law", "--seed", "1"],
+     "--fidelity", "counts", "--seed", "1"],
     ["run", "histogram", "--buckets", "2", "--uniform", "10", "--eps", "2",
-     "--fidelity", "law", "--seed", "1"],
+     "--fidelity", "counts", "--seed", "1"],
     ["audit", "lemmas", "--n", "3"],
     ["audit", "divergence", "--n", "3"],
-    ["audit", "mse", "--n", "10", "--trials", "1000", "--fidelity", "law", "--seed", "1"],
+    ["audit", "mse", "--n", "10", "--trials", "1000", "--fidelity", "counts", "--seed", "1"],
     ["audit", "comm", "--n", "10", "--trials", "1000", "--seed", "1"],
     ["bench", "--n-list", "100", "--trials", "100", "--seed", "1"],
     ["bench", "--n-list", "100", "--trials", "100", "--timing", "--seed", "1"],

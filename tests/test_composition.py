@@ -12,7 +12,6 @@ from shufflecount import (
     RandomSource,
     derive_params,
     dlap_variance,
-    encode_real,
     run_histogram,
     run_real_sum,
     split_budget,
@@ -22,7 +21,6 @@ from shufflecount.composition import (
     BETA,
     _bit_sums,
     bit_weights,
-    decode_bits,
     histogram_trials,
     message_bits,
     real_sum_params,
@@ -30,6 +28,8 @@ from shufflecount.composition import (
     tag_bits,
 )
 from shufflecount.protocol import estimate_trials
+
+from oracles import decode_bits, encode_real
 
 
 def _padded_stages(ones, m, params, rng, fidelity, trials=None):
@@ -169,27 +169,27 @@ class TestRunRealSum:
 
     def test_all_zero_inputs_give_zero_mean_noise(self):
         xs = np.zeros(200)
-        ests = real_sum_trials(xs, 1.0, 0.5, 4, 3000, RandomSource(8), "law")
+        ests = real_sum_trials(xs, 1.0, 0.5, 4, 3000, RandomSource(8), "counts")
         se = ests.std(ddof=1) / math.sqrt(ests.size)
         assert abs(ests.mean()) <= 3.0 * se
 
-    def test_message_and_law_fidelities_agree_on_error_scale(self):
+    def test_message_and_counts_fidelities_agree_on_error_scale(self):
         xs = RandomSource(90).generator.random(40)
-        law = real_sum_trials(xs, 2.0, 0.5, 3, 400, RandomSource(91), "law")
+        message = real_sum_trials(xs, 2.0, 0.5, 3, 400, RandomSource(91), "message")
         counts = real_sum_trials(xs, 2.0, 0.5, 3, 400, RandomSource(92), "counts")
         truth = xs.sum()
-        mse_law = np.mean((law - truth) ** 2)
+        mse_message = np.mean((message - truth) ** 2)
         mse_counts = np.mean((counts - truth) ** 2)
         pooled_se = math.sqrt(
-            np.var((law - truth) ** 2, ddof=1) / 400
+            np.var((message - truth) ** 2, ddof=1) / 400
             + np.var((counts - truth) ** 2, ddof=1) / 400
         )
-        assert abs(mse_law - mse_counts) <= 4.0 * pooled_se
+        assert abs(mse_message - mse_counts) <= 4.0 * pooled_se
 
     def test_rmse_within_coarse_target(self):
         # coarse sanity bound: RMSE at eps=1 stays below 10/eps
         xs = RandomSource(93).generator.random(1000)
-        ests = real_sum_trials(xs, 1.0, 0.5, 10, 300, RandomSource(94), "law")
+        ests = real_sum_trials(xs, 1.0, 0.5, 10, 300, RandomSource(94), "counts")
         rmse = math.sqrt(np.mean((ests - xs.sum()) ** 2))
         assert rmse <= 10.0
 
@@ -199,7 +199,7 @@ class TestRunRealSum:
         with pytest.raises(ParameterError):
             run_real_sum([], 1.0, 0.5, 3, RandomSource(0))
 
-    @pytest.mark.parametrize("fidelity", ["message", "counts", "law"])
+    @pytest.mark.parametrize("fidelity", protocol.FIDELITIES)
     def test_trials_reject_out_of_range_inputs(self, fidelity):
         for xs in ([5.0, 0.5], [-0.1, 0.5], [math.nan, 0.5], []):
             with pytest.raises(ParameterError):
@@ -209,18 +209,18 @@ class TestRunRealSum:
 class TestHistogram:
     def test_bucket_validation(self):
         with pytest.raises(ParameterError):
-            run_histogram([0, 1, 9], 8, 1.0, 0.5, RandomSource(0), "law")
+            run_histogram([0, 1, 9], 8, 1.0, 0.5, RandomSource(0), "counts")
         with pytest.raises(ParameterError):
-            run_histogram([0, -1], 8, 1.0, 0.5, RandomSource(0), "law")
+            run_histogram([0, -1], 8, 1.0, 0.5, RandomSource(0), "counts")
 
-    @pytest.mark.parametrize("fidelity", ["message", "counts", "law"])
+    @pytest.mark.parametrize("fidelity", protocol.FIDELITIES)
     def test_trials_reject_out_of_range_values(self, fidelity):
         for xs in ([0, 1, 8], [0, -1], []):
             with pytest.raises(ParameterError):
                 histogram_trials(xs, 8, 1.0, 0.5, 10, RandomSource(0), fidelity)
 
     def test_instance_budget_is_half(self):
-        run = run_histogram([0, 1, 2, 3] * 50, 4, 1.0, 0.5, RandomSource(1), "law")
+        run = run_histogram([0, 1, 2, 3] * 50, 4, 1.0, 0.5, RandomSource(1), "counts")
         assert run.instance.epsilon == pytest.approx(0.5)
         assert run.instance == derive_params(0.5, 0.5, 200)
 
@@ -291,7 +291,7 @@ def test_message_trials_hold_no_per_user_total():
     assert peaks[2] <= peaks[1] + 2 * 2**20
 
 
-@pytest.mark.parametrize("fidelity", ["message", "counts", "law"])
+@pytest.mark.parametrize("fidelity", protocol.FIDELITIES)
 def test_single_runs_are_trial_zero_on_the_same_stream(fidelity):
     xs = np.random.default_rng(4).random(40)
     run = run_real_sum(xs, 2.0, 0.5, 3, RandomSource(5), fidelity)
@@ -316,7 +316,7 @@ def test_single_runs_are_trial_zero_on_the_same_stream(fidelity):
     assert (hist.total_messages is None) == (fidelity != "message")
 
 
-@pytest.mark.parametrize("fidelity", ["message", "counts", "law"])
+@pytest.mark.parametrize("fidelity", protocol.FIDELITIES)
 def test_histogram_holds_no_per_user_indicator(fidelity):
     # the buckets enter the engine as their counts: an (n, B) int64 indicator
     # matrix would hold 41 MB at n = 20 000 and B = 256
@@ -332,7 +332,7 @@ def test_histogram_holds_no_per_user_indicator(fidelity):
     assert peak <= 2**20
 
 
-@pytest.mark.parametrize("fidelity", ["counts", "law"])
+@pytest.mark.parametrize("fidelity", ["counts"])
 def test_summed_trials_memory_does_not_grow_with_trials(fidelity):
     # the rounding draw of all trials at once would hold about 17 bytes per
     # user and trial: 65 MiB at 4000 trials, 259 MiB at 16000

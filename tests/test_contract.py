@@ -180,7 +180,7 @@ ROWS = {
     ),
     "dlap_variance": Row(sc.dlap_variance, dict(a=0.5), dict(a=Real())),
     "encode_real": Row(
-        sc.encode_real,
+        oracles.encode_real,
         dict(x=0.3, n_bits=4, rng=rng()),
         dict(x=Real(0.0, 1.0, "[]"), n_bits=Count(1)),
     ),
@@ -238,7 +238,7 @@ ROWS = {
         ),
     ),
     "sample_dlap": Row(
-        sc.sample_dlap, dict(a=0.5, rng=rng(), size=3), dict(a=Real(), size=Shape())
+        oracles.sample_dlap, dict(a=0.5, rng=rng(), size=3), dict(a=Real(), size=Shape())
     ),
     "sample_estimate": Row(
         oracles.sample_estimate,
@@ -286,7 +286,7 @@ ROWS = {
     ),
     "real_sum_trials": Row(
         composition.real_sum_trials,
-        dict(xs=REALS, epsilon=1.0, slack=0.5, n_bits=2, trials=2, rng=rng(), fidelity="law"),
+        dict(xs=REALS, epsilon=1.0, slack=0.5, n_bits=2, trials=2, rng=rng(), fidelity="counts"),
         dict(
             xs=Array(0.0, 1.0, real=True), epsilon=Real(), slack=SLACK, n_bits=Count(1),
             trials=Count(1), fidelity=FIDELITY,
@@ -295,7 +295,8 @@ ROWS = {
     "histogram_trials": Row(
         composition.histogram_trials,
         dict(
-            xs=BUCKETS, n_buckets=4, epsilon=1.0, slack=0.5, trials=2, rng=rng(), fidelity="law"
+            xs=BUCKETS, n_buckets=4, epsilon=1.0, slack=0.5, trials=2, rng=rng(),
+            fidelity="counts",
         ),
         dict(
             xs=Array(0, 3), n_buckets=Count(1), epsilon=HISTOGRAM_EPSILON, slack=SLACK,
@@ -312,7 +313,7 @@ ROWS = {
         dict(epsilon=1.0, slack=0.5, n_users=100),
         dict(epsilon=HISTOGRAM_EPSILON, slack=SLACK, n_users=Count(1)),
     ),
-    "decode_bits": Row(composition.decode_bits, dict(bits=[1, 0, 1]), dict(bits=Array(0, 1))),
+    "decode_bits": Row(oracles.decode_bits, dict(bits=[1, 0, 1]), dict(bits=Array(0, 1))),
     "tag_bits": Row(
         composition.tag_bits, dict(num_instances=5), dict(num_instances=Count(1))
     ),
@@ -325,12 +326,12 @@ ROWS = {
 
 EXTRAS = {
     "run_trials", "estimate_trials", "real_sum_trials", "histogram_trials",
-    "message_count_trials", "split_budget", "decode_bits", "tag_bits", "real_sum_params",
-    "histogram_params",
+    "message_count_trials", "split_budget", "tag_bits", "real_sum_params", "histogram_params",
 }
 ORACLES = {
-    "crossvalidate_views", "exact_view_logpmf", "geo_logpmf", "gof_integer_samples",
-    "nb_logpmf", "sample_estimate", "sample_geo", "view_of",
+    "crossvalidate_views", "decode_bits", "encode_real", "exact_view_logpmf", "geo_logpmf",
+    "gof_integer_samples", "nb_logpmf", "sample_dlap", "sample_estimate", "sample_geo",
+    "view_of",
 }
 
 

@@ -9,13 +9,19 @@ from shufflecount import (
     RandomSource,
     dlap_variance,
     poi_logpmf,
-    sample_dlap,
     sample_nb,
     sample_poi,
 )
 from shufflecount.dist import geo_success_prob
 
-from oracles import MIN_EXPECTED, geo_logpmf, gof_integer_samples, nb_logpmf, sample_geo
+from oracles import (
+    MIN_EXPECTED,
+    geo_logpmf,
+    gof_integer_samples,
+    nb_logpmf,
+    sample_dlap,
+    sample_geo,
+)
 
 
 class TestGeoLogpmf:

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from shufflecount import protocol
 from shufflecount import (
@@ -48,7 +48,7 @@ from oracles import (
 
 REFERENCE = minimal_params(1.0, 0.5, 0.01, 100)
 #: SHA-256 of the seeded draws of test_stream_layout_pins_the_seeded_draws at
-#: protocol.STREAM_LAYOUT 5
+#: protocol.STREAM_LAYOUT 6
 STREAM_DIGEST = "946f3abe91dc17cb12799a864a3d1b40e2b3508c1df35278cabb32363db70a5b"
 
 
@@ -92,6 +92,41 @@ def _recorded(seed):
     rng, twin = RandomSource(seed), RandomSource(seed)
     rng._generator = Recorder(rng.generator)
     return rng, twin
+
+
+#: Peak traced bytes per trial of a batch over all n users, whatever n is: a
+#: counts batch holds 40.3 at its peak (five int64: the kept ones, and the
+#: geometric pair before and after its shift by one) and a message batch 72.3
+#: (nine), measured with numpy 2.4 at 8192 trials
+COUNTS_BYTES_PER_TRIAL = 42
+MESSAGE_BYTES_PER_TRIAL = 74
+
+
+def _batch_peak(fidelity, n, trials, seed):
+    """Peak traced bytes of an :func:`estimate_trials` batch over ``n`` users, warmed up."""
+    params = minimal_params(1.0, 0.5, 0.01, n)
+    estimate_trials(0, n, params, 4, RandomSource(seed), fidelity)
+    tracemalloc.start()
+    try:
+        ests = estimate_trials(0, n, params, trials, RandomSource(seed), fidelity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ests.shape == (trials,)
+    return peak
+
+
+def _estimate_logpmf(ones, params, k):
+    """Log-PMF at ``k`` of the estimate ``ones - Binomial(ones, q) + DLap(noise_epsilon)``.
+
+    The kept ones are Binomial(ones, 1 - q), and the discrete Laplace has PMF
+    ``tanh(a / 2) e^{-a |d|}``.
+    """
+    a = params.noise_epsilon
+    kept = np.arange(ones + 1)
+    log_kept = _binom_logpmf(ones, 1.0 - params.drop_prob, kept)
+    d = np.asarray(k)[..., None] - kept
+    return logsumexp(log_kept + math.log(math.tanh(a / 2.0)) - a * np.abs(d), axis=-1)
 
 
 def _dropped_users(run, params):
@@ -260,7 +295,7 @@ class TestEstimateTrials:
         params = minimal_params(1.0, 0.5, 0.05, 60)
         by_fidelity = {
             fid: estimate_trials(20, 40, params, 20_000, RandomSource(30), fid)
-            for fid in ("message", "counts", "law")
+            for fid in FIDELITIES
         }
         drift = 40 * params.drop_prob
         var = dlap_variance(0.5) + 40 * params.drop_prob * (1 - params.drop_prob)
@@ -271,11 +306,21 @@ class TestEstimateTrials:
             sq_se = (err**2).std(ddof=1) / math.sqrt(err.size)
             assert abs((err**2).mean() - (var + drift**2)) <= 3.0 * sq_se, fid
 
-    def test_sample_estimate_matches_law_path(self):
-        params = minimal_params(1.0, 0.5, 0.1, 30)
-        direct = sample_estimate(25, params, RandomSource(32), size=10_000)
-        trials = estimate_trials(5, 25, params, 10_000, RandomSource(32), "law")
-        assert np.array_equal(np.asarray(direct), trials)
+    @pytest.mark.parametrize("sampler", [*FIDELITIES, "sample_estimate"])
+    def test_estimates_follow_the_closed_form_law(self, sampler):
+        # both fidelities, and the closed-form sampler of tests/oracles.py,
+        # against the exact PMF of ones - Binomial(ones, q) + DLap(eta),
+        # shifted onto the non-negative integers
+        params = minimal_params(1.0, 0.5, 0.3, 30)
+        if sampler == "sample_estimate":
+            ests = sample_estimate(25, params, RandomSource(32), size=50_000)
+        else:
+            ests = estimate_trials(5, 25, params, 50_000, RandomSource(32), sampler)
+        low = int(ests.min())
+        result = gof_integer_samples(
+            ests - low, lambda k: _estimate_logpmf(25, params, k + low)
+        )
+        assert result.pvalue >= 1e-3
 
 
 class TestSimulateViews:
@@ -308,11 +353,10 @@ class TestSimulateViews:
         assert peak <= 40 * trials * params.n_users
 
     def test_memory_is_bounded_beyond_one_chunk(self):
-        # two chunks: one chunk's draws under the bound above, plus the two
-        # int64 outputs; one unchunked draw would hold twice the draws
+        # a batch is not chunked: its peak is the message stages' bytes per
+        # trial, at any number of trials
         params = minimal_params(1.0, 0.5, 0.1, 3)
-        rows = CHUNK_ELEMENTS // (2 * params.n_users)
-        trials = 2 * rows
+        trials = 100_000
         tracemalloc.start()
         try:
             v_plus, _ = simulate_views(1, 2, params, trials, RandomSource(43))
@@ -320,7 +364,7 @@ class TestSimulateViews:
         finally:
             tracemalloc.stop()
         assert v_plus.shape == (trials,)
-        assert peak <= 40 * rows * params.n_users + 16 * trials
+        assert peak <= MESSAGE_BYTES_PER_TRIAL * trials
 
 
 def test_message_count_trials_mean():
@@ -480,71 +524,25 @@ class TestEngine:
         assert peak <= messages + 2**21
 
     def test_counts_fidelity_memory_is_bounded(self):
-        # four chunks' worth of noise shares; one unchunked draw would hold
-        # at least 16 bytes per share (gamma rates plus Poisson counts)
-        n = 1024
-        trials = 4 * CHUNK_ELEMENTS // (2 * n)
-        params = minimal_params(1.0, 0.5, 0.01, n)
-        tracemalloc.start()
-        try:
-            ests = estimate_trials(0, n, params, trials, RandomSource(65), "counts")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ests.shape == (trials,)
-        assert peak <= 32 * CHUNK_ELEMENTS
+        # one per-user int64 draw would add 8 KiB per trial at n = 1024
+        trials = 8192
+        assert _batch_peak("counts", 1024, trials, 65) <= COUNTS_BYTES_PER_TRIAL * trials
 
     def test_message_fidelity_memory_is_bounded(self):
-        # three chunks of message trials; one per-user draw holds 10 bytes
-        # per element (shares, flooding and input blocks), so one unchunked
-        # draw would hold 30 * CHUNK_ELEMENTS bytes
-        n = 1024
-        trials = 3 * CHUNK_ELEMENTS // (4 * n)
-        params = minimal_params(1.0, 0.5, 0.01, n)
-        tracemalloc.start()
-        try:
-            ests = estimate_trials(0, n, params, trials, RandomSource(66), "message")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ests.shape == (trials,)
-        assert peak <= 16 * CHUNK_ELEMENTS
+        trials = 8192
+        assert _batch_peak("message", 1024, trials, 66) <= MESSAGE_BYTES_PER_TRIAL * trials
 
-    @pytest.mark.parametrize(
-        ("fidelity", "per_trial", "bound"), [("message", 4, 12), ("counts", 2, 1)]
-    )
-    def test_one_chunk_sums_its_draws_over_users(self, fidelity, per_trial, bound):
-        # one chunk at n = 1024, in bytes per user and trial, once every draw
-        # is summed over users as it is made and the noise shares go straight
-        # into per-trial totals; per-user arrays held 56 (message) and 16
-        # (counts)
-        n = 1024
-        trials = CHUNK_ELEMENTS // (per_trial * n)
-        params = minimal_params(1.0, 0.5, 0.01, n)
-        estimate_trials(0, n, params, 4, RandomSource(67), fidelity)  # warm up
-        tracemalloc.start()
-        try:
-            estimate_trials(0, n, params, trials, RandomSource(67), fidelity)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * n * trials
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_batch_memory_does_not_grow_with_n(self, fidelity):
+        # the same peak over 10 users as over 10**7
+        peaks = [_batch_peak(fidelity, n, 8192, 67) for n in (10, 10**7)]
+        assert peaks[0] == peaks[1]
 
     def test_message_chunk_holds_no_per_user_draw(self):
-        # one message chunk at n = 1024 and q = 0.01, in bytes per user and
-        # trial: the drops and the flooding are one count per trial, and the
-        # noise shares are summed over users as they are drawn
-        n = 1024
-        trials = CHUNK_ELEMENTS // (4 * n)
-        params = minimal_params(1.0, 0.5, 0.01, n)
-        estimate_trials(0, n, params, 4, RandomSource(70), "message")  # warm up
-        tracemalloc.start()
-        try:
-            estimate_trials(0, n, params, trials, RandomSource(70), "message")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= n * trials
+        # a message batch at n = 10**7: one byte per user would be 10 MB,
+        # and the bound is 606 KB
+        trials = 8192
+        assert _batch_peak("message", 10**7, trials, 70) <= MESSAGE_BYTES_PER_TRIAL * trials
 
 
 def _dirichlet_multinomial_logpmf(n, shares):
@@ -705,7 +703,7 @@ class TestDealtShuffle:
             sums, totals, counts, [run.estimate, *run.messages_per_user], *views, messages
         ):
             digest.update(np.asarray(values, dtype=np.int64).tobytes())
-        assert (protocol.STREAM_LAYOUT, digest.hexdigest()) == (5, STREAM_DIGEST)
+        assert (protocol.STREAM_LAYOUT, digest.hexdigest()) == (6, STREAM_DIGEST)
 
     def test_position_and_run_statistics_match_a_full_shuffle(self):
         plus, minus, draws, bins = 15_000, 5_000, 400, 10
@@ -759,7 +757,7 @@ class TestValidation:
 
     def test_estimate_trials_rejects_negative_counts(self):
         params = minimal_params(1.0, 0.5, 0.1, 30)
-        for fidelity in ("message", "counts", "law"):
+        for fidelity in FIDELITIES:
             with pytest.raises(ParameterError):
                 estimate_trials(-5, 35, params, 10, RandomSource(0), fidelity)
             with pytest.raises(ParameterError):
@@ -774,7 +772,7 @@ class TestValidation:
     def test_run_trials_takes_instances_of_one_user_count(self):
         # no instance, or instances over 10 and 1000 users
         with pytest.raises(ParameterError):
-            run_trials([], [], 1, RandomSource(1), "law")
+            run_trials([], [], 1, RandomSource(1), "counts")
         instances = [derive_params(1.0, 0.5, 10), derive_params(1.0, 0.5, 1000)]
         with pytest.raises(ParameterError, match="n_users"):
             run_trials([5, 5], instances, 2, RandomSource(1), "counts")
@@ -788,7 +786,7 @@ class TestValidation:
             message_count_trials(1, params, trials, RandomSource(0))
         with pytest.raises(ParameterError):
             crossvalidate_views(DatasetSummary(1, 2), params, trials, RandomSource(0))
-        for fidelity in ("message", "counts", "law"):
+        for fidelity in FIDELITIES:
             with pytest.raises(ParameterError):
                 estimate_trials(1, 2, params, trials, RandomSource(0), fidelity)
 

@@ -10,24 +10,26 @@ After a change to a report, re-record the file and read its diff::
 The package is imported from ``PYTHONPATH``; every report comes from
 ``shufflecount.cli.main`` in this process. The list covers ``run count``
 (as JSON and as the per-user CSV), ``run realsum`` and ``run histogram``
-(each at every fidelity it takes, and each reading an ``--input-file`` the
-way the benchmark passes its inputs), ``audit mse`` at every fidelity over
-5000 trials, ``audit comm`` and ``bench``, each at seeds 1, 7 and
-9001; ``params`` in derive and check mode, ``audit lemmas`` and
-``audit divergence`` on the reference set (``--n 3`` and ``--n 20``; the
-divergence audit also at ``--n 1``, on the failing ``--q 0`` control, on a
-failing ``--s 1`` set and on a set whose sup sits at the grid's edge), and
-these two audits, ``audit mse`` and ``params`` once more as one-row CSV;
-``run histogram --buckets 256 --uniform 100000`` at every fidelity and
-``run count`` over 10**6 users, at seed 1, runs at scale, with ``run realsum
---uniform 100000 --bits 3`` at every fidelity; each run command on an input file with CRLF endings, padding and
-blank lines, one with a 23-digit line, one with unreadable lines, and an
-empty one; both audits of every vetted mc-trials case of the benchmark
-(``perfbench/workloads.py``); calls at the edges of the one-pass parse
-(an ``=``-joined value, an abbreviated option, a negative count, a repeated
-``--seed`` and an option-like value); and usage errors (an empty input file,
-negative counts, a real-sum budget over the per-bit limit and a noise budget
-whose geometric tail rounds away among them), help and ``--version``.
+(each at both fidelities, ``message`` and ``counts``, and each reading an
+``--input-file`` the way the benchmark passes its inputs), ``audit mse`` at
+both fidelities over 5000 trials, ``audit comm`` and ``bench``, each at
+seeds 1, 7 and 9001; ``params`` in derive and check mode, ``audit lemmas``
+and ``audit divergence`` on the reference set (``--n 3`` and ``--n 20``;
+the divergence audit also at ``--n 1``, on the failing ``--q 0`` control,
+on a failing ``--s 1`` set and on a set whose sup sits at the grid's edge),
+and these two audits, ``audit mse`` and ``params`` once more as one-row
+CSV; ``run histogram --buckets 256 --uniform 100000`` at both fidelities
+and ``run count`` over 10**6 users, at seed 1, runs at scale, with ``run
+realsum --uniform 100000 --bits 3`` at both fidelities; each run command on
+an input file with CRLF endings, padding and blank lines, one with a
+23-digit line, one with unreadable lines, and an empty one; both audits of
+every vetted mc-trials case of the benchmark (``perfbench/workloads.py``);
+calls at the edges of the one-pass parse (an ``=``-joined value, an
+abbreviated option, a negative count, a repeated ``--seed`` and an
+option-like value); ``run count --zeros 5`` with no ``--ones``; and usage
+errors (an empty input file, negative counts, fidelities that are not one,
+a real-sum budget over the per-bit limit and a noise budget whose geometric
+tail rounds away among them), help and ``--version``.
 
 Each line is ``<kind>  <sha256>  <exit code>  <floats>  <argv>``; the hash
 covers the exit code, stdout, stderr and ``--out`` file of a call, with every
@@ -58,7 +60,7 @@ from shufflecount.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 7, 9001)
-FIDELITIES = ("message", "counts", "law")
+FIDELITIES = ("message", "counts")
 REFERENCE = ["--eps", "1", "--eps-prime", "0.5", "--q", "0.01", "--s", "17", "--lam", "127"]
 #: a float literal of a JSON or CSV report, or of an error or help text
 FLOAT = re.compile(r"(?<![\w.])-?(?:\d+\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)(?![\w.])")
@@ -189,6 +191,8 @@ def usage_calls() -> list[list[str]]:
         ["run", "count", "--ones", "x", "--seed", "1"],
         ["run", "count", "--ones", "-2", "--zeros", "5", "--seed", "1"],
         ["run", "realsum", "--fidelity", "exact", "--seed", "1"],
+        ["run", "realsum", "--uniform", "100", "--fidelity", "law", "--seed", "1"],
+        ["run", "count", "--zeros", "5", "--seed", "1"],
         ["run", "count", "--ones", "3", "extra"],
         ["params", "--eps", "1", "--rho", "0.6", "--n", "100"],
         ["run", "realsum", "--uniform", "100", "--bits", "3", "--eps", "20", "--seed", "1"],
