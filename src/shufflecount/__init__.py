@@ -2,7 +2,6 @@
 
 from .audit import (
     AuditReport,
-    DatasetSummary,
     check_geo_ratio,
     check_poi_ratio,
     divergence_audit,
@@ -11,7 +10,6 @@ from .audit import (
     measure_comm,
     measure_mse,
     mse_bound,
-    view_logpmf_grid,
 )
 from .composition import (
     HistogramRun,
@@ -40,13 +38,10 @@ from .params import (
     minimal_params,
 )
 from .protocol import (
-    Contribution,
     CountingRun,
     View,
     analyze,
-    randomize,
     run_counting,
-    shuffle,
 )
 
 __version__ = "0.1.0"
@@ -54,9 +49,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditInconclusiveError",
     "AuditReport",
-    "Contribution",
     "CountingRun",
-    "DatasetSummary",
     "DegenerateInputError",
     "HistogramRun",
     "InfeasibleParametersError",
@@ -79,13 +72,10 @@ __all__ = [
     "minimal_params",
     "mse_bound",
     "poi_logpmf",
-    "randomize",
     "run_counting",
     "run_histogram",
     "run_real_sum",
     "sample_nb",
     "sample_poi",
-    "shuffle",
     "split_budget",
-    "view_logpmf_grid",
 ]

@@ -83,7 +83,7 @@ DEFAULT_GRID_CAP = 4096
 
 @dataclass(frozen=True)
 class DatasetSummary:
-    """Input multiset summary; the view law depends on inputs only through it."""
+    """The input of the exact view oracles, whose user count need not be ``params.n_users``."""
 
     zeros: int
     ones: int
@@ -496,27 +496,22 @@ class CommMeasurement(NamedTuple):
 
 
 def measure_mse(
-    params: ProtocolParams,
-    ds: DatasetSummary,
-    trials: int,
-    rng: RandomSource,
-    fidelity: str = "message",
+    params: ProtocolParams, ones: int, trials: int, rng: RandomSource, fidelity: str = "message"
 ) -> MseMeasurement:
-    """Monte Carlo MSE against the closed-form law and its bound.
+    """Monte Carlo MSE on ``ones`` ones among ``n`` users, against the closed form and bound.
 
     At ``message`` fidelity every trial draws every message total, then the
-    analyzer reads their signed sum. Requires at least 1000
-    trials for the standard error to mean anything.
+    analyzer reads their signed sum; ``counts`` draws only what that sum
+    needs, with the same law. Requires at least 1000 trials for the
+    standard error to mean anything.
     """
     check_count("trials", trials, 1000)
-    if ds.n != params.n_users:
-        raise ParameterError("dataset size must match params.n_users")
-    estimates = estimate_trials(ds.zeros, ds.ones, params, trials, rng, fidelity=fidelity)
-    sq_err = (estimates - ds.ones).astype(np.float64) ** 2
+    estimates = estimate_trials(ones, params, trials, rng, fidelity=fidelity)
+    sq_err = (estimates - ones).astype(np.float64) ** 2
     return MseMeasurement(
         empirical_mse=float(sq_err.mean()),
         std_err=float(sq_err.std(ddof=1) / math.sqrt(trials)),
-        exact=exact_mse(params, ds.ones),
+        exact=exact_mse(params, ones),
         bound=mse_bound(params),
         trials=trials,
         fidelity=fidelity,

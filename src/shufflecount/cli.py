@@ -44,7 +44,6 @@ from .audit import (
     DEFAULT_COVERAGE,
     DEFAULT_GRID_CAP,
     DEFAULT_TOLERANCE,
-    DatasetSummary,
     check_geo_ratio,
     check_poi_ratio,
     divergence_audit,
@@ -246,7 +245,7 @@ def _cmd_params(args) -> tuple[dict, list[dict] | None]:
         "params": params.to_dict(),
         "ok": True,
         "expected_messages_per_user_x1": exact_mean_messages(params, 1),
-        "law_mse_all_ones": exact_mse(params, params.n_users),
+        "mse_all_ones": exact_mse(params, params.n_users),
     }
     return report, None
 
@@ -413,13 +412,12 @@ def _cmd_audit_mse(args) -> tuple[dict, list[dict] | None]:
     params = _explicit_params(args, args.n)
     require_feasible(params)
     ones = check_count("--ones", args.ones if args.ones is not None else args.n, 0, args.n)
-    ds = DatasetSummary(zeros=args.n - ones, ones=ones)
-    result = measure_mse(params, ds, args.trials, RandomSource(seed), fidelity=args.fidelity)
+    result = measure_mse(params, ones, args.trials, RandomSource(seed), fidelity=args.fidelity)
     report = {
         "subcommand": "audit mse",
         "seed": seed,
         "params": params.to_dict(),
-        "dataset": {"zeros": ds.zeros, "ones": ds.ones},
+        "dataset": {"zeros": args.n - ones, "ones": ones},
         "trials": result.trials,
         "fidelity": result.fidelity,
         "empirical_mse": result.empirical_mse,
@@ -460,7 +458,7 @@ def _cmd_bench(args) -> tuple[dict, list[dict] | None]:
         params = derive_params(args.eps, args.rho, n)
         rng = RandomSource(seed).substream(n)
         start = time.perf_counter()
-        estimates = estimate_trials(0, n, params, args.trials, rng, fidelity="counts")
+        estimates = estimate_trials(n, params, args.trials, rng, fidelity="counts")
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         sq_err = (estimates.astype(np.float64) - n) ** 2
         row = {
@@ -469,9 +467,9 @@ def _cmd_bench(args) -> tuple[dict, list[dict] | None]:
             "flood_mean": params.flood_mean,
             "drop_prob": params.drop_prob,
             "expected_messages_per_user_x1": exact_mean_messages(params, 1),
-            "law_mse": float(sq_err.mean()),
-            "law_mse_exact": exact_mse(params, n),
-            "law_mse_bound": mse_bound(params),
+            "mse": float(sq_err.mean()),
+            "mse_exact": exact_mse(params, n),
+            "mse_bound": mse_bound(params),
         }
         if args.timing:
             row["wall_ms"] = elapsed_ms

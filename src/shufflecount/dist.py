@@ -169,9 +169,12 @@ def sample_nb(r: float, p: float, rng: RandomSource, size=None):
     ``r > 0``. The whole array is drawn at once: one Poisson total of
     summands over all cells, a uniform cell for each (exact by Poisson
     splitting), their values, then a scatter-add into zeros. The cost grows
-    with the number of summands, not of cells, so the tiny fractional shapes
-    of per-user noise shares, nearly all 0, cost little. ``size=None`` draws
-    one value through the same path.
+    with the number of summands, not of cells, so the tiny shape ``1/n`` of
+    a user's noise share, as ``protocol.randomize`` and the one-user
+    batches of ``protocol.message_count_trials`` draw it, costs little: over
+    40 000 cells at ``n`` of 100 and 1000, 0.02-0.04 ms against 1.9-2.4 ms
+    for ``Generator.negative_binomial`` (numpy 2.4, one core of a 2-core
+    x86-64 host). ``size=None`` draws one value through the same path.
     """
     check_real("r", r)
     check_real("p", p, 0.0, 1.0)

@@ -8,7 +8,8 @@ of plus and of minus noise messages, plus a Poisson number of flooding pairs
 shuffled multiset of single-bit messages and outputs its signed sum.
 
 The shuffled view depends on the inputs only through how many users hold a
-one, so every batch of runs takes its inputs as counts. :func:`run_trials`
+one, so that count is the only dataset input of every batch of runs
+(:func:`estimate_trials`, :func:`simulate_views`). :func:`run_trials`
 drives every batch (a single run is a one-trial batch on the same stream),
 and :func:`_stages` draws one instance's totals for all trials of a batch
 in stages, each fidelity stopping at the last stage it needs: the dropped
@@ -108,13 +109,6 @@ class CountingRun(NamedTuple):
     view: View
 
 
-def _ones(zeros: int, ones: int, n: int) -> int:
-    """``ones``, checked as the ones of a counting dataset of ``n = zeros + ones`` users."""
-    ones = check_count("ones", ones, 0, n)
-    check_count("zeros", zeros, n - ones, n - ones)
-    return ones
-
-
 def randomize(x: int, params: ProtocolParams, rng: RandomSource) -> Contribution:
     """Run one user's randomizer (scalar reference for :func:`run_counting`).
 
@@ -157,7 +151,8 @@ def _stages(
     A drop count has the law of an independent drop per user, and a flooding
     total that of the per-user counts, by Poisson additivity. ``ones`` is a
     count or an array of ``trials`` counts; one trial passes numpy's
-    binomial a Python int, the same draw far faster than an array.
+    binomial a Python int, the same draw far faster than an array. The
+    callers have checked ``trials`` and the counts.
     ``counts`` returns the signed sum, ``kept + noise_plus - noise_minus``,
     whose noise difference over all ``n`` users is ``DLap(noise_epsilon)``;
     ``message`` returns the plus and minus message totals, ``pad * K + kept
@@ -166,14 +161,13 @@ def _stages(
     also returns the parts that :func:`run_counting` places on users:
     ``(plus, minus), (dropped_ones, dropped_zeros, flood, noise)``.
     """
-    trials = check_count("trials", trials, 1)
     gen, q = rng.generator, params.drop_prob
     if trials == 1:
         ones = np.asarray(ones).item()
     kept = ones - gen.binomial(ones, q, size=trials)
     if fidelity == "message":
         users = kept + (m - ones) - gen.binomial(m - ones, q, size=trials)
-        flood = sample_poi(params.flood_mean * m / params.n_users, rng, size=trials)
+        flood = gen.poisson(params.flood_mean * m / params.n_users, size=trials)
     p = geo_success_prob(params.noise_epsilon)
     if m == params.n_users:
         noise = gen.geometric(p, size=(trials, 2)) - 1
@@ -308,13 +302,9 @@ def run_counting(
 
 
 def simulate_views(
-    zeros: int,
-    ones: int,
-    params: ProtocolParams,
-    trials: int,
-    rng: RandomSource,
+    ones: int, params: ProtocolParams, trials: int, rng: RandomSource
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate the shuffler's view for many runs.
+    """Simulate the shuffler's view for many runs of ``ones`` ones among ``n`` users.
 
     The plus and minus message totals of the :func:`_stages` of ``message``
     fidelity over all ``n`` users: the dropped ones and zeros, each trial's
@@ -327,26 +317,23 @@ def simulate_views(
     (v_plus, v_minus) : pair of int64 arrays of length ``trials``.
     """
     n = params.n_users
-    return _stages(_ones(zeros, ones, n), n, params, rng, "message", trials)
+    ones, trials = check_count("ones", ones, 0, n), check_count("trials", trials, 1)
+    return _stages(ones, n, params, rng, "message", trials)
 
 
 def estimate_trials(
-    zeros: int,
-    ones: int,
-    params: ProtocolParams,
-    trials: int,
-    rng: RandomSource,
-    fidelity: str = "message",
+    ones: int, params: ProtocolParams, trials: int, rng: RandomSource, fidelity: str = "message"
 ) -> np.ndarray:
     """Repeated protocol estimates for Monte Carlo measurement.
 
-    The one-instance :func:`run_trials` of the dataset's count of ones.
-    ``message`` fidelity draws every message total, ``counts`` only the
-    dropped ones and noise totals that the signed sum needs. Both produce
-    the same estimate distribution, ``ones - Binomial(ones, drop_prob) +
+    The one-instance :func:`run_trials` of ``ones`` ones among ``n`` users:
+    the estimate depends on the data only through that count. ``message``
+    fidelity draws every message total, ``counts`` only the dropped ones
+    and noise totals that the signed sum needs. Both produce the same
+    estimate distribution, ``ones - Binomial(ones, drop_prob) +
     DLap(noise_epsilon)``.
     """
-    ones = _ones(zeros, ones, params.n_users)
+    ones = check_count("ones", ones, 0, params.n_users)
     return run_trials([ones], [params], trials, rng, fidelity)[0][:, 0]
 
 
@@ -354,5 +341,6 @@ def message_count_trials(
     x: int, params: ProtocolParams, trials: int, rng: RandomSource
 ) -> np.ndarray:
     """Total messages sent by a single user with input ``x``, over many runs."""
-    plus, minus = _stages(check_count("x", x, 0, 1), 1, params, rng, "message", trials)
+    x, trials = check_count("x", x, 0, 1), check_count("trials", trials, 1)
+    plus, minus = _stages(x, 1, params, rng, "message", trials)
     return plus + minus

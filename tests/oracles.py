@@ -197,13 +197,16 @@ def crossvalidate_views(
     trials: int,
     rng: RandomSource,
 ) -> GofResult:
-    """Chi-square simulated views against the exact oracle.
+    """Chi-square simulated views of ``ds`` against the exact oracle.
 
     The two routes are independent: simulation draws the randomizer's totals
-    (drop counts, every user's noise shares, a flooding total), the oracle
-    evaluates the pooled convolution in closed form.
+    (drop counts, a flooding total, one geometric noise total per side), the
+    oracle evaluates the pooled convolution in closed form. The simulation
+    runs over ``params.n_users`` users, so ``ds`` must have that many.
     """
-    v_plus, v_minus = simulate_views(ds.zeros, ds.ones, params, trials, rng)
+    if ds.n != params.n_users:
+        raise ParameterError(f"ds has {ds.n} users, params.n_users is {params.n_users}")
+    v_plus, v_minus = simulate_views(ds.ones, params, trials, rng)
     bound_i, bound_j = _grid_bounds(params, ds.n, 1e-12)
     i_max = max(int(v_plus.max()), bound_i)
     j_max = max(int(v_minus.max()), bound_j)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from shufflecount import (
-    DatasetSummary,
     ProtocolParams,
     RandomSource,
     analyze,
@@ -23,9 +22,8 @@ from shufflecount import (
     measure_mse,
     minimal_params,
     split_budget,
-    view_logpmf_grid,
 )
-from shufflecount.audit import _grid_bounds
+from shufflecount.audit import DatasetSummary, _grid_bounds, view_logpmf_grid
 from shufflecount.cli import main as cli_main
 from shufflecount.composition import bit_weights, real_sum_params, real_sum_trials, histogram_trials
 from shufflecount.dist import (
@@ -107,7 +105,7 @@ def test_criterion_3_mse_reproduction():
     assert exact == pytest.approx(9.825396178065526, rel=1e-12)
     result = measure_mse(
         REFERENCE,
-        DatasetSummary(zeros=0, ones=100),
+        100,
         50_000,
         RandomSource(2024),
         fidelity="message",
@@ -262,9 +260,7 @@ def test_criterion_8_histogram():
     direct = np.empty((trials, buckets), dtype=np.int64)
     for b in range(buckets):
         h = int(true_counts[b])
-        direct[:, b] = estimate_trials(
-            n - h, h, inst, trials, RandomSource(809, b), fidelity="counts"
-        )
+        direct[:, b] = estimate_trials(h, inst, trials, RandomSource(809, b), fidelity="counts")
     linf_direct = np.abs(direct - true_counts).max(axis=1).astype(np.float64)
 
     se_joint = math.sqrt(

@@ -12,7 +12,6 @@ from scipy.special import gammaln, logsumexp
 
 from shufflecount import (
     AuditInconclusiveError,
-    DatasetSummary,
     ParameterError,
     ProtocolParams,
     RandomSource,
@@ -25,10 +24,10 @@ from shufflecount import (
     measure_comm,
     measure_mse,
     minimal_params,
-    view_logpmf_grid,
 )
 from shufflecount import audit
 from shufflecount.audit import (
+    DatasetSummary,
     RatioCheck,
     _binom_logpmf,
     _grid_bounds,
@@ -36,6 +35,7 @@ from shufflecount.audit import (
     _zero_mixture,
     messages_bound,
     mse_bound,
+    view_logpmf_grid,
 )
 from shufflecount.dist import geo_success_prob, poi_logpmf, sample_nb
 
@@ -636,15 +636,13 @@ class TestMseMeasurement:
 
     def test_monte_carlo_brackets_exact_value(self):
         params = _reference(100)
-        result = measure_mse(
-            params, DatasetSummary(0, 100), 5000, RandomSource(60), "counts"
-        )
+        result = measure_mse(params, 100, 5000, RandomSource(60), "counts")
         assert abs(result.empirical_mse - result.exact) <= 3.0 * result.std_err
         assert result.empirical_mse <= result.bound + 3.0 * result.std_err
 
     def test_trial_floor(self):
         with pytest.raises(ParameterError):
-            measure_mse(_reference(10), DatasetSummary(0, 10), 10, RandomSource(0))
+            measure_mse(_reference(10), 10, 10, RandomSource(0))
 
 
 class TestCommMeasurement:

@@ -3,8 +3,9 @@
 A speed claim holds only when the change wins at least nine pairs in ten and
 its median gain exceeds the parent's interquartile range; ties count for
 neither side; a metric reads ``WORSE`` when the change's median is worse than
-the parent's by more than ``bound`` times the parent's median. Every run of
-``bench`` starts from an empty bytecode cache of its own.
+the parent's by more than ``bound`` times the parent's median, and the script
+exits 1 on it or on a larger share of failed ops. Every run of ``bench``
+starts from an empty bytecode cache of its own.
 """
 
 import json
@@ -102,3 +103,23 @@ def test_every_run_compiles_from_a_fresh_empty_bytecode_cache(monkeypatch, tmp_p
     assert all(empty for _, _, empty in seen)
     assert len({cache for _, cache, _ in seen}) == 3
     assert not any(cache.exists() for _, cache, _ in seen)
+
+
+@pytest.mark.parametrize(
+    "worse, failed, code",
+    [(False, (0.1, 0.1), 0), (True, (0.0, 0.0), 1), (False, (0.0, 0.01), 1),
+     (False, (0.02, 0.01), 0)],
+    ids=["ok", "a-metric-worse", "more-failed-ops", "fewer-failed-ops"],
+)
+def test_exit_code_gates_on_the_verdicts(monkeypatch, tmp_path, worse, failed, code):
+    # canned results: the second of two workloads carries the verdict
+    def compare(trees, workload, seeds, seconds, metrics):
+        last = workload == "b"
+        return {
+            "summary": {"m": {"worse_than_bound": last and worse}},
+            "failed_share": {"parent": failed[0], "change": failed[1] if last else failed[0]},
+        }
+
+    monkeypatch.setattr(bench_pairs, "export", lambda revision, dest: tmp_path)
+    monkeypatch.setattr(bench_pairs, "compare", compare)
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "a,b", "--seeds", "1"]) == code

@@ -354,7 +354,7 @@ def test_message_trials_with_zeroed_noise_return_the_counts(monkeypatch):
     _zero_noise(monkeypatch)
     monkeypatch.setattr(protocol, "CHUNK_ELEMENTS", 64)
     rng = RandomSource(6)
-    ests = estimate_trials(5, 3, derive_params(1.0, 0.5, 8), 5, rng, "message")
+    ests = estimate_trials(3, derive_params(1.0, 0.5, 8), 5, rng, "message")
     assert ests.tolist() == [3] * 5
     # values on the 3-bit grid round to themselves
     xs = [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875]

@@ -1,13 +1,14 @@
 """One validation contract for every public entry point.
 
 ``ROWS`` has a row for every name in ``shufflecount.__all__``, for the
-trial functions and helpers that other modules and tools call directly, and
-for the test oracles of ``tests/oracles.py`` that take checked values. A
-row gives a valid call and the kind of each parameter the entry point
-checks. Every bad value of a kind must raise ``ParameterError`` (so the CLI
-exits 2): NaN, the infinities, negatives, zero where it is excluded,
-non-integral and out-of-range values, bools and strings, and for arrays
-also empty and 2-d ones; sampler shapes and the evaluation points of the
+trial functions and helpers that other modules and tools call directly, for
+the scalar references and the exact oracle that are public only in their
+modules, and for the test oracles of ``tests/oracles.py`` that take checked
+values. A row gives a valid call and the kind of each parameter the entry
+point checks. Every bad value of a kind must raise ``ParameterError`` (so
+the CLI exits 2): NaN, the infinities, negatives, zero where it is
+excluded, non-integral and out-of-range values, bools and strings, and for
+arrays also empty and 2-d ones; sampler shapes and the evaluation points of the
 log-PMFs take only integers. Result types and exceptions have rows with no
 checked parameters, so a public name added without a row fails
 ``test_every_public_name_has_a_row``.
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 import shufflecount as sc
-from shufflecount import ParameterError, composition, protocol
+from shufflecount import ParameterError, audit, composition, protocol
 
 import oracles
 
@@ -109,7 +110,7 @@ class Row:
 
 
 P3 = sc.ProtocolParams(3, 1.0, 0.5, 0.01, 17, 127.0)  # the reference set at n = 3
-DS = sc.DatasetSummary(2, 1)
+DS = audit.DatasetSummary(2, 1)
 FIDELITY = Choice(protocol.FIDELITIES)
 EPSILON = Real(0.0, 8.0, "(]")
 HISTOGRAM_EPSILON = Real(0.0, 16.0, "(]")  # each bucket's instance runs at epsilon / 2
@@ -130,15 +131,15 @@ def geo_half(k):
 
 
 RESULT_TYPES = (
-    "AuditInconclusiveError", "AuditReport", "Contribution", "CountingRun",
-    "DegenerateInputError", "HistogramRun", "InfeasibleParametersError",
-    "ParameterError", "RealSumRun", "View",
+    "AuditInconclusiveError", "AuditReport", "CountingRun", "DegenerateInputError",
+    "HistogramRun", "InfeasibleParametersError", "ParameterError", "RealSumRun", "View",
 )
 
 ROWS = {
     **{name: Row(getattr(sc, name)) for name in RESULT_TYPES},
+    "Contribution": Row(protocol.Contribution),
     "DatasetSummary": Row(
-        sc.DatasetSummary, dict(zeros=2, ones=1), dict(zeros=Count(), ones=Count())
+        audit.DatasetSummary, dict(zeros=2, ones=1), dict(zeros=Count(), ones=Count())
     ),
     "ProtocolParams": Row(
         sc.ProtocolParams,
@@ -201,8 +202,8 @@ ROWS = {
     ),
     "measure_mse": Row(
         sc.measure_mse,
-        dict(params=P3, ds=DS, trials=1000, rng=rng(), fidelity="counts"),
-        dict(trials=Count(1000), fidelity=FIDELITY),
+        dict(params=P3, ones=1, trials=1000, rng=rng(), fidelity="counts"),
+        dict(ones=Count(0, 3), trials=Count(1000), fidelity=FIDELITY),
     ),
     "minimal_params": Row(
         sc.minimal_params,
@@ -217,7 +218,7 @@ ROWS = {
         oracles.nb_logpmf, dict(r=0.5, p=0.4, k=3), dict(r=Real(), p=PROB, k=Points())
     ),
     "poi_logpmf": Row(sc.poi_logpmf, dict(mean=2.5, k=3), dict(mean=Real(), k=Points())),
-    "randomize": Row(sc.randomize, dict(x=1, params=P3, rng=rng()), dict(x=Count(0, 1))),
+    "randomize": Row(protocol.randomize, dict(x=1, params=P3, rng=rng()), dict(x=Count(0, 1))),
     "run_counting": Row(
         sc.run_counting, dict(xs=[1, 0, 1], params=P3, rng=rng()), dict(xs=Array(0, 1))
     ),
@@ -256,12 +257,14 @@ ROWS = {
     "sample_poi": Row(
         sc.sample_poi, dict(mean=2.5, rng=rng(), size=3), dict(mean=Real(), size=Shape())
     ),
-    "shuffle": Row(sc.shuffle, dict(contributions=[sc.Contribution(18, 17, 0, 1, 2)], rng=rng())),
+    "shuffle": Row(
+        protocol.shuffle, dict(contributions=[protocol.Contribution(18, 17, 0, 1, 2)], rng=rng())
+    ),
     "split_budget": Row(
         sc.split_budget, dict(epsilon=1.0, k=3), dict(epsilon=Real(), k=Count(1))
     ),
     "view_logpmf_grid": Row(
-        sc.view_logpmf_grid,
+        audit.view_logpmf_grid,
         dict(ds=DS, params=P3, i_max=40, j_max=36),
         dict(i_max=Count(), j_max=Count()),
     ),
@@ -275,9 +278,13 @@ ROWS = {
     ),
     "estimate_trials": Row(
         protocol.estimate_trials,
-        dict(zeros=2, ones=1, params=P3, trials=2, rng=rng(), fidelity="message"),
-        # zeros + ones must be params.n_users
-        dict(zeros=Count(2, 2), ones=Count(0, 3), trials=Count(1), fidelity=FIDELITY),
+        dict(ones=1, params=P3, trials=2, rng=rng(), fidelity="message"),
+        dict(ones=Count(0, 3), trials=Count(1), fidelity=FIDELITY),
+    ),
+    "simulate_views": Row(
+        protocol.simulate_views,
+        dict(ones=1, params=P3, trials=2, rng=rng()),
+        dict(ones=Count(0, 3), trials=Count(1)),
     ),
     "message_count_trials": Row(
         protocol.message_count_trials,
@@ -325,9 +332,11 @@ ROWS = {
 }
 
 EXTRAS = {
-    "run_trials", "estimate_trials", "real_sum_trials", "histogram_trials",
+    "run_trials", "estimate_trials", "simulate_views", "real_sum_trials", "histogram_trials",
     "message_count_trials", "split_budget", "tag_bits", "real_sum_params", "histogram_params",
 }
+#: the scalar references and the exact grid oracle, public in their modules only
+REFERENCES = {"Contribution", "DatasetSummary", "randomize", "shuffle", "view_logpmf_grid"}
 ORACLES = {
     "crossvalidate_views", "decode_bits", "encode_real", "exact_view_logpmf", "geo_logpmf",
     "gof_integer_samples", "nb_logpmf", "sample_dlap", "sample_estimate", "sample_geo",
@@ -336,7 +345,8 @@ ORACLES = {
 
 
 def test_every_public_name_has_a_row():
-    assert set(ROWS) == set(sc.__all__) | EXTRAS | ORACLES
+    assert set(ROWS) == set(sc.__all__) | EXTRAS | ORACLES | REFERENCES
+    assert not REFERENCES & set(sc.__all__)
 
 
 @pytest.mark.parametrize("name", [name for name, row in ROWS.items() if row.valid is not None])
@@ -379,7 +389,7 @@ def test_numpy_values_are_accepted(name, param):
 def test_legal_edge_cases_still_run():
     # the n = 1 reduction: the audit and the oracle at n_users != params.n_users
     assert sc.divergence_audit(1, P3).passed
-    assert sc.view_logpmf_grid(sc.DatasetSummary(0, 1), P3, 5, 5).shape == (6, 6)
+    assert audit.view_logpmf_grid(audit.DatasetSummary(0, 1), P3, 5, 5).shape == (6, 6)
     # the audit's negative control
     assert sc.ProtocolParams(3, 1.0, 0.5, 0.0, 17, 127.0).drop_prob == 0.0
     # off-support points of the exact oracle

@@ -10,7 +10,6 @@ from scipy.special import gammaln, logsumexp
 
 from shufflecount import protocol
 from shufflecount import (
-    Contribution,
     ParameterError,
     ProtocolParams,
     RandomSource,
@@ -19,9 +18,7 @@ from shufflecount import (
     derive_params,
     dlap_variance,
     minimal_params,
-    randomize,
     run_counting,
-    shuffle,
 )
 from shufflecount.audit import (
     DatasetSummary,
@@ -32,9 +29,12 @@ from shufflecount.dist import geo_success_prob, poi_logpmf
 from shufflecount.protocol import (
     CHUNK_ELEMENTS,
     FIDELITIES,
+    Contribution,
     estimate_trials,
     message_count_trials,
+    randomize,
     run_trials,
+    shuffle,
     simulate_views,
 )
 
@@ -105,10 +105,10 @@ MESSAGE_BYTES_PER_TRIAL = 74
 def _batch_peak(fidelity, n, trials, seed):
     """Peak traced bytes of an :func:`estimate_trials` batch over ``n`` users, warmed up."""
     params = minimal_params(1.0, 0.5, 0.01, n)
-    estimate_trials(0, n, params, 4, RandomSource(seed), fidelity)
+    estimate_trials(n, params, 4, RandomSource(seed), fidelity)
     tracemalloc.start()
     try:
-        ests = estimate_trials(0, n, params, trials, RandomSource(seed), fidelity)
+        ests = estimate_trials(n, params, trials, RandomSource(seed), fidelity)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -272,7 +272,7 @@ class TestRunCounting:
 
     def test_all_zeros_estimate_is_discrete_laplace(self):
         params = minimal_params(1.0, 0.5, 0.01, 50)
-        ests = estimate_trials(50, 0, params, 40_000, RandomSource(21), "counts")
+        ests = estimate_trials(0, params, 40_000, RandomSource(21), "counts")
         target = dlap_variance(params.noise_epsilon)
         sq = ests.astype(np.float64) ** 2
         se = sq.std(ddof=1) / math.sqrt(sq.size)
@@ -281,7 +281,7 @@ class TestRunCounting:
     def test_single_user_near_zero_drop(self):
         # n=1 with vanishing drop probability: estimate - x is discrete Laplace
         params = ProtocolParams(1, 1.0, 0.5, 1e-9, 40, 600.0)
-        ests = estimate_trials(0, 1, params, 40_000, RandomSource(22), "counts")
+        ests = estimate_trials(1, params, 40_000, RandomSource(22), "counts")
         errors = (ests - 1).astype(np.float64)
         se_mean = errors.std(ddof=1) / math.sqrt(errors.size)
         assert abs(errors.mean()) <= 3.0 * se_mean
@@ -294,7 +294,7 @@ class TestEstimateTrials:
     def test_fidelities_agree_on_moments(self):
         params = minimal_params(1.0, 0.5, 0.05, 60)
         by_fidelity = {
-            fid: estimate_trials(20, 40, params, 20_000, RandomSource(30), fid)
+            fid: estimate_trials(40, params, 20_000, RandomSource(30), fid)
             for fid in FIDELITIES
         }
         drift = 40 * params.drop_prob
@@ -315,7 +315,7 @@ class TestEstimateTrials:
         if sampler == "sample_estimate":
             ests = sample_estimate(25, params, RandomSource(32), size=50_000)
         else:
-            ests = estimate_trials(5, 25, params, 50_000, RandomSource(32), sampler)
+            ests = estimate_trials(25, params, 50_000, RandomSource(32), sampler)
         low = int(ests.min())
         result = gof_integer_samples(
             ests - low, lambda k: _estimate_logpmf(25, params, k + low)
@@ -326,7 +326,7 @@ class TestEstimateTrials:
 class TestSimulateViews:
     def test_moments_match_closed_form(self):
         params = minimal_params(1.0, 0.5, 0.01, 3)
-        v_plus, v_minus = simulate_views(2, 1, params, 150_000, RandomSource(41))
+        v_plus, v_minus = simulate_views(1, params, 150_000, RandomSource(41))
         keep = 1.0 - params.drop_prob
         mean_plus = keep * (3 * params.pad_count + 1) + (
             math.exp(-0.5) / -math.expm1(-0.5)
@@ -339,18 +339,18 @@ class TestSimulateViews:
         assert abs(diff.mean() - keep) <= 3.0 * se_d
 
     def test_memory_is_that_of_the_noise_draw(self):
-        # the noise shares take 16 bytes per user and trial and the scattered
-        # summands about 10 here, and the drops are one count per trial;
-        # holding per-user input or total arrays as well would add 16 or more
-        params = minimal_params(1.0, 0.5, 0.1, 3)
+        # each side's noise is one geometric per trial, so at 10**6 users,
+        # where per-user noise shares would take 16 bytes per user and
+        # trial, a batch peaks at the message stages' bytes per trial
+        params = minimal_params(1.0, 0.5, 0.1, 10**6)
         trials = 100_000
         tracemalloc.start()
         try:
-            simulate_views(1, 2, params, trials, RandomSource(42))
+            simulate_views(params.n_users // 2, params, trials, RandomSource(42))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * trials * params.n_users
+        assert peak <= MESSAGE_BYTES_PER_TRIAL * trials
 
     def test_memory_is_bounded_beyond_one_chunk(self):
         # a batch is not chunked: its peak is the message stages' bytes per
@@ -359,7 +359,7 @@ class TestSimulateViews:
         trials = 100_000
         tracemalloc.start()
         try:
-            v_plus, _ = simulate_views(1, 2, params, trials, RandomSource(43))
+            v_plus, _ = simulate_views(2, params, trials, RandomSource(43))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -467,8 +467,8 @@ class TestEngine:
                     bits = np.random.default_rng((n, seed)).integers(0, 2, n)
                     ones = int(bits.sum())
                     run = run_counting(bits, params, RandomSource(seed))
-                    est = estimate_trials(n - ones, ones, params, 1, RandomSource(seed))
-                    views = simulate_views(n - ones, ones, params, 1, RandomSource(seed))
+                    est = estimate_trials(ones, params, 1, RandomSource(seed))
+                    views = simulate_views(ones, params, 1, RandomSource(seed))
                     assert run.estimate == est[0], (n, seed)
                     assert run.view == View(*(int(v[0]) for v in views)), (n, seed)
                     total = run.messages_per_user.sum()
@@ -609,7 +609,7 @@ class TestNoiseTotals:
             params = minimal_params(1.0, 0.5, 0.01, n)
             rng, _ = _recorded(88)
             run_trials([n // 2, n // 3], [params] * 2, 5, rng, fidelity)
-            simulate_views(n // 2, n - n // 2, params, 5, rng)
+            simulate_views(n - n // 2, params, 5, rng)
             calls.append([(name, size) for name, size, _ in rng.generator.calls])
         assert calls[0] == calls[1]
 
@@ -696,7 +696,7 @@ class TestDealtShuffle:
         sums, totals = run_trials(ones, [params] * 2, rows + 3, RandomSource(90), "message")
         counts, _ = run_trials(ones, [params] * 2, 5, RandomSource(91), "counts")
         run = run_counting(np.arange(n) % 2 ^ 1, params, RandomSource(92))
-        views = simulate_views(n - 171, 171, params, 7, RandomSource(93))
+        views = simulate_views(171, params, 7, RandomSource(93))
         messages = message_count_trials(1, params, 9, RandomSource(94))
         digest = hashlib.sha256()
         for values in (
@@ -756,12 +756,20 @@ class TestValidation:
             sample_estimate(-1, params, RandomSource(0))
 
     def test_estimate_trials_rejects_negative_counts(self):
+        # and counts of ones above n_users
         params = minimal_params(1.0, 0.5, 0.1, 30)
-        for fidelity in FIDELITIES:
+        for ones in (-5, 35):
+            for fidelity in FIDELITIES:
+                with pytest.raises(ParameterError):
+                    estimate_trials(ones, params, 10, RandomSource(0), fidelity)
             with pytest.raises(ParameterError):
-                estimate_trials(-5, 35, params, 10, RandomSource(0), fidelity)
-            with pytest.raises(ParameterError):
-                simulate_views(-5, 35, params, 10, RandomSource(0))
+                simulate_views(ones, params, 10, RandomSource(0))
+
+    def test_crossvalidate_views_takes_a_dataset_of_n_users(self):
+        params = minimal_params(1.0, 0.5, 0.1, 3)
+        for ds in (DatasetSummary(1, 1), DatasetSummary(2, 2)):
+            with pytest.raises(ParameterError, match="n_users"):
+                crossvalidate_views(ds, params, 10, RandomSource(0))
 
     def test_run_trials_takes_one_count_of_ones_per_instance(self):
         params = minimal_params(1.0, 0.5, 0.1, 3)
@@ -781,14 +789,14 @@ class TestValidation:
     def test_batches_reject_fewer_than_one_trial(self, trials):
         params = minimal_params(1.0, 0.5, 0.1, 3)
         with pytest.raises(ParameterError):
-            simulate_views(1, 2, params, trials, RandomSource(0))
+            simulate_views(2, params, trials, RandomSource(0))
         with pytest.raises(ParameterError):
             message_count_trials(1, params, trials, RandomSource(0))
         with pytest.raises(ParameterError):
             crossvalidate_views(DatasetSummary(1, 2), params, trials, RandomSource(0))
         for fidelity in FIDELITIES:
             with pytest.raises(ParameterError):
-                estimate_trials(1, 2, params, trials, RandomSource(0), fidelity)
+                estimate_trials(2, params, trials, RandomSource(0), fidelity)
 
     @pytest.mark.parametrize(
         "trials",
@@ -798,10 +806,10 @@ class TestValidation:
     def test_trials_must_be_a_whole_number(self, trials):
         params = minimal_params(1.0, 0.5, 0.1, 3)
         entry_points = [
-            lambda t: simulate_views(1, 2, params, t, RandomSource(0))[0],
+            lambda t: simulate_views(2, params, t, RandomSource(0))[0],
             lambda t: message_count_trials(1, params, t, RandomSource(0)),
             *(
-                lambda t, f=f: estimate_trials(1, 2, params, t, RandomSource(0), f)
+                lambda t, f=f: estimate_trials(2, params, t, RandomSource(0), f)
                 for f in FIDELITIES
             ),
         ]

@@ -23,8 +23,10 @@ for neither) and two verdicts:
   interquartile range, else ``no claim``.
 
 Each workload also prints both sides' share of failed ops, and ends with the
-same data as one JSON object. Nothing is written under ``perfbench/`` but
-what ``perfbench/run.py`` writes itself.
+same data as one JSON object. The exit code is 1 when any workload has a
+metric ``WORSE`` or a larger share of failed ops in the change, else 0.
+Nothing is written under ``perfbench/`` but what ``perfbench/run.py`` writes
+itself.
 """
 
 from __future__ import annotations
@@ -151,12 +153,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s]
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    worse = False
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": export(args.parent, Path(tmp)), "change": ROOT}
         for workload in (w for w in args.workload.split(",") if w):
             result = compare(trees, workload, seeds, args.seconds, metrics)
             print(json.dumps({"parent": args.parent, **result}), flush=True)
-    return 0
+            failed = result["failed_share"]
+            worse |= failed["change"] > failed["parent"] or any(
+                s["worse_than_bound"] for s in result["summary"].values()
+            )
+    return int(worse)
 
 
 if __name__ == "__main__":
