@@ -1,7 +1,7 @@
 """Numerical verification of the protocol's privacy, utility and communication.
 
-The centerpiece is an exact oracle for the shuffler's view distribution. For
-a dataset with ``n0`` zeros and ``n1`` ones the view ``(V_plus, V_minus)``
+The centerpiece is an exact divergence audit of the shuffler's view. For a
+dataset with ``n0`` zeros and ``n1`` ones the view ``(V_plus, V_minus)``
 decomposes as
 
     V_plus  = (a0 + a1) * pad + a1 + w + g1
@@ -11,49 +11,32 @@ with ``a0 ~ Bin(n0, 1-q)``, ``a1 ~ Bin(n1, 1-q)`` the numbers of
 participating users, ``w ~ Poisson(flood_mean)`` the pooled flooding count
 and ``g1, g2`` independent geometrics (the pooled noise shares; pooling is
 exact because the per-user shares are the n-divided forms). All inner sums
-are finite, so the oracle is exact up to floating point; only the grid over
-``(i, j)`` is truncated, and the mass left outside it is reported.
+are finite, so the audit is exact up to floating point; only the region of
+``(i, j)`` it examines is truncated, and the mass left outside is reported.
 
-The oracle needs no 2-D pass per participation pair. With ``m = a0 + a1``
-and ``C`` the running logaddexp of the flood terms, the pair's term at
-``(i, j)`` is ``2 log p - eta (i + j) + eta (2 m pad + a1) + C[t - m pad]``
-with ``t = min(i - a1, j)``. So the mixture over ``a0`` is a 1-D log-sum
-``g`` of ``t`` for each ``a1``, and its grid is a staircase: row ``i`` reads
-``g[j]`` left of column ``i - a1`` and the constant ``g[i - a1]`` from there
-on. A grid costs ``n1 + 1`` broadcast passes, one per ``a1``.
+The audit compares ``x = (1, 0, ..., 0)`` with ``x' = (0, ..., 0)`` and
+builds no grid. With ``p = 1 - e^{-eta}`` and ``t = min(i, j)``, each view's
+log law at ``(i, j)`` is ``2 log p - eta (i + j) + 2 eta t`` plus a profile
+of ``t`` alone: measured against the diagonal's tilt ``e^{2 eta t}``, every
+profile is O(1), and only the flood profile (:func:`_flood_profile`) knows
+``lam``. So the log ratio is one constant per class (side, ``t``): side 0
+holds the cells ``(i, t)`` below the diagonal, ``i = t + 1 .. i_max``, and
+side 1 the cells ``(t, j)`` on or above it, ``j = t .. j_max``.
 
-The divergence audit compares the exact view distributions of the
-neighboring pair ``(1, 0, ..., 0)`` vs ``(0, ..., 0)`` over a grid covering
-almost all of both masses, and builds no grid. With ``h`` the mixture over
-the zero-input users (``h_n`` for ``x'``, ``h_{n-1}`` beside the one-input
-user for ``x``), both views are ``2 log p - eta (i + j)`` plus a profile:
-``h_n[min(i, j)]`` for ``x'``, and for ``x`` the terms ``a1 = 0`` and
-``a1 = 1`` read at ``min(i, j)`` and ``min(i - 1, j)``. So the log ratio is
-one constant per class (side, ``t = min(i, j)``):
+The region bounds the plus count by ``n (pad + 1)`` and the minus count by
+``n pad``, each plus the same flood and noise tails (Bennett's bound and the
+geometric tail), so ``i_max = j_max + n``. Each side has ``T = j_max + 1``
+classes and each view's profile is one ``(2, T)`` array, ``x'``'s the same
+on both sides. A class's mass is its profile times a geometric partial sum
+over its rows or columns from the cell nearest the diagonal, ``(t + 1, t)``
+or ``(t, t)``, where the tilt cancels ``-eta (i + j)``; its log weight is
 
-- side 0 holds the cells ``(i, t)`` below the diagonal, ``i = t + 1 ..
-  i_max``, where ``x``'s ``a1 = 1`` term reads at ``u = t``;
-- side 1 holds the cells ``(t, j)`` on or above it, ``j = t .. j_max``,
-  where it reads at ``u = t - 1``.
-
-The grid bounds the plus count by ``n (pad + 1)`` and the minus count by
-``n pad``, each plus the same flood and noise tails, so ``i_max = j_max + n``.
-Each side thus has ``T = j_max + 1`` classes and each view's profile is one
-``(2, T)`` array, ``x'``'s the same on both sides. A class's mass is its
-profile at the cell nearest the diagonal, ``(t + 1, t)`` or ``(t, t)``,
-times a geometric partial sum over its rows or columns, with the log weight
-
-    log p - eta (2 t + [1, 0]) + log(1 - e^{-eta [i_max - t, j_max + 1 - t]})
+    log p - eta [1, 0] + log(1 - e^{-eta [i_max - t, j_max + 1 - t]})
 
 Sup, masses and support all come from these arrays, and the sup runs over
-every class either view reaches. Only ``h_{n-1}`` is summed over ``a0``:
-``x'`` reuses ``x``'s mixture, as ``h_n`` is one Pascal step from it
-(``Bin(n, a) = q Bin(n - 1, a) + (1 - q) Bin(n - 1, a - 1)``, one
-``logaddexp`` of the ``a1 = 0`` and ``a1 = 1`` terms). The grid's extent is
-closed-form: Bennett's tail bound for the flood count and the geometric tail
-for the noise. The audit is an empirical certification for regression
-detection, not a proof: the guarantee over the infinite support is the
-protocol's own.
+every class either view reaches. The audit is an empirical certification
+for regression detection, not a proof: the guarantee over the infinite
+support is the protocol's own.
 """
 
 from __future__ import annotations
@@ -114,58 +97,80 @@ def _binom_logpmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
     return out
 
 
+def _flood_profile(params: ProtocolParams, t_max: int) -> np.ndarray:
+    """``L[t] = log sum_{w <= t} e^{-2 eta (t - w)} Poi(w; lam)`` on ``[0, t_max]``.
+
+    The flood's running sum against the diagonal's tilt, by its recursion
+    ``L[t] = logaddexp(L[t - 1] - 2 eta, log Poi(t; lam))``: a tilted
+    ``logaddexp.accumulate`` inside blocks whose tilt stays below 32, the
+    block ends' own recursion by doubling, then one carry per block. Every
+    term is O(1), none of size ``lam``, so each entry is exact to a few ulps
+    of its own size.
+    """
+    d = 2.0 * params.noise_epsilon
+    width = max(1, min(int(32.0 / d), t_max + 1))
+    rows = -(-(t_max + 1) // width)
+    blocks = np.full((rows, width), NEG_INF)
+    blocks.reshape(-1)[: t_max + 1] = poi_logpmf(params.flood_mean, range(t_max + 1))
+    tilt = d * np.arange(width)
+    blocks += tilt
+    np.logaddexp.accumulate(blocks, axis=1, out=blocks)
+    blocks -= tilt
+    # after the step of shift s, each block end holds the 2 s blocks up to it;
+    # once a step moves no end, the blocks further back are below rounding
+    end = blocks[:, -1].copy()
+    shift = 1
+    while shift < rows:
+        carried = np.logaddexp(end[shift:], end[:-shift] - d * width * shift)
+        if np.array_equal(carried, end[shift:]):
+            break
+        end[shift:] = carried
+        shift *= 2
+    np.logaddexp(blocks[1:], end[:-1, None] - d - tilt, out=blocks[1:])
+    return blocks.reshape(-1)[: t_max + 1]
+
+
 def _zero_mixture(zeros: int, params: ProtocolParams, t_max: int) -> np.ndarray:
     """The mixture over ``a0`` of ``zeros`` users, as a 1-D log profile of ``t``.
 
-    ``h[t] = log sum_a0 Bin(a0) e^{2 eta a0 pad} C[t - a0 pad]`` on
-    ``[0, t_max]``, with ``C[t] = log sum_{w <= t} e^{2 eta w} Poi(w; lam)``
-    the running flood sum: the view law at ``a1 = 0`` up to ``2 log p -
-    eta (i + j)``. The terms of ``a1 > 0`` are shifts of it. The tilt
-    ``e^{2 eta w}`` turns ``Poi(lam)`` into ``Poi(mu)`` with ``mu = lam
-    e^{2 eta}``, so ``C[t] = lam (e^{2 eta} - 1) + log P(Poi(mu) <= t)``.
+    ``H[t] = log sum_a0 Bin(a0) e^{L[t - a0 pad]}`` on ``[0, t_max]``, ``L``
+    the flood profile: the view law at ``a1 = 0`` up to ``2 log p - eta (i +
+    j) + 2 eta t``. The terms of ``a1 > 0`` are shifts of it.
     """
-    eta = params.noise_epsilon
     pad = params.pad_count
-    lam = params.flood_mean
-    flood = np.logaddexp.accumulate(
-        poi_logpmf(lam * math.exp(2.0 * eta), range(t_max + 1))
-    ) + lam * math.expm1(2.0 * eta)
-    h = np.full(t_max + 1, NEG_INF)
-    keep = 1.0 - params.drop_prob
-    for a0, lw in enumerate(_binom_logpmf(zeros, keep, np.arange(zeros + 1))):
-        s = a0 * pad
-        if lw == NEG_INF or s > t_max:
-            continue
-        np.logaddexp(h[s:], lw + 2.0 * eta * s + flood[: t_max + 1 - s], out=h[s:])
+    flood = _flood_profile(params, t_max)
+    lw = _binom_logpmf(zeros, 1.0 - params.drop_prob, np.arange(zeros + 1))
+    h = lw[0] + flood
+    for a0 in range(1, min(zeros, t_max // pad) + 1):
+        if lw[a0] > NEG_INF:
+            s = a0 * pad
+            np.logaddexp(h[s:], lw[a0] + flood[: t_max + 1 - s], out=h[s:])
     return h
 
 
 def _one_user_terms(
     h: np.ndarray, params: ProtocolParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both views' class profiles from the mixture ``h = h_{n-1}`` of the others.
+    """Both views' class profiles from the mixture ``h = H_{n-1}`` of the others.
 
-    Returns ``h_n``, the profile of ``x'`` over the ``T = h.size`` classes
-    of either side, and ``lf_x``, that of ``x``, shape ``(2, T)`` by side
-    (module docstring). One user's terms beside ``h`` are ``g0[t] = log q +
-    h[t]``, the user dropped, and ``g1[u + 1] = log(1 - q) + eta (2 pad + 1)
-    + h[u - pad]`` (``-inf`` for ``u < pad``), the user participating with
-    input 1; ``lf_x`` reads ``g1`` at ``u = t`` on side 0 and ``u = t - 1``
-    on side 1. With input 0 a participating user sends one plus-message
-    fewer, so ``h_n = logaddexp(g0, g1[1:] - eta)``: Pascal's rule ``Bin(n,
-    a) = q Bin(n - 1, a) + (1 - q) Bin(n - 1, a - 1)`` on the mixture. ``log
-    q`` comes from :func:`_binom_logpmf`, as in :func:`_zero_mixture`, so
-    ``q = 0`` gives ``-inf`` without a warning.
+    Returns ``h_n``, the profile of ``x'``, shape ``(T,)``, and ``lf_x``,
+    that of ``x``, shape ``(2, T)`` by side. One user adds ``g0[t] = log q +
+    h[t]``, dropped, or ``g1[t] = log(1 - q) + h[t - pad]``, participating.
+    With input 0, ``h_n = logaddexp(g0, g1)``: Pascal's rule ``Bin(n, a) = q
+    Bin(n - 1, a) + (1 - q) Bin(n - 1, a - 1)``. With input 1 the extra
+    plus-message reads ``g1[t] + eta`` below the diagonal and ``g1[t - 1] -
+    eta`` on or above it. :func:`_binom_logpmf` gives ``q = 0`` its ``-inf``.
     """
     eta = params.noise_epsilon
     pad = params.pad_count
     t_max = h.size - 1
     lw0, lw1 = _binom_logpmf(1, 1.0 - params.drop_prob, np.arange(2))
     g0 = lw0 + h
+    # g1[t + 1] holds the g1[t] above, so g1[:-1] reads it at t - 1
     g1 = np.full(t_max + 2, NEG_INF)
     if pad <= t_max:
-        g1[pad + 1 :] = lw1 + eta * (2 * pad + 1) + h[: t_max + 1 - pad]
-    return np.logaddexp(g0, g1[1:] - eta), np.logaddexp(g0, np.array((g1[1:], g1[:-1])))
+        g1[pad + 1 :] = lw1 + h[: t_max + 1 - pad]
+    return np.logaddexp(g0, g1[1:]), np.logaddexp(g0, np.array((g1[1:] + eta, g1[:-1] - eta)))
 
 
 def view_logpmf_grid(
@@ -173,18 +178,17 @@ def view_logpmf_grid(
 ) -> np.ndarray:
     """Exact view log-PMF on the rectangle ``[0, i_max] x [0, j_max]``.
 
-    Built by the staircase identity of the module docstring: one 1-D
-    log-sum ``h`` over ``a0`` (:func:`_zero_mixture`), shifted for each
-    ``a1`` to ``g``, whose grid row ``i`` reads ``g[j]`` for ``j < i - a1``
-    and ``g[i - a1]`` from there on. That is ``n1 + 1`` grid passes and one
-    ``-eta (i + j)`` add; every sum is finite.
+    A staircase per ``a1``: the mixture over ``a0``, ``h`` (the tilted
+    :func:`_zero_mixture`), is shifted to ``g``, and grid row ``i`` reads
+    ``g[j]`` for ``j < i - a1`` and ``g[i - a1]`` from there on. That is ``n1
+    + 1`` grid passes and one ``-eta (i + j)`` add; every sum is finite.
     """
     i_max = check_count("i_max", i_max)
     j_max = check_count("j_max", j_max)
     eta = params.noise_epsilon
     pad = params.pad_count
     t_max = min(i_max, j_max)
-    h = _zero_mixture(ds.zeros, params, t_max)
+    h = _zero_mixture(ds.zeros, params, t_max) + 2.0 * eta * np.arange(t_max + 1)
     i = np.arange(i_max + 1)
     j = np.arange(j_max + 1)
     acc = None
@@ -305,26 +309,20 @@ def divergence_audit(
         )
     # classes (side, t), side 0 below the diagonal and side 1 on or above it
     h_xp, lf_x = _one_user_terms(_zero_mixture(n_users - 1, params, j_max), params)
-    lf_xp = np.array((h_xp, h_xp))
-    # each class's log weight (module docstring) goes in before exp, so every
-    # term is a log-probability
-    t = np.arange(j_max + 1)
-    diag = 2 * t + np.array([[1], [0]])
-    cells = np.array([[i_max], [j_max + 1]]) - t
-    weight = math.log(p) - eta * diag + np.log(-np.expm1(-eta * cells))
+    # each class's log weight (module docstring) goes in before exp
+    cells = np.array([[i_max], [j_max + 1]]) - np.arange(j_max + 1)
+    weight = math.log(p) - eta * np.array([[1], [0]]) + np.log(-np.expm1(-eta * cells))
     mass_x = float(np.exp(lf_x + weight).sum())
-    mass_xp = float(np.exp(lf_xp + weight).sum())
+    mass_xp = float(np.exp(h_xp + weight).sum())
     if not (mass_x >= coverage and mass_xp >= coverage):  # so is a NaN mass
         raise AuditInconclusiveError(
             f"coverage {coverage} beyond floating point: grid mass {min(mass_x, mass_xp)!r}"
         )
 
     inf_x = np.isneginf(lf_x)
-    support_mismatch = bool(np.any(inf_x != np.isneginf(lf_xp)))
-    if support_mismatch:
-        sup = math.inf
-    else:
-        sup = float(np.abs(lf_x[~inf_x] - lf_xp[~inf_x]).max(initial=0.0))
+    support_mismatch = bool(np.any(inf_x != np.isneginf(h_xp)))
+    ratio = np.subtract(lf_x, h_xp, out=np.zeros_like(lf_x), where=~inf_x)
+    sup = math.inf if support_mismatch else float(np.abs(ratio).max())
 
     passed = not support_mismatch and sup <= params.epsilon + tolerance
     return AuditReport(

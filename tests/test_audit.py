@@ -17,6 +17,7 @@ from shufflecount import (
     RandomSource,
     check_geo_ratio,
     check_poi_ratio,
+    derive_params,
     divergence_audit,
     dlap_variance,
     exact_mean_messages,
@@ -296,19 +297,28 @@ class TestOneDimensionalAudit:
 
     @pytest.mark.parametrize("lam", [0.25, 1.0, 127.0, 1e3, 1e4])
     @pytest.mark.parametrize("eta", [0.5, 0.9, 1.0])
-    def test_closed_form_flood_profile_matches_tilted_sum(self, eta, lam):
-        # C[t] = lam (e^{2 eta} - 1) + log P(Poi(mu) <= t), mu = lam e^{2 eta},
-        # against the running sum of the tilted terms e^{2 eta w} Poi(w; lam);
-        # both add terms of size up to mu, so the error is in units of mu
+    def test_flood_profile_matches_50_digits(self, eta, lam):
+        # L[t] = log sum_{w <= t} e^{-2 eta (t - w)} Poi(w; lam) at 41 sampled t,
+        # against its recursion at 50 digits; the bound holds no lam or mu
         params = ProtocolParams(
             n_users=1, epsilon=2.0, noise_epsilon=eta,
             drop_prob=0.01, pad_count=17, flood_mean=lam,
         )
         t_max = min(_grid_bounds(params, 1, 1e-9 / 8.0))
-        w = np.arange(t_max + 1)
-        tilted = np.logaddexp.accumulate(poi_logpmf(lam, w) + 2.0 * eta * w)
-        closed = _zero_mixture(0, params, t_max)
-        assert np.abs(closed - tilted).max() <= 1e-14 * (1.0 + lam * math.exp(2.0 * eta))
+        sampled = np.unique(np.linspace(0, t_max, 41).astype(int)).tolist()
+        expected = []
+        with mpmath.workdps(50):
+            decay = mpmath.exp(-2 * mpmath.mpf(eta))
+            poi = total = mpmath.exp(-mpmath.mpf(lam))
+            for t in range(t_max + 1):
+                if t:
+                    poi *= mpmath.mpf(lam) / t
+                    total = total * decay + poi
+                if t in sampled:
+                    expected.append(float(mpmath.log(total)))
+        got = _zero_mixture(0, params, t_max)[sampled]
+        # 1e-13 near the mass; a few ulps of |L| far out, where L[0] = -lam
+        np.testing.assert_allclose(got, expected, rtol=2e-15, atol=1e-13)
 
     def test_memory_is_one_dimensional(self):
         # two 622 x 602 float grids would take 6.0 MB; the profiles hold
@@ -331,6 +341,14 @@ class TestOneDimensionalAudit:
 
         monkeypatch.setattr(audit, "_zero_mixture", nan_mixture)
         with np.errstate(invalid="ignore"), pytest.raises(AuditInconclusiveError):
+            divergence_audit(3, _reference(3))
+
+    def test_mass_short_of_coverage_is_inconclusive(self, monkeypatch):
+        # a profile lowered by 1e-8 takes both masses to about 1 - 1e-8, short
+        # of the default coverage 1 - 1e-9
+        mixture = audit._zero_mixture
+        monkeypatch.setattr(audit, "_zero_mixture", lambda *args: mixture(*args) - 1e-8)
+        with pytest.raises(AuditInconclusiveError, match="grid mass"):
             divergence_audit(3, _reference(3))
 
 
@@ -370,20 +388,42 @@ class TestDivergenceAudit:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            {"grid_cap": 100},
-            {"coverage": 1.0 - 6e-16},
-            {"coverage": 0.9999999999999999},
-        ],
-        ids=["grid_cap", "coverage", "coverage_quantile_at_one"],
+        [{"grid_cap": 100}, {"coverage": 0.9999999999999999}],
+        ids=["grid_cap", "coverage_quantile_at_one"],
     )
     def test_unreachable_coverage_is_inconclusive(self, kwargs):
-        # the coverages lie beyond the mass floating point resolves: the
-        # smaller mass's float sum reads 1 - 63 * 2^-53, below 1 - 5 * 2^-53,
-        # the coverage nearest 1 whose 1 - (1 - coverage) / 8 does not round
-        # to 1; at the last, it does round to 1
+        # the grid needs more than 100 cells; at the last coverage,
+        # 1 - (1 - coverage) / 8 rounds to 1
         with pytest.raises(AuditInconclusiveError):
             divergence_audit(3, _reference(3), **kwargs)
+
+    def test_coverage_nearest_one_is_reached(self):
+        # 1 - 6e-16 lies near 1 - 5 * 2^-53, the coverage nearest 1 whose
+        # 1 - (1 - coverage) / 8 does not round to 1; with every profile O(1),
+        # both float masses reach it
+        report = divergence_audit(3, _reference(3), coverage=1.0 - 6e-16)
+        assert report.passed
+        assert min(report.mass_covered_x, report.mass_covered_xprime) >= report.coverage
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            derive_params(2.0, 0.5, 100),
+            derive_params(1.0, 0.5, 10**6),
+            ProtocolParams(
+                n_users=1, epsilon=8.0, noise_epsilon=7.9,
+                drop_prob=0.5, pad_count=1, flood_mean=23.0,
+            ),
+        ],
+        ids=["derived-eps2-n100", "derived-eps1-n1e6", "eps8-eta7.9"],
+    )
+    def test_large_tilt_sets_are_conclusive_at_one_user(self, params):
+        # lam (e^{2 eta} - 1) is 5.8e7, 1.6e7 and 1.7e8 here, and one ulp of it
+        # exceeds the coverage's 1e-9 margin: no profile may carry a term that size
+        report = divergence_audit(1, params, grid_cap=10**9)
+        assert report.passed
+        for mass in (report.mass_covered_x, report.mass_covered_xprime):
+            assert report.coverage <= mass <= 1.0 + 1e-13
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -16,7 +16,8 @@ both fidelities over 5000 trials, ``audit comm`` and ``bench``, each at
 seeds 1, 7 and 9001; ``params`` in derive and check mode, ``audit lemmas``
 and ``audit divergence`` on the reference set (``--n 3`` and ``--n 20``;
 the divergence audit also at ``--n 1``, on the failing ``--q 0`` control,
-on a failing ``--s 1`` set and on a set whose sup sits at the grid's edge),
+on a failing ``--s 1`` set, on a set whose sup sits at the grid's edge and
+on the large-tilt set ``--eps 8 --eps-prime 7.9 --q 0.5 --n 1``),
 and these two audits, ``audit mse`` and ``params`` once more as one-row
 CSV; ``run histogram --buckets 256 --uniform 100000`` at both fidelities
 and ``run count`` over 10**6 users, at seed 1, runs at scale, with ``run
@@ -121,6 +122,8 @@ def unseeded_calls() -> list[list[str]]:
         # a failing set with a finite sup, and a pass whose sup sits at the grid's edge
         ["audit", "divergence", *lam, "--q", "0.01", "--s", "1", "--n", "3"],
         ["audit", "divergence", *lam, "--q", "0.3", "--s", "3", "--n", "2"],
+        # lam (e^{2 eta} - 1) = 1.7e8 beside lam = 23
+        ["audit", "divergence", "--eps", "8", "--eps-prime", "7.9", "--q", "0.5", "--n", "1"],
     ]
 
 
