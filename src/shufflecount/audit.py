@@ -62,6 +62,9 @@ from .protocol import estimate_trials, message_count_trials
 DEFAULT_COVERAGE = 1.0 - 1e-9
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_GRID_CAP = 4096
+#: x from which log(1 - e^{-x}) is 0.0 in float64: e^{-40} < 2^{-57} is a
+#: sixteenth of the gap below 1, so 1 - e^{-x} rounds to 1 (it does from 54 ln 2 on)
+_LOG1MEXP_ZERO_FROM = 40.0
 
 
 @dataclass(frozen=True)
@@ -261,6 +264,22 @@ def _grid_bounds(
     return j_max + n_users, j_max
 
 
+def _class_log_weights(eta: float, p: float, i_max: int, j_max: int) -> np.ndarray:
+    """Each class's log weight (module docstring), shape ``(2, j_max + 1)``.
+
+    Its term log(1 - e^{-eta c}), of the class's ``c = top - t`` cells, is
+    0.0 once ``eta c >= _LOG1MEXP_ZERO_FROM``, so only the last classes of
+    each side evaluate it.
+    """
+    weight = np.empty((2, j_max + 1))
+    weight[:] = math.log(p) - eta * np.array([[1], [0]])
+    for side, top in enumerate((i_max, j_max + 1)):
+        start = max(0, top - math.ceil(_LOG1MEXP_ZERO_FROM / eta) + 1)
+        cells = top - np.arange(start, j_max + 1)
+        weight[side, start:] += np.log(-np.expm1(-eta * cells))
+    return weight
+
+
 def divergence_audit(
     n_users: int,
     params: ProtocolParams,
@@ -309,9 +328,7 @@ def divergence_audit(
         )
     # classes (side, t), side 0 below the diagonal and side 1 on or above it
     h_xp, lf_x = _one_user_terms(_zero_mixture(n_users - 1, params, j_max), params)
-    # each class's log weight (module docstring) goes in before exp
-    cells = np.array([[i_max], [j_max + 1]]) - np.arange(j_max + 1)
-    weight = math.log(p) - eta * np.array([[1], [0]]) + np.log(-np.expm1(-eta * cells))
+    weight = _class_log_weights(eta, p, i_max, j_max)  # goes in before exp
     mass_x = float(np.exp(lf_x + weight).sum())
     mass_xp = float(np.exp(h_xp + weight).sum())
     if not (mass_x >= coverage and mass_xp >= coverage):  # so is a NaN mass

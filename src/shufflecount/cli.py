@@ -29,13 +29,12 @@ import dataclasses
 import errno
 import functools
 import io
-import json
 import math
 import os
 import stat
 import sys
 import time
-from pathlib import Path
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -76,6 +75,8 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 SEED_ENV_VAR = "SHUFFLECOUNT_SEED"
+#: bytes asked of each ``os.read`` of an ``--input-file``
+READ_CHUNK = 1 << 16
 
 
 def _check_out(path: str | None) -> None:
@@ -109,14 +110,80 @@ def _emit(args, report: dict, rows: list[dict] | None) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        parts: list[str] = []
+        _write_json(report, "\n", parts)
+        parts.append("\n")
+        text = "".join(parts)
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as file:
+                file.write(text)
         except OSError as exc:
             raise ParameterError(f"{args.out}: cannot write: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
+
+
+def _write_json(obj, newline: str, parts: list[str]) -> None:
+    """Append the text of ``json.dumps(obj, indent=2, sort_keys=True)`` to ``parts``.
+
+    ``newline`` is a line break and the indent of the line ``obj`` starts on.
+    Any ``indent`` sends ``json.dumps`` to its pure-Python encoder; this plain
+    recursion writes the same bytes faster: keys sorted, scalars as
+    :data:`_SCALARS` writes them (a subclass, such as ``np.float64``, as its
+    base), and a ``TypeError`` for any value ``json.dumps`` rejects. Keys
+    must be ``str``, as every report's are.
+    """
+    write = _SCALARS.get(type(obj))
+    if write is not None:
+        parts.append(write(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for key in sorted(obj):
+            parts.append(f"{head}{encode_basestring_ascii(key)}: ")
+            _write_json(obj[key], inner, parts)
+            head = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for value in obj:
+            parts.append(head)
+            _write_json(value, inner, parts)
+            head = "," + inner
+        parts.append(newline + "]")
+    else:
+        for kind, write in _SCALARS.items():
+            if isinstance(obj, kind):
+                parts.append(write(obj))
+                return
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+#: JSON's names of the floats whose ``repr`` is not a JSON number
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+#: the JSON text of each scalar type, as ``json.dumps`` writes it
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
 
 
 def _flatten(report: dict, prefix: str = "") -> dict:
@@ -166,21 +233,29 @@ def _explicit_params(args, n_users: int) -> ProtocolParams:
 def _read_values(path: str, cast) -> np.ndarray:
     """The values of an ``--input-file``, one per line, as one array.
 
-    The file's bytes are read once, stripped of leading and trailing
-    whitespace, and every non-empty line cast straight into an array of
-    ``cast``'s numpy dtype (int64 for ``int``, float64 for ``float``);
-    ``int`` and ``float`` parse an ASCII line of bytes as they parse the
-    same text. If that fails, the pass runs once more without whitespace-only
-    lines. A line that is not a plain ASCII number, or a value outside that
-    dtype, sends the read to :func:`_read_lines`, a loop over the UTF-8 text
-    that splits at every line boundary ``str.splitlines`` knows, skips blank
-    lines, names the first line ``cast`` cannot read, and leaves an
-    out-of-range value to the caller's range check.
+    The file's bytes are read once (one ``os.open``, ``os.read`` calls of
+    :data:`READ_CHUNK` bytes to the end, one ``os.close``), stripped of
+    leading and trailing whitespace, and every non-empty line cast straight
+    into an array of ``cast``'s numpy dtype (int64 for ``int``, float64 for
+    ``float``); ``int`` and ``float`` parse an ASCII line of bytes as they
+    parse the same text. If that fails, the pass runs once more without
+    whitespace-only lines. A line that is not a plain ASCII number, or a
+    value outside that dtype, sends the read to :func:`_read_lines`, a loop
+    over the UTF-8 text that splits at every line boundary ``str.splitlines``
+    knows, skips blank lines, names the first line ``cast`` cannot read, and
+    leaves an out-of-range value to the caller's range check.
     """
+    chunks = []
     try:
-        data = Path(path).read_bytes()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            while chunk := os.read(fd, READ_CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ParameterError(f"{path}: cannot read: {exc.strerror}") from None
+    data = b"".join(chunks)
     lines = data.strip().splitlines()
     for kept in (filter(None, lines), filter(bytes.strip, lines)):
         try:

@@ -426,6 +426,27 @@ class TestDivergenceAudit:
             assert report.coverage <= mass <= 1.0 + 1e-13
 
     @pytest.mark.parametrize(
+        "n_users, params",
+        [(3, _reference(3)), (20, _reference(20)), (1, derive_params(0.5, 0.5, 10**6))],
+        ids=["reference-n3", "reference-n20", "derived-eps0.5-n1e6"],
+    )
+    def test_class_weights_match_the_full_evaluation(self, n_users, params):
+        # log(1 - e^{-eta c}) over every class, as the audit took it before the
+        # cut, gives the same bits, and with them the same masses
+        eta = params.noise_epsilon
+        p = geo_success_prob(eta)
+        i_max, j_max = _grid_bounds(params, n_users, (1.0 - audit.DEFAULT_COVERAGE) / 8.0)
+        cells = np.array([[i_max], [j_max + 1]]) - np.arange(j_max + 1)
+        full = math.log(p) - eta * np.array([[1], [0]]) + np.log(-np.expm1(-eta * cells))
+        got = audit._class_log_weights(eta, p, i_max, j_max)
+        assert got.shape == full.shape and got.tobytes() == full.tobytes()
+
+    def test_log1mexp_is_zero_from_the_cut(self):
+        x = np.linspace(audit._LOG1MEXP_ZERO_FROM, 2000.0, 10**6)
+        assert not np.log(-np.expm1(-x)).any()
+        assert np.log(-np.expm1(-np.nextafter(54 * math.log(2), 0.0))) < 0.0
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             {"coverage": 0.0},

@@ -3,6 +3,7 @@ import errno
 import importlib.util
 import io
 import json
+import math
 import os
 import tracemalloc
 from pathlib import Path
@@ -503,11 +504,13 @@ def test_unusable_file_exits_2(tmp_path, capsys, command, text, message):
 def test_file_errors_exit_2_naming_the_file(tmp_path, capsys, case):
     # exit 1 means a failed audit: a file that cannot be read or written is a usage error
     (tmp_path / "latin1.txt").write_bytes("1\n0\né\n".encode("latin-1"))
-    path = {
-        "missing": tmp_path / "missing.txt",
-        "directory": tmp_path,
-        "not-utf8": tmp_path / "latin1.txt",
-        "out-in-missing-dir": tmp_path / "missing" / "report.json",
+    path, message = {
+        "missing": (tmp_path / "missing.txt", "cannot read: No such file or directory"),
+        "directory": (tmp_path, "cannot read: Is a directory"),
+        "not-utf8": (tmp_path / "latin1.txt", "not UTF-8 text at byte 4"),
+        "out-in-missing-dir": (
+            tmp_path / "missing" / "report.json", "cannot write: No such file or directory"
+        ),
     }[case]
     if case == "out-in-missing-dir":
         source = ["--ones", "3", "--zeros", "2", "--out", str(path)]
@@ -515,7 +518,22 @@ def test_file_errors_exit_2_naming_the_file(tmp_path, capsys, case):
         source = ["--input-file", str(path)]
     code, out, err = run_cli(capsys, "run", "count", "--eps", "2", *source, "--seed", "1")
     assert (code, out) == (2, "")
-    assert err.startswith(f"invalid parameters: {path}: ") and err.count("\n") == 1
+    assert err == f"invalid parameters: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("chunk", [cli.READ_CHUNK, 7], ids=["read-chunk", "7-bytes"])
+@pytest.mark.parametrize("cast", [int, float])
+def test_file_beyond_one_read_chunk_reads_whole(tmp_path, monkeypatch, chunk, cast):
+    # several os.read calls, with chunk ends inside lines and CRLF pairs
+    lines = [f" {i * 7 % 10 // 5}\t" for i in range(cli.READ_CHUNK // 2)]
+    path = tmp_path / "values.txt"
+    path.write_bytes("\r\n".join(lines).encode())
+    assert path.stat().st_size > 2 * cli.READ_CHUNK
+    monkeypatch.setattr(cli, "READ_CHUNK", chunk)
+    expected = _read_line_by_line(path, cast)
+    got = _read_values(str(path), cast)
+    assert got.dtype == expected.dtype and got.size == len(lines)
+    np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize(
@@ -538,6 +556,90 @@ def test_out_is_checked_before_the_run(tmp_path, capsys, monkeypatch, out, error
     )
     assert (code, out) == (2, "")
     assert err == f"invalid parameters: {path}: cannot write: {os.strerror(error)}\n"
+
+
+def _dumps(obj) -> str:
+    """The report writer's text of ``obj``."""
+    parts: list[str] = []
+    cli._write_json(obj, "\n", parts)
+    return "".join(parts)
+
+
+#: JSON values as reports hold them, np.float64 leaves and tuples included
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.text()
+    | st.sampled_from(["", "\x00\x1f\x7f", "é\u2028\U0001f600", "\ud800", '"\\/\b']),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_report_writer_matches_indented_json_dumps(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{}, [], (), {"b": [], "a": {}}, [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324]],
+)
+def test_report_writer_edge_values(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value", [np.int64(1), np.bool_(True), {1, 2}, b"1", object()],
+    ids=["int64", "bool_", "set", "bytes", "object"],
+)
+@pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [1, v], lambda v: {"a": {"b": v}}],
+                         ids=["bare", "in-list", "in-dict"])
+def test_report_writer_rejects_what_json_dumps_rejects(value, wrap):
+    with pytest.raises(TypeError):
+        json.dumps(wrap(value), indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _dumps(wrap(value))
+
+
+def test_report_writer_takes_only_str_keys():
+    # json.dumps would write 1 as "1"; no report has a key that is not a str
+    with pytest.raises(TypeError):
+        _dumps({1: 2})
+
+
+def test_json_reports_never_reach_the_json_encoder(tmp_path, capsys, monkeypatch):
+    # the indented json.dumps runs the pure-Python encoder; every JSON report
+    # comes from cli._write_json, to stdout or to --out
+    def refuse(*args, **kwargs):
+        raise AssertionError("the json module encoded a report")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+    ref = ["--eps", "1", "--eps-prime", "0.5", "--q", "0.01", "--s", "17", "--lam", "127"]
+    calls = [
+        ["params", "--eps", "1", "--n", "100"],
+        ["run", "count", "--ones", "3", "--zeros", "2", "--eps", "2", "--seed", "1"],
+        ["run", "realsum", "--uniform", "20", "--bits", "2", "--eps", "2", "--seed", "1"],
+        ["run", "histogram", "--buckets", "2", "--uniform", "20", "--eps", "2", "--seed", "1"],
+        ["audit", "lemmas", *ref, "--n", "3"],
+        ["audit", "divergence", *ref, "--n", "3"],
+        ["audit", "mse", *ref, "--n", "20", "--trials", "1000", "--seed", "1"],
+        ["audit", "comm", *ref, "--n", "20", "--trials", "1000", "--seed", "1"],
+        ["bench", "--n-list", "100", "--trials", "1000", "--seed", "1"],
+    ]
+    for argv in calls:
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1) and not err, argv
+        path = tmp_path / "report.json"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (code, "", "")
+        assert path.read_text() == out and json.loads(out)
 
 
 @pytest.mark.parametrize(
@@ -676,7 +778,7 @@ LEAF_CALLS = [
     ["audit", "divergence", "--n", "3"],
     ["audit", "mse", "--n", "10", "--trials", "1000", "--fidelity", "counts", "--seed", "1"],
     ["audit", "comm", "--n", "10", "--trials", "1000", "--seed", "1"],
-    ["bench", "--n-list", "100", "--trials", "100", "--seed", "1"],
+    ["bench", "--n-list", "100", "--trials", "1000", "--seed", "1"],
     ["bench", "--n-list", "100", "--trials", "100", "--timing", "--seed", "1"],
 ]
 

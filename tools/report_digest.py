@@ -25,9 +25,11 @@ realsum --uniform 100000 --bits 3`` at both fidelities; each run command on
 an input file with CRLF endings, padding and blank lines, one with a
 23-digit line, one with unreadable lines, and an empty one; both audits of
 every vetted mc-trials case of the benchmark (``perfbench/workloads.py``);
-calls at the edges of the one-pass parse (an ``=``-joined value, an
-abbreviated option, a negative count, a repeated ``--seed`` and an
-option-like value); ``run count --zeros 5`` with no ``--ones``; and usage
+``run count``, ``run realsum``, ``run histogram``, ``audit divergence`` and
+``audit mse`` writing their JSON reports through ``--out``, and the first two
+their CSV reports; calls at the edges of the one-pass parse (an
+``=``-joined value, an abbreviated option, a negative count, a repeated
+``--seed`` and an option-like value); ``run count --zeros 5`` with no ``--ones``; and usage
 errors (an empty input file, negative counts, fidelities that are not one,
 a real-sum budget over the per-bit limit and a noise budget whose geometric
 tail rounds away among them), help and ``--version``.
@@ -227,6 +229,12 @@ def out_calls(tmp: Path) -> list[list[str]]:
         ["run", "realsum", "--uniform", "1000", "--bits", "4", "--seed", "1",
          "--format", "csv", "--out", str(tmp / "realsum.csv")],
         ["audit", "divergence", *REFERENCE, "--n", "3", "--out", str(tmp / "divergence.json")],
+        ["run", "realsum", "--uniform", "1000", "--bits", "4", "--seed", "1",
+         "--out", str(tmp / "realsum.json")],
+        ["run", "histogram", "--buckets", "8", "--uniform", "1000", "--seed", "1",
+         "--out", str(tmp / "histogram.json")],
+        ["audit", "mse", *REFERENCE, "--n", "20", "--trials", "1000", "--seed", "1",
+         "--out", str(tmp / "mse.json")],
     ]
 
 
