@@ -125,7 +125,7 @@ def _flood_profile(params: ProtocolParams, t_max: int) -> np.ndarray:
     shift = 1
     while shift < rows:
         carried = np.logaddexp(end[shift:], end[:-shift] - d * width * shift)
-        if np.array_equal(carried, end[shift:]):
+        if not np.logical_or.reduce(carried != end[shift:]):
             break
         end[shift:] = carried
         shift *= 2
@@ -264,20 +264,28 @@ def _grid_bounds(
     return j_max + n_users, j_max
 
 
-def _class_log_weights(eta: float, p: float, i_max: int, j_max: int) -> np.ndarray:
-    """Each class's log weight (module docstring), shape ``(2, j_max + 1)``.
+def _class_log_masses(
+    profile: np.ndarray, eta: float, p: float, i_max: int, j_max: int
+) -> np.ndarray:
+    """Each class's log mass: a view's ``profile`` plus the class's log weight.
 
-    Its term log(1 - e^{-eta c}), of the class's ``c = top - t`` cells, is
-    0.0 once ``eta c >= _LOG1MEXP_ZERO_FROM``, so only the last classes of
-    each side evaluate it.
+    ``profile`` is one view's, shape ``(2, j_max + 1)`` by side or ``(j_max +
+    1,)`` for both sides; the result is ``(2, j_max + 1)``. The log weight
+    (module docstring) is a constant per side plus log(1 - e^{-eta c}), of
+    the class's ``c = top - t`` cells, which is 0.0 once ``eta c >=
+    _LOG1MEXP_ZERO_FROM``: so only the last classes of each side add that
+    term, as ``profile + (constant + term)``, and the rest add the constant.
     """
-    weight = np.empty((2, j_max + 1))
-    weight[:] = math.log(p) - eta * np.array([[1], [0]])
+    const = math.log(p) - eta * np.array([[1], [0]])
+    log_masses = profile + const
     for side, top in enumerate((i_max, j_max + 1)):
         start = max(0, top - math.ceil(_LOG1MEXP_ZERO_FROM / eta) + 1)
         cells = top - np.arange(start, j_max + 1)
-        weight[side, start:] += np.log(-np.expm1(-eta * cells))
-    return weight
+        term = np.log(-np.expm1(-eta * cells))
+        term += const[side]
+        row = profile[side] if profile.ndim == 2 else profile
+        np.add(row[start:], term, out=log_masses[side, start:])
+    return log_masses
 
 
 def divergence_audit(
@@ -328,18 +336,22 @@ def divergence_audit(
         )
     # classes (side, t), side 0 below the diagonal and side 1 on or above it
     h_xp, lf_x = _one_user_terms(_zero_mixture(n_users - 1, params, j_max), params)
-    weight = _class_log_weights(eta, p, i_max, j_max)  # goes in before exp
-    mass_x = float(np.exp(lf_x + weight).sum())
-    mass_xp = float(np.exp(h_xp + weight).sum())
+    masses = []
+    for profile in (lf_x, h_xp):
+        log_mass = _class_log_masses(profile, eta, p, i_max, j_max)
+        masses.append(float(np.add.reduce(np.exp(log_mass, out=log_mass), axis=None)))
+        del log_mass  # before the next view's: one (2, T) array at a time
+    mass_x, mass_xp = masses
     if not (mass_x >= coverage and mass_xp >= coverage):  # so is a NaN mass
         raise AuditInconclusiveError(
             f"coverage {coverage} beyond floating point: grid mass {min(mass_x, mass_xp)!r}"
         )
 
-    inf_x = np.isneginf(lf_x)
-    support_mismatch = bool(np.any(inf_x != np.isneginf(h_xp)))
-    ratio = np.subtract(lf_x, h_xp, out=np.zeros_like(lf_x), where=~inf_x)
-    sup = math.inf if support_mismatch else float(np.abs(ratio).max())
+    inf_x = lf_x == NEG_INF
+    support_mismatch = bool(np.logical_or.reduce(inf_x != (h_xp == NEG_INF), axis=None))
+    ratio = np.subtract(lf_x, h_xp, out=np.zeros(lf_x.shape), where=~inf_x)
+    np.abs(ratio, out=ratio)
+    sup = math.inf if support_mismatch else float(np.maximum.reduce(ratio, axis=None))
 
     passed = not support_mismatch and sup <= params.epsilon + tolerance
     return AuditReport(
@@ -427,7 +439,7 @@ def check_poi_ratio(
 
     def log_rise(i: int, m: int) -> float:
         # sum_{k=1}^{m} log((i + k) / lam) term by term: no large gammaln cancels
-        return float(np.log((np.arange(1.0, m + 1.0) + i) / lam).sum())
+        return float(np.add.reduce(np.log((np.arange(1.0, m + 1.0) + i) / lam)))
 
     # F(i + 1) >= F(i) iff log_rise(i, pad + 1) >= log((e^eps - 1) q pad /
     # e^{eps - eta}); log_rise grows with i, also in floating point
@@ -510,6 +522,20 @@ class CommMeasurement(NamedTuple):
     trials: int
 
 
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    """``values.mean()`` and ``values.std(ddof=1)`` of a 1-d float64 array, bit for bit.
+
+    The same pairwise sums and divisions, and a correctly rounded square
+    root, by the ufunc reductions themselves: the ``ndarray`` methods reach
+    them through numpy's Python-level ``_methods``. The deviations are
+    squared in place.
+    """
+    mean = np.add.reduce(values) / values.size
+    dev = values - mean
+    np.multiply(dev, dev, out=dev)
+    return float(mean), math.sqrt(np.add.reduce(dev) / (values.size - 1))
+
+
 def measure_mse(
     params: ProtocolParams, ones: int, trials: int, rng: RandomSource, fidelity: str = "message"
 ) -> MseMeasurement:
@@ -522,10 +548,10 @@ def measure_mse(
     """
     check_count("trials", trials, 1000)
     estimates = estimate_trials(ones, params, trials, rng, fidelity=fidelity)
-    sq_err = (estimates - ones).astype(np.float64) ** 2
+    mse, std = _mean_std((estimates - ones).astype(np.float64) ** 2)
     return MseMeasurement(
-        empirical_mse=float(sq_err.mean()),
-        std_err=float(sq_err.std(ddof=1) / math.sqrt(trials)),
+        empirical_mse=mse,
+        std_err=std / math.sqrt(trials),
         exact=exact_mse(params, ones),
         bound=mse_bound(params),
         trials=trials,
@@ -538,10 +564,10 @@ def measure_comm(
 ) -> CommMeasurement:
     """Monte Carlo per-user message count against its expectation and bound."""
     check_count("trials", trials, 1000)
-    counts = message_count_trials(x, params, trials, rng).astype(np.float64)
+    mean, std = _mean_std(message_count_trials(x, params, trials, rng).astype(np.float64))
     return CommMeasurement(
-        empirical_mean=float(counts.mean()),
-        std_err=float(counts.std(ddof=1) / math.sqrt(trials)),
+        empirical_mean=mean,
+        std_err=std / math.sqrt(trials),
         exact=exact_mean_messages(params, x),
         bound=messages_bound(params),
         trials=trials,

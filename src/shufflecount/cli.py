@@ -346,7 +346,7 @@ def _cmd_run_count(args) -> tuple[dict, list[dict] | None]:
     run = run_counting(xs, params, RandomSource(seed))
     per_user = run.messages_per_user
     total = run.view.plus_count + run.view.minus_count  # every user's messages
-    true_value = int(np.sum(xs))
+    true_value = int(np.add.reduce(xs))
     report = {
         "subcommand": "run count",
         "seed": seed,
@@ -358,8 +358,8 @@ def _cmd_run_count(args) -> tuple[dict, list[dict] | None]:
         "view": {"plus": run.view.plus_count, "minus": run.view.minus_count},
         "messages_per_user": {
             "mean": total / len(xs),
-            "min": int(per_user.min()),
-            "max": int(per_user.max()),
+            "min": int(np.minimum.reduce(per_user)),
+            "max": int(np.maximum.reduce(per_user)),
             "total": total,
         },
     }
@@ -423,7 +423,7 @@ def _cmd_run_histogram(args) -> tuple[dict, list[dict] | None]:
         "instance": run.instance.to_dict(),
         "estimates": list(run.estimates),
         "true_counts": [int(c) for c in true_counts],
-        "linf_error": int(np.abs(errors).max()),
+        "linf_error": int(np.maximum.reduce(np.abs(errors))),
         "total_messages": run.total_messages,
     }
     rows = [
@@ -542,7 +542,7 @@ def _cmd_bench(args) -> tuple[dict, list[dict] | None]:
             "flood_mean": params.flood_mean,
             "drop_prob": params.drop_prob,
             "expected_messages_per_user_x1": exact_mean_messages(params, 1),
-            "mse": float(sq_err.mean()),
+            "mse": float(np.add.reduce(sq_err) / sq_err.size),
             "mse_exact": exact_mse(params, n),
             "mse_bound": mse_bound(params),
         }

@@ -142,8 +142,8 @@ def _bit_sums(xs: np.ndarray, n_bits: int):
     Returns ``draw(rng, rows)``: for each of ``rows`` trials, how many users'
     rounded values have a one at each bit position, most significant first,
     shape ``(rows, n_bits)``. The rounded values are held in their narrowest
-    dtype and each position is counted in turn, so no array of all the bits
-    is built.
+    dtype and each position is counted in turn into its column, so no array
+    of all the bits is built.
     """
     scale = 1 << n_bits
     dtype = np.min_scalar_type(scale - 1)
@@ -151,8 +151,11 @@ def _bit_sums(xs: np.ndarray, n_bits: int):
     def draw(rng: RandomSource, rows: int) -> np.ndarray:
         v = np.floor(xs * scale + rng.generator.random((rows, len(xs))))
         v = np.minimum(v, scale - 1).astype(dtype)
-        bits = [np.count_nonzero(v & (1 << (n_bits - 1 - k)), axis=1) for k in range(n_bits)]
-        return np.stack(bits, axis=-1)
+        bits = np.empty((rows, n_bits), dtype=np.int64)
+        for k in range(n_bits):
+            has_bit = (v & (1 << (n_bits - 1 - k))) != 0
+            np.add.reduce(has_bit, axis=1, dtype=np.int64, out=bits[:, k])
+        return bits
 
     return draw
 

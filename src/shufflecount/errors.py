@@ -75,15 +75,16 @@ def check_array(name: str, values, low, high, kinds: str = "iu") -> np.ndarray:
 
     ``kinds`` lists the accepted numpy dtype kinds: integers by default,
     ``"iuf"`` for reals. A bool or string array fails, and so does a NaN,
-    which fails the range. The range is one ``min`` and one ``max`` pass.
+    which fails the range. The range is one ``np.minimum.reduce`` and one
+    ``np.maximum.reduce`` pass.
     """
     arr = np.asarray(values)
     if not (
         arr.ndim == 1
         and arr.size
         and arr.dtype.kind in kinds
-        and low <= arr.min()
-        and arr.max() <= high
+        and low <= np.minimum.reduce(arr)
+        and np.maximum.reduce(arr) <= high
     ):
         what = "integers" if kinds == "iu" else "reals"
         raise ParameterError(

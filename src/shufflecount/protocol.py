@@ -10,7 +10,7 @@ shuffled multiset of single-bit messages and outputs its signed sum.
 The shuffled view depends on the inputs only through how many users hold a
 one, so that count is the only dataset input of every batch of runs
 (:func:`estimate_trials`, :func:`simulate_views`). :func:`run_trials`
-drives every batch (a single run is a one-trial batch on the same stream),
+drives a batch of several instances (a single run is a one-trial batch),
 and :func:`_stages` draws one instance's totals for all trials of a batch
 in stages, each fidelity stopping at the last stage it needs: the dropped
 ones, then the dropped zeros and each trial's flooding total, then each
@@ -214,7 +214,7 @@ def run_trials(inputs, instances, trials: int, rng: RandomSource, fidelity: str)
     if fidelity != "message":
         return out.T, None
     plus, minus = out.transpose(1, 2, 0)
-    return plus - minus, (plus + minus).sum(axis=1)
+    return plus - minus, np.add.reduce(plus + minus, axis=1)
 
 
 def shuffle(
@@ -285,14 +285,17 @@ def run_counting(
         ones, n, params, rng, "message", 1, per_user=True
     )
     gen = rng.generator
+    # each drop count as an int: choice would take an np.int64 size's product
+    # through ndarray.prod, a Python-level numpy wrapper
     drops = [  # the dropped users among the ones and among the zeros
-        np.flatnonzero(bits == x)[gen.choice(size, d[0], replace=False, shuffle=False)]
-        for x, size, d in zip((1, 0), (ones, n - ones), dropped) if d[0]
+        np.flatnonzero(bits == x)[gen.choice(size, d, replace=False, shuffle=False)]
+        for x, size, d in zip((1, 0), (ones, n - ones), (k.item() for k in dropped)) if d
     ]
     counts = gen.multinomial(flood[0], np.full(n, 1.0 / n))
     counts *= 2
     sizes = _table_sizes(noise[0], gen)
-    np.add.at(counts, gen.integers(0, n, len(sizes)), sizes)
+    for user, size in zip(gen.integers(0, n, len(sizes)).tolist(), sizes):
+        counts[user] += size  # about ln g tables a side: less than np.add.at's set-up
     counts += 2 * params.pad_count  # every user's block, then taken back from the dropped
     counts += bits == 1
     for users in drops:
@@ -326,15 +329,22 @@ def estimate_trials(
 ) -> np.ndarray:
     """Repeated protocol estimates for Monte Carlo measurement.
 
-    The one-instance :func:`run_trials` of ``ones`` ones among ``n`` users:
-    the estimate depends on the data only through that count. ``message``
-    fidelity draws every message total, ``counts`` only the dropped ones
-    and noise totals that the signed sum needs. Both produce the same
-    estimate distribution, ``ones - Binomial(ones, drop_prob) +
-    DLap(noise_epsilon)``.
+    The :func:`_stages` of ``ones`` ones among ``n`` users, the draws of a
+    one-instance :func:`run_trials`: the estimate depends on the data only
+    through that count. ``message`` fidelity draws every message total,
+    ``counts`` only the dropped ones and noise totals that the signed sum
+    needs. Both produce the same estimate distribution, ``ones -
+    Binomial(ones, drop_prob) + DLap(noise_epsilon)``.
     """
-    ones = check_count("ones", ones, 0, params.n_users)
-    return run_trials([ones], [params], trials, rng, fidelity)[0][:, 0]
+    n = params.n_users
+    ones = check_count("ones", ones, 0, n)
+    check_choice("fidelity", fidelity, FIDELITIES)
+    trials = check_count("trials", trials, 1)
+    out = _stages(ones, n, params, rng, fidelity, trials)
+    if fidelity == "counts":
+        return out
+    plus, minus = out
+    return plus - minus
 
 
 def message_count_trials(

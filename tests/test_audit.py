@@ -39,6 +39,7 @@ from shufflecount.audit import (
     view_logpmf_grid,
 )
 from shufflecount.dist import geo_success_prob, poi_logpmf, sample_nb
+from shufflecount.protocol import estimate_trials, message_count_trials
 
 from oracles import (
     MIN_EXPECTED,
@@ -432,14 +433,24 @@ class TestDivergenceAudit:
     )
     def test_class_weights_match_the_full_evaluation(self, n_users, params):
         # log(1 - e^{-eta c}) over every class, as the audit took it before the
-        # cut, gives the same bits, and with them the same masses
+        # cut, added to a profile of either shape gives the same bits, and with
+        # them the same masses
         eta = params.noise_epsilon
         p = geo_success_prob(eta)
         i_max, j_max = _grid_bounds(params, n_users, (1.0 - audit.DEFAULT_COVERAGE) / 8.0)
         cells = np.array([[i_max], [j_max + 1]]) - np.arange(j_max + 1)
         full = math.log(p) - eta * np.array([[1], [0]]) + np.log(-np.expm1(-eta * cells))
-        got = audit._class_log_weights(eta, p, i_max, j_max)
-        assert got.shape == full.shape and got.tobytes() == full.tobytes()
+        del cells
+        rng = np.random.default_rng(0)
+        for shape in ((j_max + 1,), (2, j_max + 1)):
+            profile = rng.standard_normal(shape)
+            got = audit._class_log_masses(profile, eta, p, i_max, j_max)
+            want = profile + full
+            del profile  # at T = 9.8e6 each array is 157 MB: hold few at once
+            assert got.shape == want.shape == full.shape
+            for side in range(2):
+                assert got[side].tobytes() == want[side].tobytes()
+            del got, want
 
     def test_log1mexp_is_zero_from_the_cut(self):
         x = np.linspace(audit._LOG1MEXP_ZERO_FROM, 2000.0, 10**6)
@@ -738,6 +749,23 @@ class TestCommMeasurement:
         result = measure_comm(params, 1, 10_000, RandomSource(61))
         assert abs(result.empirical_mean - result.exact) <= 3.0 * result.std_err
         assert result.empirical_mean <= result.bound
+
+
+@pytest.mark.parametrize("size", [*range(2, 10), 127, 128, 129, 1000, 50_000])
+@pytest.mark.parametrize("source", ["squared-errors", "message-counts", "reals"])
+def test_mean_std_is_the_ndarray_methods_bit_for_bit(source, size):
+    # the ndarray reductions that _mean_std replaced are its reference; a sum
+    # of integers is exact in any order, so the reals pin the mean's order too
+    params, rng = _reference(100), RandomSource(size)
+    if source == "squared-errors":
+        values = (estimate_trials(70, params, size, rng, "counts") - 70).astype(np.float64) ** 2
+    elif source == "message-counts":
+        values = message_count_trials(1, params, size, rng).astype(np.float64)
+    else:
+        values = rng.generator.standard_normal(size) * 1e3 + 1e4
+    mean, std = audit._mean_std(values)
+    assert np.float64(mean).tobytes() == values.mean().tobytes()
+    assert np.float64(std).tobytes() == values.std(ddof=1).tobytes()
 
 
 class TestCrossValidation:

@@ -291,6 +291,23 @@ def test_message_trials_hold_no_per_user_total():
     assert peaks[2] <= peaks[1] + 2 * 2**20
 
 
+@pytest.mark.parametrize("n_bits", range(1, 9))
+def test_bit_sums_match_the_count_nonzero_form(n_bits):
+    # the per-position count_nonzero and stack that _bit_sums replaced, on the
+    # same rounding draws, is its reference
+    xs = np.random.default_rng(n_bits).random(300)
+    xs[:2] = 0.0, 1.0
+    got = _bit_sums(xs, n_bits)(RandomSource(8), 5)
+    scale = 1 << n_bits
+    v = np.floor(xs * scale + RandomSource(8).generator.random((5, xs.size)))
+    v = np.minimum(v, scale - 1).astype(np.min_scalar_type(scale - 1))
+    want = np.stack(
+        [np.count_nonzero(v & (1 << (n_bits - 1 - k)), axis=1) for k in range(n_bits)], axis=-1
+    )
+    assert got.dtype == want.dtype and got.shape == want.shape == (5, n_bits)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("fidelity", protocol.FIDELITIES)
 def test_single_runs_are_trial_zero_on_the_same_stream(fidelity):
     xs = np.random.default_rng(4).random(40)

@@ -306,6 +306,19 @@ class TestEstimateTrials:
             sq_se = (err**2).std(ddof=1) / math.sqrt(err.size)
             assert abs((err**2).mean() - (var + drift**2)) <= 3.0 * sq_se, fid
 
+    @pytest.mark.parametrize("trials", [1, 2, 1000])
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_is_the_one_instance_run_trials(self, fidelity, trials):
+        # estimate_trials calls _stages itself; the run_trials form it
+        # replaced is its reference: the same draws, dtype and stream state
+        params = minimal_params(1.0, 0.5, 0.05, 60)
+        got_rng, want_rng = RandomSource(33), RandomSource(33)
+        got = estimate_trials(40, params, trials, got_rng, fidelity)
+        want = run_trials([40], [params], trials, want_rng, fidelity)[0][:, 0]
+        assert got.dtype == want.dtype and got.shape == want.shape == (trials,)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.generator.bit_generator.state == want_rng.generator.bit_generator.state
+
     @pytest.mark.parametrize("sampler", [*FIDELITIES, "sample_estimate"])
     def test_estimates_follow_the_closed_form_law(self, sampler):
         # both fidelities, and the closed-form sampler of tests/oracles.py,

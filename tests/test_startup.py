@@ -6,7 +6,10 @@ reference. Each CLI path runs in a fresh interpreter in which ``import scipy``
 fails, and loads no scipy module, and no ``csv`` module unless it writes a
 CSV report; and every import statement under ``src/shufflecount``,
 function-local ones included, names the standard library, the package or a
-runtime dependency listed in ``pyproject.toml``.
+runtime dependency listed in ``pyproject.toml``. Within one process, no
+JSON call of any subcommand enters one of numpy's Python-level wrappers
+(``ndarray.mean`` and the other reduction methods, ``np.sum``,
+``np.array_equal``, ...): each op path calls the C ufuncs behind them.
 """
 
 import ast
@@ -18,7 +21,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from shufflecount.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -113,3 +119,84 @@ def test_package_imports_only_stdlib_and_runtime_dependencies():
         if module not in allowed
     }
     assert outside == set()
+
+
+#: numpy's Python-level wrappers that a CLI op path calls the ufunc behind
+#: instead, by file under the numpy package; None names every function in it
+NUMPY_WRAPPERS = {
+    os.path.join("numpy", "_core", "_methods.py"): None,
+    os.path.join("numpy", "_core", "fromnumeric.py"): {
+        "sum", "any", "all", "mean", "std", "var", "max", "min", "amax", "amin",
+    },
+    os.path.join("numpy", "_core", "numeric.py"): {"array_equal", "zeros_like"},
+    os.path.join("numpy", "_core", "shape_base.py"): {"stack"},
+    os.path.join("numpy", "lib", "_ufunclike_impl.py"): {"isneginf"},
+}
+_WRAPPER_FILES = tuple(NUMPY_WRAPPERS)
+REFERENCE = ["--eps", "1", "--eps-prime", "0.5", "--q", "0.01", "--s", "17", "--lam", "127"]
+
+
+def _wrappers_entered(call) -> tuple[object, set[str]]:
+    """``call()``'s result and the numpy wrappers it entered, as ``file:function``."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith(_WRAPPER_FILES):
+            code = frame.f_code
+            for path, names in NUMPY_WRAPPERS.items():
+                if code.co_filename.endswith(path) and (names is None or code.co_name in names):
+                    entered.add(f"{path}:{code.co_name}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(previous)
+    return result, entered
+
+
+def test_the_guard_sees_every_wrapper_file():
+    # a numpy whose wrappers moved fails here instead of passing the guard
+    x = np.array([1.0, -np.inf])
+    _, entered = _wrappers_entered(
+        lambda: (
+            x.mean(), np.sum(x), np.any(x), np.array_equal(x, x), np.zeros_like(x),
+            np.stack([x]), np.isneginf(x),
+        )
+    )
+    assert {entry.rsplit(":", 1)[0] for entry in entered} == set(NUMPY_WRAPPERS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "count", "--ones", "400", "--zeros", "600"],
+        *(
+            [*run, "--uniform", "1000", "--fidelity", fidelity]
+            for run in (["run", "realsum", "--bits", "4"], ["run", "histogram", "--buckets", "8"])
+            for fidelity in ("message", "counts")
+        ),
+        ["audit", "divergence", *REFERENCE, "--n", "1"],
+        ["audit", "divergence", *REFERENCE, "--n", "20"],
+        *(
+            ["audit", "mse", *REFERENCE, "--n", "1000", "--ones", "700", "--trials", "1000",
+             "--fidelity", fidelity]
+            for fidelity in ("message", "counts")
+        ),
+        ["audit", "comm", *REFERENCE, "--n", "100", "--trials", "1000"],
+        ["audit", "lemmas", *REFERENCE, "--n", "3"],
+        ["bench", "--n-list", "100,1000", "--trials", "1000"],
+        ["params", "--eps", "1", "--rho", "0.5", "--n", "1000"],
+    ],
+    ids=[
+        "run-count", "run-realsum-message", "run-realsum-counts", "run-histogram-message",
+        "run-histogram-counts", "audit-divergence-n1", "audit-divergence-n20",
+        "audit-mse-message", "audit-mse-counts", "audit-comm", "audit-lemmas", "bench", "params",
+    ],
+)
+def test_json_calls_enter_no_python_level_numpy_wrapper(capsys, argv):
+    code, entered = _wrappers_entered(lambda: main([*argv, "--seed", "1"]))
+    capsys.readouterr()
+    assert code == 0
+    assert entered == set()

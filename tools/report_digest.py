@@ -18,10 +18,11 @@ and ``audit divergence`` on the reference set (``--n 3`` and ``--n 20``;
 the divergence audit also at ``--n 1``, on the failing ``--q 0`` control,
 on a failing ``--s 1`` set, on a set whose sup sits at the grid's edge and
 on the large-tilt set ``--eps 8 --eps-prime 7.9 --q 0.5 --n 1``),
-and these two audits, ``audit mse`` and ``params`` once more as one-row
-CSV; ``run histogram --buckets 256 --uniform 100000`` at both fidelities
-and ``run count`` over 10**6 users, at seed 1, runs at scale, with ``run
-realsum --uniform 100000 --bits 3`` at both fidelities; each run command on
+and these two audits, ``audit mse``, ``audit comm`` and ``params`` once
+more as one-row CSV, with ``bench``'s CSV rows; ``run histogram --buckets
+256 --uniform 100000`` at both fidelities and ``run count`` over 10**6
+users, at seed 1, runs at scale, with ``run realsum --uniform 100000
+--bits 3`` at both fidelities; each run command on
 an input file with CRLF endings, padding and blank lines, one with a
 23-digit line, one with unreadable lines, and an empty one; both audits of
 every vetted mc-trials case of the benchmark (``perfbench/workloads.py``);
@@ -130,13 +131,15 @@ def unseeded_calls() -> list[list[str]]:
 
 
 def csv_calls() -> list[list[str]]:
-    """Reports without rows, each flattened into one CSV row."""
+    """Reports without rows, each flattened into one CSV row, and ``bench``'s rows."""
     csv = ["--format", "csv"]
     return [
         ["params", "--eps", "1", "--rho", "0.5", "--n", "1000", *csv],
         ["audit", "lemmas", *REFERENCE, "--n", "3", *csv],
         ["audit", "divergence", *REFERENCE, "--n", "3", *csv],
         ["audit", "mse", *REFERENCE, "--n", "20", "--trials", "1000", "--seed", "1", *csv],
+        ["audit", "comm", *REFERENCE, "--n", "100", "--trials", "20000", "--seed", "1", *csv],
+        ["bench", "--n-list", "100,1000,10000", "--trials", "2000", "--seed", "1", *csv],
     ]
 
 
